@@ -21,12 +21,11 @@ from .device import (
     enumerate_faults,
     eval_pla,
     find_test_vector,
-    inject_fault,
     output_masks,
     render_crosspoint_diagram,
 )
 from .errors import CapacityError, FormatError
-from .expr import parse_equations, parse_expression, variables
+from .expr import content_lines, parse_equations, parse_expression, variables
 from .fit import (
     compile_equations,
     emit_fusemap,
@@ -42,7 +41,7 @@ from .fsm import (
     simulate_controller,
     synthesize_controller,
 )
-from .logic import MAX_VARS, canonical_sop, minterm_cube, table_from_expr
+from .logic import MAX_VARS, canonical_sop, lowest_row, minterm_cube, table_from_expr
 from .minimize import minimize, share_terms
 
 _PROFILE_RE = re.compile(r"n(\d+)p(\d+)m(\d+)")
@@ -90,21 +89,23 @@ def _write_text(path, text):
         Path(path).write_text(text)
 
 
+def _exhaustive(spec, width):
+    """Whether `spec` asks for every input vector: 'all', or 'allN' with N = 2^width."""
+    if not (spec == "all" or (spec.startswith("all") and spec[3:].isdigit())):
+        return False
+    if width > MAX_VARS:
+        raise ValueError(f"refusing exhaustive sweep over {width} inputs")
+    if spec != "all" and int(spec[3:]) != 1 << width:
+        raise ValueError(
+            f"{spec!r} asks for {int(spec[3:])} vectors but the device "
+            f"has {width} inputs (2^{width} = {1 << width})"
+        )
+    return True
+
+
 def _load_vectors(spec, width, what="vectors"):
-    if spec == "all" or (spec.startswith("all") and spec[3:].isdigit()):
-        if width > MAX_VARS:
-            raise ValueError(f"refusing exhaustive sweep over {width} inputs")
-        if spec != "all" and int(spec[3:]) != 1 << width:
-            raise ValueError(
-                f"{spec!r} asks for {int(spec[3:])} vectors but the device "
-                f"has {width} inputs (2^{width} = {1 << width})"
-            )
-        return [minterm_cube(i, width) for i in range(1 << width)]
     vectors = []
-    for lineno, raw in enumerate(_read_text(spec, what).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(_read_text(spec, what)):
         if len(line) != width or set(line) - {"0", "1"}:
             raise FormatError(
                 f"{what} line {lineno}: {line!r} is not {width} binary digits"
@@ -138,15 +139,7 @@ def cmd_synth(args):
     named = parse_equations(
         _read_text(args.equations, "equations"), multi_letter=args.multi_letter
     )
-    if args.order:
-        order = _split_names(args.order)
-    else:
-        order = []
-        for _, e in named:
-            for v in variables(e):
-                if v not in order:
-                    order.append(v)
-        order = tuple(order)
+    order = _split_names(args.order) if args.order else variables(*(e for _, e in named))
     if not order:
         raise ValueError("constant equations: give the variables with --order")
 
@@ -182,15 +175,22 @@ def cmd_sim(args):
         raise ValueError("fuse map and vectors cannot both come from stdin")
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
     n = fm.state.profile.n_inputs
-    vectors = _load_vectors(args.vectors, n)
+    if _exhaustive(args.vectors, n):
+        # row i of the table is bit i of each output mask
+        columns = [format(m, f"0{1 << n}b")[::-1] for m in output_masks(fm.state)]
+        rows = (
+            (minterm_cube(i, n), "".join(outs)) for i, outs in enumerate(zip(*columns))
+        )
+    else:
+        rows = ((v, eval_pla(fm.state, v)) for v in _load_vectors(args.vectors, n))
     if args.header:
         ins = fm.input_names or tuple(f"x{j}" for j in range(n))
         outs = fm.output_names or tuple(
             f"f{o}" for o in range(fm.state.profile.n_outputs)
         )
         print("# " + " ".join(ins) + " | " + " ".join(outs))
-    for v in vectors:
-        print(f"{v} {eval_pla(fm.state, v)}")
+    for v, outs in rows:
+        print(f"{v} {outs}")
     return 0
 
 
@@ -205,17 +205,8 @@ def cmd_verify(args):
             f"{len(equations)} equations but the device has {profile.n_outputs} outputs"
         )
 
-    if args.var_order:
-        base = _split_names(args.var_order)
-    elif fm.input_names:
-        base = fm.input_names
-    else:
-        base = []
-        for _, e in equations:
-            for v in variables(e):
-                if v not in base:
-                    base.append(v)
-        base = tuple(base)
+    base = (_split_names(args.var_order) if args.var_order
+            else fm.input_names or variables(*(e for _, e in equations)))
     if len(base) > profile.n_inputs:
         raise ValueError(
             f"{len(base)} variables but the device has {profile.n_inputs} inputs"
@@ -231,16 +222,19 @@ def cmd_verify(args):
     masks = output_masks(fm.state)
     out_names = fm.output_names
     for i, (name, e) in enumerate(equations):
-        if out_names and name in out_names:
+        if not out_names:
+            idx = i
+        elif name in out_names:
             idx = out_names.index(name)
         else:
-            idx = i
+            raise ValueError(
+                f"equation {name!r} names no output of the fuse map "
+                f"(OB: {' '.join(out_names)})"
+            )
         expected = table_from_expr(e, order)
-        diff = masks[idx] ^ expected.bits
-        if diff:
-            row = (diff & -diff).bit_length() - 1
-            bits = minterm_cube(row, profile.n_inputs)
-            got = (masks[idx] >> row) & 1
+        bits = lowest_row(masks[idx] ^ expected.bits, profile.n_inputs)
+        if bits is not None:
+            got = (masks[idx] >> int(bits, 2)) & 1
             print(
                 f"MISMATCH {name}: input {bits} device={got} expected={1 - got}"
             )
@@ -289,7 +283,7 @@ def cmd_fsmsim(args):
             f"encoding wants {need_in} inputs / {need_out} outputs but the device "
             f"has {prof.n_inputs} / {prof.n_outputs}"
         )
-    if args.vectors == "all":
+    if _exhaustive(args.vectors, enc.n_inputs):
         raise ValueError("a state machine needs a vector sequence, not 'all'")
     vectors = _load_vectors(args.vectors, enc.n_inputs)
     image = ControllerImage(fm.state, enc)
@@ -323,16 +317,11 @@ def cmd_fault(args):
         faults = [_parse_fault(f) for f in args.fault]
     else:
         raise ValueError("give --fault specs or --all")
-    for f in faults:
-        inject_fault(fm.state, f)  # range check before the sweep
-    detected = 0
-    for f in faults:
-        vector = find_test_vector(fm.state, f)
-        if vector is None:
-            print(f"{f}: undetectable")
-        else:
-            detected += 1
-            print(f"{f}: {vector}")
+    # every fault is range-checked before anything is printed
+    vectors = [find_test_vector(fm.state, f) for f in faults]
+    for f, vector in zip(faults, vectors):
+        print(f"{f}: {vector or 'undetectable'}")
+    detected = sum(vector is not None for vector in vectors)
     pct = 100.0 * detected / len(faults)
     print(f"coverage: {detected}/{len(faults)} detected ({pct:.1f}%)")
     if args.require_full_coverage and detected < len(faults):

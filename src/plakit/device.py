@@ -20,8 +20,10 @@ coordinates are (output row, term column), matching the stored or_plane.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from operator import and_, or_
 
-from .logic import MAX_VARS, _var_mask, minterm_cube
+from .logic import MAX_VARS, _product_mask, lowest_row
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -110,22 +112,23 @@ def blank_device(profile):
     return PlaState(profile, and_plane, or_plane, (0,) * profile.n_outputs)
 
 
-def _set_bit(matrix, row, col, value):
-    new_row = list(matrix[row])
-    new_row[col] = value
-    return matrix[:row] + (tuple(new_row),) + matrix[row + 1 :]
+def _plane(state, plane, row, col):
+    """The plane holding crosspoint (row, col), after checking it exists."""
+    if plane not in PLANES:
+        raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
+    matrix = state.and_plane if plane == "and" else state.or_plane
+    if not (0 <= row < len(matrix) and 0 <= col < len(matrix[0])):
+        raise ValueError(f"{plane} plane has no crosspoint ({row}, {col})")
+    return matrix
 
 
 def set_crosspoint(state, plane, row, col, connected):
     """Return a new image with one crosspoint forced to `connected` (0 or 1)."""
-    if plane not in PLANES:
-        raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
     if connected not in (0, 1):
         raise ValueError(f"crosspoint value must be 0 or 1, got {connected!r}")
-    matrix = state.and_plane if plane == "and" else state.or_plane
-    if not (0 <= row < len(matrix) and 0 <= col < len(matrix[0])):
-        raise ValueError(f"{plane} plane has no crosspoint ({row}, {col})")
-    updated = _set_bit(matrix, row, col, connected)
+    matrix = _plane(state, plane, row, col)
+    new_row = matrix[row][:col] + (connected,) + matrix[row][col + 1 :]
+    updated = matrix[:row] + (new_row,) + matrix[row + 1 :]
     if plane == "and":
         return replace(state, and_plane=updated)
     return replace(state, or_plane=updated)
@@ -147,55 +150,96 @@ def set_polarity(state, index, bit):
 # Evaluation
 
 
+def _word(bits):
+    return int("".join(map(str, bits)), 2)
+
+
+class _Compiled:
+    """Integer form of one image.
+
+    Input j is bit n-1-j of an input word, so int(bits, 2) is the word of
+    an input string and row r of a 2^n-row mask is input word r. Term t is
+    bit t of an OR row.
+    """
+
+    def __init__(self, state):
+        self.n = state.profile.n_inputs
+        self.full = (1 << (1 << self.n)) - 1
+        self.polarity = state.polarity
+        self.literals = tuple(  # (req1, req0) per term
+            (_word(row[0::2]), _word(row[1::2])) for row in state.and_plane
+        )
+        self.or_rows = tuple(_word(row[::-1]) for row in state.or_plane)
+
+    def eval(self, x):
+        active = sum(1 << t for t, (req1, req0) in enumerate(self.literals)
+                     if x & req1 == req1 and not x & req0)
+        return "".join(
+            "01"[bool(active & row) ^ p] for row, p in zip(self.or_rows, self.polarity)
+        )
+
+    @cached_property
+    def terms(self):
+        return tuple(_product_mask(self.n, *lits) for lits in self.literals)
+
+    @cached_property
+    def raw(self):
+        """Output masks before the polarity XOR."""
+        return tuple(
+            reduce(or_, (m for t, m in enumerate(self.terms) if row >> t & 1), 0)
+            for row in self.or_rows
+        )
+
+    @cached_property
+    def outputs(self):
+        return tuple(m ^ self.full if p else m for m, p in zip(self.raw, self.polarity))
+
+    @cached_property
+    def twice(self):
+        """Rows of each output that two or more connected terms cover."""
+        masks = []
+        for row in self.or_rows:
+            once = twice = 0
+            for t, m in enumerate(self.terms):
+                if row >> t & 1:
+                    once, twice = once | m, twice | once & m
+            masks.append(twice)
+        return tuple(masks)
+
+    @cached_property
+    def hidden(self):
+        """hidden[t]: rows where each output that term t feeds is 1 through
+        another term, so no change to term t shows there."""
+        return tuple(
+            reduce(and_, (raw & ~m | twice & m
+                          for row, raw, twice in zip(self.or_rows, self.raw, self.twice)
+                          if row >> t & 1), self.full)
+            for t, m in enumerate(self.terms)
+        )
+
+
+def _compiled(state):
+    """The image's integer form, built on first use and kept on the instance
+    outside the dataclass fields, so equality, hashing and replace() are
+    untouched. Every edit makes a new instance, so it never goes stale."""
+    compiled = state.__dict__.get("_compiled")
+    if compiled is None:
+        compiled = _Compiled(state)
+        object.__setattr__(state, "_compiled", compiled)
+    return compiled
+
+
 def eval_pla(state, bits):
     """Evaluate one input vector; returns the m-character output string."""
     n = state.profile.n_inputs
     if len(bits) != n or set(bits) - {"0", "1"}:
         raise ValueError(f"input {bits!r} is not {n} binary digits")
-    terms = []
-    for row in state.and_plane:
-        active = 1
-        for j in range(n):
-            true_conn, comp_conn = row[2 * j], row[2 * j + 1]
-            value = bits[j] == "1"
-            if (true_conn and not value) or (comp_conn and value):
-                active = 0
-                break
-        terms.append(active)
-    out = []
-    for o, or_row in enumerate(state.or_plane):
-        raw = 0
-        for t, conn in enumerate(or_row):
-            if conn and terms[t]:
-                raw = 1
-                break
-        out.append(str(raw ^ state.polarity[o]))
-    return "".join(out)
+    return _compiled(state).eval(int(bits, 2))
 
 
 def output_masks(state):
     """Bit-parallel exhaustive evaluation: one 2^n-bit mask per output."""
-    n = state.profile.n_inputs
-    full = (1 << (1 << n)) - 1
-    term_masks = []
-    for row in state.and_plane:
-        mask = full
-        for j in range(n):
-            if row[2 * j]:
-                mask &= _var_mask(n, j)
-            if row[2 * j + 1]:
-                mask &= full ^ _var_mask(n, j)
-        term_masks.append(mask)
-    outs = []
-    for o, or_row in enumerate(state.or_plane):
-        mask = 0
-        for t, conn in enumerate(or_row):
-            if conn:
-                mask |= term_masks[t]
-        if state.polarity[o]:
-            mask ^= full
-        outs.append(mask)
-    return tuple(outs)
+    return _compiled(state).outputs
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +273,10 @@ def inject_fault(state, fault):
 
 def enumerate_faults(profile):
     """Every single stuck-crosspoint fault, in a fixed deterministic order."""
-    faults = []
-    for row in range(profile.n_terms):
-        for col in range(2 * profile.n_inputs):
-            for stuck in STUCK_MODES:
-                faults.append(Fault("and", row, col, stuck))
-    for row in range(profile.n_outputs):
-        for col in range(profile.n_terms):
-            for stuck in STUCK_MODES:
-                faults.append(Fault("or", row, col, stuck))
-    return faults
+    shapes = (("and", profile.n_terms, 2 * profile.n_inputs),
+              ("or", profile.n_outputs, profile.n_terms))
+    return [Fault(plane, row, col, stuck) for plane, rows, cols in shapes
+            for row in range(rows) for col in range(cols) for stuck in STUCK_MODES]
 
 
 def find_test_vector(state, fault):
@@ -246,16 +284,27 @@ def find_test_vector(state, fault):
 
     None means the fault is undetectable on this image -- usually because
     the stuck value equals the programmed value, or the crosspoint feeds
-    nothing observable.
+    nothing observable. Only the faulted term or output is re-evaluated.
     """
-    faulty = inject_fault(state, fault)
-    diff = 0
-    for good, bad in zip(output_masks(state), output_masks(faulty)):
-        diff |= good ^ bad
-    if diff == 0:
+    stuck = 1 if fault.stuck == "connected" else 0
+    row, col = fault.row, fault.col
+    if _plane(state, fault.plane, row, col)[row][col] == stuck:
         return None
-    row = (diff & -diff).bit_length() - 1
-    return minterm_cube(row, state.profile.n_inputs)
+    image = _compiled(state)
+    if fault.plane == "and":
+        req1, req0 = image.literals[row]
+        bit = 1 << (image.n - 1 - col // 2)
+        if col % 2:
+            req0 ^= bit
+        else:
+            req1 ^= bit
+        changed = image.terms[row] ^ _product_mask(image.n, req1, req0)
+        diff = changed & ~image.hidden[row]
+    elif stuck:
+        diff = image.terms[col] & ~image.raw[row]
+    else:
+        diff = image.terms[col] & ~image.twice[row]
+    return lowest_row(diff, image.n)
 
 
 # ---------------------------------------------------------------------------

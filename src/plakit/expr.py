@@ -301,8 +301,9 @@ def evaluate(expr, assignment):
     raise TypeError(f"not an Expr: {expr!r}")
 
 
-def variables(expr):
-    """Distinct variable names in first-appearance (left-to-right) order."""
+def variables(*exprs):
+    """Distinct variable names of the expressions in first-appearance
+    (left-to-right) order."""
     order = []
     seen = set()
 
@@ -317,7 +318,8 @@ def variables(expr):
             for c in e.children:
                 walk(c)
 
-    walk(expr)
+    for expr in exprs:
+        walk(expr)
     return tuple(order)
 
 
@@ -376,14 +378,19 @@ def _join_juxtaposed(parts):
 # Equation files: one "NAME = expr" per line, '#' starts a comment.
 
 
+def content_lines(text):
+    """(line number, text) of each non-blank line, '#' comments removed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_equations(text, multi_letter=False):
     """Read an equation file into an ordered list of (name, Expr) pairs."""
     equations = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if "=" not in line:
             raise FormatError(f"line {lineno}: expected 'NAME = expression'")
         name, _, body = line.partition("=")

@@ -180,7 +180,7 @@ def emit_fusemap(state, input_names=None, output_names=None):
     return "\n".join(lines) + "\n"
 
 
-def _fusemap_lines(text):
+def _nonblank_lines(text):
     for raw in text.split("\n"):
         line = raw.rstrip("\r").strip()
         if line:
@@ -203,7 +203,7 @@ def _bitrow(line, width, what):
 
 
 def parse_fusemap(text):
-    it = _fusemap_lines(text)
+    it = _nonblank_lines(text)
     header = _next_line(it, "PLAFUSE header")
     if not header.startswith("PLAFUSE"):
         raise FormatError("not a fuse map: missing PLAFUSE header")
@@ -229,6 +229,8 @@ def parse_fusemap(text):
         raise FormatError(f"non-numeric DIM entries: {dim_line[1:]}") from None
     if min(n, p, m) < 1:
         raise FormatError(f"DIM entries must be positive: {n} {p} {m}")
+    if n > logic.MAX_VARS:
+        raise FormatError(f"DIM asks for {n} inputs; the limit is {logic.MAX_VARS}")
 
     line = _next_line(it, "ILB, OB, or AND")
     input_names = output_names = None
@@ -293,23 +295,17 @@ def read_berkeley_pla(text, strict=False):
     n = m = None
     declared_p = None
     input_names = output_names = None
-    pool = []
-    pool_index = {}
-    selections = None
-    cube_lines = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    uses = []
+    for lineno, line in ex.content_lines(text):
         if line.startswith("."):
             parts = line.split()
             key = parts[0]
             if key == ".i":
-                n = _pla_int(parts, lineno)
+                n = _directive_count(parts, lineno)
             elif key == ".o":
-                m = _pla_int(parts, lineno)
+                m = _directive_count(parts, lineno)
             elif key == ".p":
-                declared_p = _pla_int(parts, lineno)
+                declared_p = _directive_count(parts, lineno)
             elif key == ".ilb":
                 input_names = tuple(parts[1:])
             elif key == ".ob":
@@ -324,8 +320,6 @@ def read_berkeley_pla(text, strict=False):
             continue
         if n is None or m is None:
             raise FormatError(f"line {lineno}: cube before .i/.o declarations")
-        if selections is None:
-            selections = [[] for _ in range(m)]
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(
@@ -341,18 +335,11 @@ def read_berkeley_pla(text, strict=False):
                 f"line {lineno}: output part {out_part!r} is not {m} chars of 0/1 "
                 "(output don't-cares are not supported)"
             )
-        cube_lines += 1
-        if in_part not in pool_index:
-            pool_index[in_part] = len(pool)
-            pool.append(in_part)
-        t = pool_index[in_part]
-        for o, c in enumerate(out_part):
-            if c == "1" and t not in selections[o]:
-                selections[o].append(t)
+        uses.append((in_part, [o for o, c in enumerate(out_part) if c == "1"]))
     if n is None or m is None:
         raise FormatError("missing .i/.o declarations")
-    if declared_p is not None and declared_p != cube_lines:
-        msg = f".p declares {declared_p} terms but {cube_lines} cube lines present"
+    if declared_p is not None and declared_p != len(uses):
+        msg = f".p declares {declared_p} terms but {len(uses)} cube lines present"
         if strict:
             raise FormatError(msg)
         warnings.warn(msg)
@@ -364,15 +351,10 @@ def read_berkeley_pla(text, strict=False):
         input_names = tuple(f"x{j}" for j in range(n))
     if output_names is None:
         output_names = tuple(f"f{o}" for o in range(m))
-    if selections is None:
-        selections = [[] for _ in range(m)]
-    outputs = tuple(
-        (name, tuple(sel)) for name, sel in zip(output_names, selections)
-    )
-    return mn.MultiOutputCover(input_names, tuple(pool), outputs)
+    return mn.MultiOutputCover.pooled(input_names, output_names, uses)
 
 
-def _pla_int(parts, lineno):
+def _directive_count(parts, lineno):
     if len(parts) != 2:
         raise FormatError(f"line {lineno}: {parts[0]} takes one numeric argument")
     try:
@@ -426,12 +408,7 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
         raise ValueError("polarity requested but profile has no output XOR")
 
     if order is None:
-        combined = []
-        for _, e in equations:
-            for v in ex.variables(e):
-                if v not in combined:
-                    combined.append(v)
-        order = tuple(combined) if combined else ("x0",)
+        order = ex.variables(*(e for _, e in equations)) or ("x0",)
     else:
         order = tuple(order)
         for name, e in equations:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from . import minimize as mn
 from .device import eval_pla
 from .errors import FormatError
-from .fit import fit
+from .expr import content_lines
+from .fit import _directive_count, _nonblank_lines, fit
 from .logic import cube_contains
 
 _IN_CHARS = frozenset("01-")
@@ -130,21 +131,18 @@ def parse_kiss2(text):
             seen_states.add(name)
             states.append(name)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         if line.startswith("."):
             key = parts[0]
             if key == ".i":
-                n_in = _kiss_int(parts, lineno)
+                n_in = _directive_count(parts, lineno)
             elif key == ".o":
-                n_out = _kiss_int(parts, lineno)
+                n_out = _directive_count(parts, lineno)
             elif key == ".s":
-                declared_s = _kiss_int(parts, lineno)
+                declared_s = _directive_count(parts, lineno)
             elif key == ".p":
-                declared_p = _kiss_int(parts, lineno)
+                declared_p = _directive_count(parts, lineno)
             elif key == ".r":
                 if len(parts) != 2:
                     raise FormatError(f"line {lineno}: .r takes one state name")
@@ -192,18 +190,6 @@ def parse_kiss2(text):
         return Fsm(n_in, n_out, tuple(states), reset, tuple(transitions))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _kiss_int(parts, lineno):
-    if len(parts) != 2:
-        raise FormatError(f"line {lineno}: {parts[0]} takes one numeric argument")
-    try:
-        value = int(parts[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: bad count {parts[1]!r}") from None
-    if value < 0:
-        raise FormatError(f"line {lineno}: negative count {value}")
-    return value
 
 
 def write_kiss2(fsm):
@@ -296,8 +282,7 @@ def emit_encoding(enc):
 
 
 def parse_encoding(text):
-    lines = [l.rstrip("\r").strip() for l in text.split("\n")]
-    lines = [l for l in lines if l]
+    lines = list(_nonblank_lines(text))
     if not lines or lines[0].split() != ["PLAENC", "1"]:
         raise FormatError("not an encoding sidecar: missing 'PLAENC 1' header")
     fields = {}
@@ -355,38 +340,26 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     order = tuple(f"s{j}" for j in range(b)) + tuple(f"i{j}" for j in range(k))
     out_names = [f"ns{j}" for j in range(b)] + [f"o{j}" for j in range(q)]
 
-    pool = []
-    pool_index = {}
-    selections = {name: [] for name in out_names}
-
-    def add_cube(cube, targets):
-        if cube not in pool_index:
-            pool_index[cube] = len(pool)
-            pool.append(cube)
-        t = pool_index[cube]
-        for name in targets:
-            if t not in selections[name]:
-                selections[name].append(t)
-
+    uses = []  # (cube, output positions): next-state bits first, then outputs
     for t in fsm.transitions:
         cube = encoding.code_str(t.current) + t.input_cube
-        targets = [f"ns{j}" for j in range(b) if encoding.code_str(t.next_state)[j] == "1"]
-        targets += [f"o{j}" for j in range(q) if t.outputs[j] == "1"]
+        targets = [j for j in range(b) if encoding.code_str(t.next_state)[j] == "1"]
+        targets += [b + j for j in range(q) if t.outputs[j] == "1"]
         if targets:
-            add_cube(cube, targets)
+            uses.append((cube, targets))
 
     unmatched = []
     for state in fsm.states:
         rows = fsm.transitions_from(state)
         code_str = encoding.code_str(state)
-        hold_targets = [f"ns{j}" for j in range(b) if code_str[j] == "1"]
+        hold_targets = [j for j in range(b) if code_str[j] == "1"]
         for value in range(1 << k):
             bits = format(value, f"0{k}b")
             if any(cube_contains(t.input_cube, bits) for t in rows):
                 continue
             unmatched.append((state, bits))
             if hold_targets:
-                add_cube(code_str + bits, hold_targets)
+                uses.append((code_str + bits, hold_targets))
     if strict and unmatched:
         shown = ", ".join(f"({s}, {bits})" for s, bits in unmatched[:5])
         raise ValueError(
@@ -399,10 +372,7 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         if code not in used:
             dc_rows.extend(range(code << k, (code + 1) << k))
 
-    mcover = mn.MultiOutputCover(
-        order, tuple(pool), tuple((name, tuple(selections[name])) for name in out_names)
-    )
-    return mcover, sorted(dc_rows)
+    return mn.MultiOutputCover.pooled(order, out_names, uses), sorted(dc_rows)
 
 
 @dataclass(frozen=True)
@@ -426,15 +396,9 @@ def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=N
         encoding = default_encoding(fsm)
     mcover, dc_rows = fsm_to_covers(fsm, encoding, strict=strict)
     if minimize:
-        dc_set = frozenset(dc_rows)
-        named = []
-        for name in mcover.names:
-            table = mcover.cover_for(name).to_table()
-            spec = mn.MinimizeSpec(
-                mcover.order, frozenset(table.on_set()) - dc_set, dc_set
-            )
-            named.append((name, mn.minimum_cover(mn.prime_implicants(spec), spec)))
-        mcover = mn.share_terms(named)
+        mcover = mn.share_terms(
+            (name, mn.minimize(mcover.cover_for(name), dc_rows)) for name in mcover.names
+        )
     state, report = fit(mcover, profile)
     image = ControllerImage(
         state, encoding, report.input_names, report.output_names

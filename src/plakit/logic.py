@@ -21,6 +21,8 @@ from . import expr as ex
 MAX_VARS = 24  # exhaustive 2^n sweeps stay cheap up to here
 
 _CUBE_CHARS = frozenset("01-")
+_REQ1 = str.maketrans("01-", "010")  # cube -> word of its true literals
+_REQ0 = str.maketrans("01-", "100")  # cube -> word of its complemented literals
 
 
 def _check_order(order):
@@ -153,18 +155,25 @@ def check_cube(cube, n):
     return cube
 
 
+def _product_mask(n, req1, req0):
+    """Rows of the product needing variable j at 1 where bit n-1-j of req1
+    is set and at 0 where that bit of req0 is set."""
+    mask = (1 << (1 << n)) - 1
+    for j in range(n):
+        bit = 1 << (n - 1 - j)
+        if req1 & bit:
+            mask &= _var_mask(n, j)
+        if req0 & bit:
+            mask &= ~_var_mask(n, j)
+    return mask
+
+
 def cube_mask(cube, n=None):
     """Bitmask of the rows a cube covers."""
     if n is None:
         n = len(cube)
     check_cube(cube, n)
-    mask = (1 << (1 << n)) - 1
-    for j, c in enumerate(cube):
-        if c == "1":
-            mask &= _var_mask(n, j)
-        elif c == "0":
-            mask &= ~_var_mask(n, j)
-    return mask
+    return _product_mask(n, int(cube.translate(_REQ1), 2), int(cube.translate(_REQ0), 2))
 
 
 def cube_rows(cube):
@@ -196,6 +205,13 @@ def minterm_cube(row, n):
     if not 0 <= row < (1 << n):
         raise ValueError(f"row {row} out of range for {n} variables")
     return format(row, f"0{n}b")
+
+
+def lowest_row(diff, n):
+    """Input string of the lowest set bit of a 2^n-row mask, or None if 0."""
+    if diff == 0:
+        return None
+    return minterm_cube((diff & -diff).bit_length() - 1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -363,11 +379,7 @@ def _common_order(a, b):
     if order_b is not None:
         return order_b
     # two bare expressions: union of variables in first-appearance order
-    seen = list(ex.variables(a))
-    for name in ex.variables(b):
-        if name not in seen:
-            seen.append(name)
-    return tuple(seen)
+    return ex.variables(a, b)
 
 
 def counterexample(a, b):
@@ -379,11 +391,7 @@ def counterexample(a, b):
     order = _common_order(a, b)
     ta = _as_table(a, order)
     tb = _as_table(b, order)
-    diff = ta.bits ^ tb.bits
-    if diff == 0:
-        return None
-    row = (diff & -diff).bit_length() - 1
-    return minterm_cube(row, len(order))
+    return lowest_row(ta.bits ^ tb.bits, len(order))
 
 
 def equivalent(a, b):

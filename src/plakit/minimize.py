@@ -252,6 +252,19 @@ class MultiOutputCover:
                 if not 0 <= i < len(self.term_pool):
                     raise ValueError(f"output {name!r} references missing term {i}")
 
+    @classmethod
+    def pooled(cls, order, names, uses):
+        """Build from (cube, output positions) uses, in order: a cube enters
+        the pool at its first use, and each output lists its terms once, in
+        first-use order."""
+        pool = {}
+        selections = [{} for _ in names]
+        for cube, outputs in uses:
+            t = pool.setdefault(cube, len(pool))
+            for o in outputs:
+                selections[o][t] = None
+        return cls(order, tuple(pool), tuple(zip(names, map(tuple, selections))))
+
     @property
     def names(self):
         return tuple(name for name, _ in self.outputs)
@@ -274,21 +287,13 @@ def share_terms(named_covers):
     if not named_covers:
         raise ValueError("need at least one output")
     order = named_covers[0][1].order
-    pool = []
-    pool_index = {}
-    outputs = []
     for name, cover in named_covers:
         if cover.order != order:
             raise ValueError(
                 f"output {name!r} uses order {cover.order}, expected {order}"
             )
-        sel = []
-        for cube in cover.cubes:
-            if cube not in pool_index:
-                pool_index[cube] = len(pool)
-                pool.append(cube)
-            i = pool_index[cube]
-            if i not in sel:
-                sel.append(i)
-        outputs.append((name, tuple(sel)))
-    return MultiOutputCover(tuple(order), tuple(pool), tuple(outputs))
+    return MultiOutputCover.pooled(
+        order,
+        [name for name, _ in named_covers],
+        ((cube, (o,)) for o, (_, c) in enumerate(named_covers) for cube in c.cubes),
+    )

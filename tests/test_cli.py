@@ -1,9 +1,12 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import plakit
 from plakit import PlaProfile, parse_fusemap
 from plakit.cli import main, parse_profile
 
@@ -152,6 +155,23 @@ def test_sim_all8_accepted_all4_rejected(maj_map_file, capsys):
     assert "2^3 = 8" in capsys.readouterr().err
 
 
+def test_sim_all_matches_explicit_vectors(tmp_path, capsys):
+    eq = tmp_path / "xor.eqn"
+    eq.write_text("F = AB + C'D\nG = A + BD\nH = A'B'C\n")
+    fuse = tmp_path / "xor.fuse"
+    assert main(["compile", str(eq), "--profile", "n4p8m3:antifuse:xor",
+                 "--minimize", "--polarity", "G", "-o", str(fuse)]) == 0
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("".join(format(r, "04b") + "\n" for r in range(16)))
+    capsys.readouterr()
+    for extra in ([], ["--header"]):
+        assert main(["sim", str(fuse), "--vectors", "all"] + extra) == 0
+        streamed = capsys.readouterr().out
+        assert main(["sim", str(fuse), "--vectors", str(vectors)] + extra) == 0
+        assert streamed == capsys.readouterr().out
+        assert len(streamed.splitlines()) == 16 + len(extra)
+
+
 def test_sim_vector_file_and_header(tmp_path, maj_map_file, capsys):
     vectors = tmp_path / "v.txt"
     vectors.write_text("# spot checks\n110\n000\n\n111\n")
@@ -203,6 +223,26 @@ def test_verify_matches_outputs_by_name(tmp_path, capsys):
     swapped.write_text("G = A + B\nF = AB\n")
     assert main(["verify", str(fuse), "--equations", str(swapped)]) == 0
     capsys.readouterr()
+
+
+def test_verify_refuses_equation_with_no_ob_label(tmp_path, capsys):
+    eq = tmp_path / "two.eqn"
+    eq.write_text("F = AB\nG = A + B\n")
+    fuse = tmp_path / "two.fuse"
+    assert main(["compile", str(eq), "--profile", "n2p4m2", "-o", str(fuse)]) == 0
+    other = tmp_path / "h.eqn"
+    other.write_text("H = AB\n")
+    assert main(["verify", str(fuse), "--equations", str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'H'" in captured.err and "F G" in captured.err
+    # a map without OB labels still pairs equations by position
+    unlabelled = tmp_path / "unlabelled.fuse"
+    unlabelled.write_text(
+        "".join(l for l in fuse.read_text().splitlines(True) if not l.startswith("OB"))
+    )
+    assert main(["verify", str(unlabelled), "--equations", str(other)]) == 0
+    assert capsys.readouterr().out.startswith("equivalent: 1 output(s)")
 
 
 def test_verify_var_order_override(tmp_path, capsys):
@@ -333,6 +373,17 @@ def test_exit_codes_for_bad_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oversized_dim_is_a_malformed_fuse_map(tmp_path, capsys):
+    wide = tmp_path / "wide.fuse"
+    wide.write_text(
+        "PLAFUSE 1\nTECH fuse XOR 0\nDIM 30 1 1\nAND\n" + "0" * 60 + "\nOR\n1\nEND\n"
+    )
+    for argv in (["sim", str(wide), "--vectors", "all"], ["diagram", str(wide)],
+                 ["fault", str(wide), "--all"]):
+        assert main(argv) == 4
+        assert "DIM asks for 30 inputs" in capsys.readouterr().err
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage:" in capsys.readouterr().err
@@ -348,10 +399,15 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    # the child process imports the same package this test imported
+    src = str(Path(plakit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "plakit", "table", "A'"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0 1", "1 0"]

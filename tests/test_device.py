@@ -250,6 +250,51 @@ def test_find_test_vector_reports_lowest_row():
     assert find_test_vector(state, Fault("or", 0, 0, "disconnected")) == "00"
 
 
+def test_fault_sweep_matches_exhaustive_difference():
+    # oracle: the lowest row where the good and faulty images' full truth
+    # tables differ, each built from scratch
+    rng = seeded(43)
+    for tech in ("fuse", "antifuse"):
+        for xor in (False, True):
+            for density in (0.1, 0.3, 0.6):
+                for _ in range(4):
+                    prof = PlaProfile(rng.randint(1, 5), rng.randint(1, 6),
+                                      rng.randint(1, 3), tech, xor)
+                    state = random_state(rng, prof, density)
+                    n = prof.n_inputs
+                    for bits in all_inputs(n):
+                        assert eval_pla(state, bits) == eval_pla_naive(state, bits)
+                    good = output_masks(state)
+                    for fault in enumerate_faults(prof):
+                        bad = output_masks(inject_fault(state, fault))
+                        diff = 0
+                        for g, b in zip(good, bad):
+                            diff |= g ^ b
+                        rows = [r for r in range(1 << n) if diff >> r & 1]
+                        want = format(rows[0], f"0{n}b") if rows else None
+                        assert find_test_vector(state, fault) == want, fault
+
+
+def test_edited_image_evaluates_its_own_planes():
+    rng = seeded(47)
+    for _ in range(20):
+        prof = random_profile(rng)
+        prof = PlaProfile(prof.n_inputs, prof.n_terms, prof.n_outputs,
+                          prof.switch_tech, has_output_xor=True)
+        state = random_state(rng, prof)
+        output_masks(state)  # fill the parent's cache first
+        eval_pla(state, "0" * prof.n_inputs)
+        edits = [set_polarity(state, 0, 1 - state.polarity[0])]
+        for fault in rng.sample(enumerate_faults(prof), 4):
+            edits.append(inject_fault(state, fault))
+        for new in edits:
+            fresh = PlaState(prof, new.and_plane, new.or_plane, new.polarity)
+            assert new == fresh and hash(new) == hash(fresh)
+            assert output_masks(new) == output_masks(fresh)
+            for bits in all_inputs(prof.n_inputs):
+                assert eval_pla(new, bits) == eval_pla_naive(new, bits)
+
+
 def test_diagram_golden_majority():
     want = (
         "     A A' B B' C C' | M\n"
