@@ -70,7 +70,6 @@ from .logic import (
     cover_eval,
     cover_from_expr,
     cube_contains,
-    cube_rows,
     equivalent,
     minterm_cube,
     table_from_expr,

@@ -301,9 +301,9 @@ def read_berkeley_pla(text, strict=False):
             parts = line.split()
             key = parts[0]
             if key == ".i":
-                n = _directive_count(parts, lineno)
+                n = _signal_count(parts, lineno)
             elif key == ".o":
-                m = _directive_count(parts, lineno)
+                m = _signal_count(parts, lineno)
             elif key == ".p":
                 declared_p = _directive_count(parts, lineno)
             elif key == ".ilb":
@@ -363,6 +363,13 @@ def _directive_count(parts, lineno):
         raise FormatError(f"line {lineno}: bad count {parts[1]!r}") from None
     if value < 0:
         raise FormatError(f"line {lineno}: negative count {value}")
+    return value
+
+
+def _signal_count(parts, lineno):
+    value = _directive_count(parts, lineno)
+    if value == 0:
+        raise FormatError(f"line {lineno}: {parts[0]} must declare at least one signal")
     return value
 
 

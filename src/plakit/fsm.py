@@ -33,7 +33,7 @@ from . import minimize as mn
 from .device import eval_pla
 from .errors import FormatError
 from .expr import content_lines
-from .fit import _directive_count, _nonblank_lines, fit
+from .fit import _directive_count, _nonblank_lines, _signal_count, fit
 from .logic import cube_contains
 
 _IN_CHARS = frozenset("01-")
@@ -136,9 +136,9 @@ def parse_kiss2(text):
         if line.startswith("."):
             key = parts[0]
             if key == ".i":
-                n_in = _directive_count(parts, lineno)
+                n_in = _signal_count(parts, lineno)
             elif key == ".o":
-                n_out = _directive_count(parts, lineno)
+                n_out = _signal_count(parts, lineno)
             elif key == ".s":
                 declared_s = _directive_count(parts, lineno)
             elif key == ".p":

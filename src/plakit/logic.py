@@ -6,10 +6,12 @@ variable order: the leftmost variable is the most significant bit, so with
 order (A, B, C) row 6 is A=1, B=1, C=0. Bit-parallel evaluation makes an
 exhaustive sweep one expression walk instead of 2^n.
 
-A cube is a string over {'0', '1', '-'}, one character per variable in
-order: '1' means the variable appears true, '0' complemented, '-' absent.
-This matches the input-plane characters of the Berkeley PLA format. A
-cover is an ordered list of cubes whose union (OR of products) is the
+At the API a cube is a string over {'0', '1', '-'}, one character per
+variable in order: '1' means the variable appears true, '0' complemented,
+'-' absent, as in the Berkeley PLA input plane. Inside, it is the
+(req1, req0) literal-word pair the device compiles AND rows into
+(`cube_words`, `cube_string`), and its rows are a row mask (`cube_mask`).
+A cover is an ordered list of cubes whose union (OR of products) is the
 function.
 """
 
@@ -168,31 +170,26 @@ def _product_mask(n, req1, req0):
     return mask
 
 
+def cube_words(cube):
+    """(req1, req0) literal words of a cube: bit n-1-j of req1 is set where
+    variable j appears true, of req0 where it appears complemented."""
+    return int(cube.translate(_REQ1), 2), int(cube.translate(_REQ0), 2)
+
+
+def cube_string(n, req1, req0):
+    """The n-character cube of a (req1, req0) literal-word pair."""
+    return "".join(
+        "1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
+        for k in range(n - 1, -1, -1)
+    )
+
+
 def cube_mask(cube, n=None):
     """Bitmask of the rows a cube covers."""
     if n is None:
         n = len(cube)
     check_cube(cube, n)
-    return _product_mask(n, int(cube.translate(_REQ1), 2), int(cube.translate(_REQ0), 2))
-
-
-def cube_rows(cube):
-    """Row indices a cube covers, ascending."""
-    positions = [j for j, c in enumerate(cube) if c == "-"]
-    n = len(cube)
-    base = 0
-    for j, c in enumerate(cube):
-        if c == "1":
-            base |= 1 << (n - 1 - j)
-    rows = []
-    for combo in range(1 << len(positions)):
-        row = base
-        for b, j in enumerate(positions):
-            if (combo >> b) & 1:
-                row |= 1 << (n - 1 - j)
-        rows.append(row)
-    rows.sort()
-    return rows
+    return _product_mask(n, *cube_words(cube))
 
 
 def cube_contains(cube, bits):
@@ -325,16 +322,16 @@ def cover_from_expr(expr, order):
 
 def _term_to_cube(term, index, n):
     factors = term.children if isinstance(term, ex.And) else [term]
-    cube = ["-"] * n
+    words = [0, 0]  # req0, req1
     for f in factors:
         if isinstance(f, ex.Const):
             if f.value == 0:
                 return None  # whole product is 0
             continue
         if isinstance(f, ex.Var):
-            name, want = f.name, "1"
+            name, want = f.name, 1
         elif isinstance(f, ex.Not) and isinstance(f.child, ex.Var):
-            name, want = f.child.name, "0"
+            name, want = f.child.name, 0
         else:
             raise ValueError(
                 f"not a sum-of-products expression: {ex.format_expression(term)!r} "
@@ -342,12 +339,11 @@ def _term_to_cube(term, index, n):
             )
         if name not in index:
             raise ValueError(f"variable {name!r} not in order")
-        j = index[name]
-        if cube[j] == "-":
-            cube[j] = want
-        elif cube[j] != want:
+        bit = 1 << (n - 1 - index[name])
+        if words[1 - want] & bit:
             return None  # X and X' in one product
-    return "".join(cube)
+        words[want] |= bit
+    return cube_string(n, words[1], words[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Two-level minimization: prime implicants and minimum covers.
 
-Primes come from the classic Quine-McCluskey tabulation over the on-set
-plus don't-care set. Cover selection extracts essential primes first, then
-finishes with Petrick's method (exact) when the residual problem is small
-enough, or a greedy set cover otherwise. The switch is size-based so small
-problems -- anything a datasheet example would show -- always get the true
-minimum.
+Cubes are '01-' strings only at the API. Primes come from Quine-McCluskey
+tabulation over the on-set plus don't-care set, run on (req1, req0)
+literal words: a cube merges with the cube that has one of its
+complemented literals true, found by set lookup. Cover selection works
+on one on-set row mask per prime: it extracts essential primes first,
+then finishes with Petrick's method (exact) when the residual problem is
+small enough, or a greedy set cover otherwise. The switch is size-based
+so small problems -- anything a datasheet example would show -- always
+get the true minimum.
 
 Everything here is deterministic: primes are reported in a fixed sort
 order, ties in cover selection break lexicographically, and the same input
@@ -14,9 +17,8 @@ always yields the same cover.
 
 import logging
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .logic import Cover, TruthTable, check_cube, cube_rows
+from .logic import Cover, TruthTable, check_cube, cube_mask, cube_string
 
 log = logging.getLogger(__name__)
 
@@ -55,56 +57,38 @@ class MinimizeSpec:
         return len(self.order)
 
 
-def _sort_key(cube):
-    # wider cubes (more '-') first, then plain string order; '-' < '0' < '1'
-    return (-cube.count("-"), cube)
-
-
-def _merge(a, b):
-    """Combine two cubes differing in exactly one specified position, else None."""
-    diff = None
-    for j, (ca, cb) in enumerate(zip(a, b)):
-        if ca == cb:
-            continue
-        if ca == "-" or cb == "-" or diff is not None:
-            return None
-        diff = j
-    if diff is None:
-        return None
-    return a[:diff] + "-" + a[diff + 1 :]
-
-
 def prime_implicants(spec):
     """All prime implicants of on_set ∪ dc_set, widest first then lexicographic.
 
     An empty on_set yields an empty list: the constant-0 function needs no
     implicants, whatever the don't-cares would allow.
     """
-    n = spec.n
-    care = spec.on_set | spec.dc_set
     if not spec.on_set:
         return []
-    current = {format(row, f"0{n}b") for row in care}
-    primes = set()
+    n = spec.n
+    full = (1 << n) - 1
+    # level k holds the implicants with k absent literals, as literal words
+    current = {(row, full ^ row) for row in spec.on_set | spec.dc_set}
+    levels = []
     while current:
-        # group by count of '1' so only adjacent groups need comparing
-        groups = {}
-        for cube in current:
-            groups.setdefault(cube.count("1"), set()).add(cube)
         merged = set()
         used = set()
-        for ones in sorted(groups):
-            upper = groups.get(ones + 1, ())
-            for a in groups[ones]:
-                for b in upper:
-                    c = _merge(a, b)
-                    if c is not None:
-                        merged.add(c)
-                        used.add(a)
-                        used.add(b)
-        primes |= current - used
+        for req1, req0 in current:
+            lits = req0
+            while lits:
+                d = lits & -lits  # the partner has this literal true
+                lits ^= d
+                partner = (req1 | d, req0 ^ d)
+                if partner in current:
+                    merged.add((req1, req0 ^ d))
+                    used.add((req1, req0))
+                    used.add(partner)
+        levels.append(current - used)
         current = merged
-    return sorted(primes, key=_sort_key)
+    return [
+        cube for level in reversed(levels)
+        for cube in sorted(cube_string(n, *words) for words in level)
+    ]
 
 
 def _petrick(chart, n_primes):
@@ -124,7 +108,7 @@ def _petrick(chart, n_primes):
             for s in sums:
                 next_products.append(prod | s)
         # absorption: drop any product that is a superset of another
-        next_products.sort(key=lambda m: bin(m).count("1"))
+        next_products.sort(key=int.bit_count)
         kept = []
         for m in next_products:
             if not any(k & m == k for k in kept):
@@ -147,62 +131,51 @@ def minimum_cover(primes, spec):
     order) so output is stable.
     """
     primes = list(primes)
-    for cube in primes:
-        check_cube(cube, spec.n)
+    on = sum(1 << row for row in spec.on_set)
+    masks = [cube_mask(cube, spec.n) & on for cube in primes]
+    once = twice = 0
+    for m in masks:
+        once, twice = once | m, twice | once & m
+    if on & ~once:
+        missing = [row for row in sorted(spec.on_set) if not once >> row & 1]
+        raise ValueError(f"primes do not cover required rows {missing}")
 
-    rows_of = {i: set(cube_rows(cube)) & spec.on_set for i, cube in enumerate(primes)}
-    covered_all = set().union(*rows_of.values()) if rows_of else set()
-    missing = spec.on_set - covered_all
-    if missing:
-        raise ValueError(f"primes do not cover required rows {sorted(missing)}")
+    # essential primes: sole coverers of some row; the rest lies in `twice`
+    chosen, remaining = 0, twice
+    for i, m in enumerate(masks):
+        if m & ~twice:
+            chosen |= 1 << i
+            remaining &= ~m
 
-    # essential primes: sole coverers of some row
-    coverers = {}
-    for i, rows in rows_of.items():
-        for row in rows:
-            coverers.setdefault(row, set()).add(i)
-    essential = set()
-    for row, who in coverers.items():
-        if len(who) == 1:
-            essential |= who
-    covered = set()
-    for i in essential:
-        covered |= rows_of[i]
-    remaining = spec.on_set - covered
-    selected = sorted(essential)
-
+    small = len(primes) <= PETRICK_MAX_PRIMES
+    if remaining and small and remaining.bit_count() <= PETRICK_MAX_MINTERMS:
+        log.info(
+            "exact cover via Petrick: %d primes, %d residual rows "
+            "(thresholds %d/%d)",
+            len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
+        )
+        chart = {
+            row: {i for i, m in enumerate(masks) if m >> row & 1}
+            for row in spec.on_set if remaining >> row & 1
+        }
+        chosen |= _petrick(chart, len(primes))
+        remaining = 0
+    selected = [i for i in range(len(primes)) if chosen >> i & 1]
     if remaining:
-        chart = {row: coverers[row] for row in remaining}
-        if len(primes) <= PETRICK_MAX_PRIMES and len(remaining) <= PETRICK_MAX_MINTERMS:
-            log.info(
-                "exact cover via Petrick: %d primes, %d residual rows "
-                "(thresholds %d/%d)",
-                len(primes), len(remaining), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
+        log.info(
+            "greedy cover: %d primes, %d residual rows exceed thresholds %d/%d",
+            len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
+        )
+        # on equal gain, max() takes the lexicographically smallest cube
+        rank = {cube: -r for r, cube in enumerate(sorted(set(primes)))}
+        while remaining:
+            best = max(
+                range(len(primes)),
+                key=lambda i: ((masks[i] & remaining).bit_count(), rank[primes[i]]),
             )
-            mask = _petrick(chart, len(primes))
-            selected += [
-                i for i in range(len(primes)) if (mask >> i) & 1 and i not in essential
-            ]
-            selected.sort()
-        else:
-            log.info(
-                "greedy cover: %d primes, %d residual rows exceed thresholds %d/%d",
-                len(primes), len(remaining), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
-            )
-            left = set(remaining)
-            while left:
-                best = max(
-                    range(len(primes)),
-                    key=lambda i: (len(rows_of[i] & left), _inverted(primes[i])),
-                )
-                selected.append(best)
-                left -= rows_of[best]
+            selected.append(best)
+            remaining &= ~masks[best]
     return Cover(spec.order, tuple(primes[i] for i in selected))
-
-
-def _inverted(cube):
-    # max() tie-break helper: prefer lexicographically smaller cubes
-    return tuple(-ord(c) for c in cube)
 
 
 def minimize(table_or_cover, dc=None):

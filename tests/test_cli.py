@@ -299,6 +299,13 @@ def test_fsm_strict_exit(tmp_path, capsys):
     assert "unmatched" in capsys.readouterr().err
 
 
+def test_fsm_zero_input_declaration_is_malformed(tmp_path, capsys):
+    kiss = tmp_path / "none.kiss"
+    kiss.write_text(".i 0\n.o 1\n1 S0 S1 1\n.e\n")
+    assert main(["fsm", str(kiss), "--profile", "n2p4m2"]) == 4
+    assert "line 1: .i must declare at least one signal" in capsys.readouterr().err
+
+
 def test_fsmsim_rejects_all(tmp_path, capsys):
     kiss = tmp_path / "toggle.kiss"
     kiss.write_text(TOGGLE_KISS)

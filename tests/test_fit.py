@@ -286,6 +286,8 @@ def test_read_berkeley_ignores_content_after_e():
         (".i 1 2\n.o 1\n.e\n", "one numeric argument"),
         (".i 1\n.o 1\n.ilb a b\n1 1\n.e\n", ".ilb lists 2"),
         (".i 1\n.o 1\n.ob\n1 1\n.e\n", ".ob lists 0"),
+        (".i 0\n.o 1\n.e\n", "line 1: .i must declare at least one"),
+        (".i 2\n.o 0\n.e\n", "line 2: .o must declare at least one"),
     ],
 )
 def test_read_berkeley_errors(text, message):

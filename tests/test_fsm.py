@@ -119,6 +119,8 @@ def test_write_kiss2_round_trip():
         (".i 1\n.o 1\n1 A B\n.e\n", "expected"),
         (".i x\n.o 1\n1 A B 1\n.e\n", "bad count"),
         (".i 1\n.o 1\n1 A B 1\n1 A B 0\n.e\n", "overlapping"),
+        (".i 0\n.o 1\n1 S0 S1 1\n.e\n", "line 1: .i must declare at least one"),
+        (".i 1\n.o 0\n1 S0 S1\n.e\n", "line 2: .o must declare at least one"),
     ],
 )
 def test_parse_kiss2_errors(text, message):

@@ -1,0 +1,98 @@
+"""Golden artifacts: byte-for-byte pins on minimizer covers and FSM output.
+
+The oracle tests check that covers are correct and minimal where exact;
+they do not pin which of several equal covers the greedy path picks, nor
+the order terms come out in. These digests do, so a refactor of the
+minimizer or the fitter has to reproduce the same text exactly.
+
+Seeded random functions run n = 4..11 with and without don't-cares at a
+30 % on-set: n <= 6 reaches Petrick's method, n >= 7 the greedy cover.
+"""
+
+import hashlib
+
+from plakit import (
+    PlaProfile,
+    TruthTable,
+    emit_encoding,
+    emit_fusemap,
+    minimize,
+    parse_kiss2,
+    share_terms,
+    synthesize_controller,
+    write_berkeley_pla,
+)
+from oracles import seeded
+
+MINIMIZED_PLA_SHA256 = {
+    (4, False): "dfa15c2201a94bae574e9c2aa514d9b8fdef36399982308882d841ba333fbe6d",
+    (4, True): "e86fe51a0ffa65221f0fcc0981fdb46761b66df4f87eb08a02e77ceabe85f4f0",
+    (5, False): "026bb2d48687b84521f1651908279f14fa4e4c9f95cad62ef3193a0cab13603c",
+    (5, True): "640088b8819964a07591e19dc5b9050a7c50c990b9828af436dffba60b0b4d39",
+    (6, False): "43bf05b3d937b581303de34277944bad9da3507481ab674438cf96c974ff766a",
+    (6, True): "6fd8173fbcf7840a7f6aa04688fc85b8b2792d531af01e1d2d312ccc4e42dd9a",
+    (7, False): "ce4f786346b404e6abbd4303a327570e1c3ab2102f8a1d74429d24ec423b0316",
+    (7, True): "f1df4bfd84d79a4456bbbb086cc6a2a0a3271e92e34afafd71d5e8f4fae949ce",
+    (8, False): "6a38e072b4a3c9e19991a66dda4ebff2febd988e7e4e6a1a520f857a2f91096b",
+    (8, True): "c63b444806ca12ff7c0947657f11fc2e06f22a1cd77bc7e4339bf9fd27452214",
+    (9, False): "dbd5fd39b0952f1d995ced90037e6378f49116b35f0367c7da65de3e7ba80e70",
+    (9, True): "272b659e204984d7cec975571127ce2cd5918f91e66da2165f597f023fc8313a",
+    (10, False): "d1ce08e79386662670ea910e24c76587c10cacaae2a8210bbd450f4d4a70d39a",
+    (10, True): "3c2ce005ad822ddb8042eb909d70da656563e79b43ec36739c0c2ee97979c159",
+    (11, False): "c0524955f72ea3bfe9e7d60d113d56fdbf7c8ac84ccdce7cccc91238635e10a5",
+    (11, True): "8ee4f94ba077075020b75d859ed70148e234ca35cc1c16dbf85865acb35139a9",
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _minimized_pla(n, with_dc):
+    """Three seeded outputs (one above n = 8, to keep the test quick),
+    minimized one by one and written as one shared-term .pla."""
+    order = tuple(f"x{j}" for j in range(n))
+    named = []
+    for k in range(3 if n <= 8 else 1):
+        rng = seeded(100 * n + 10 * with_dc + k)
+        on = 0
+        dc = []
+        for row in range(1 << n):
+            r = rng.random()
+            if r < 0.3:
+                on |= 1 << row
+            elif with_dc and r < 0.4:
+                dc.append(row)
+        named.append((f"f{k}", minimize(TruthTable(order, on), dc=dc)))
+    return write_berkeley_pla(share_terms(named))
+
+
+def test_minimized_covers_are_byte_identical():
+    got = {key: _digest(_minimized_pla(*key)) for key in MINIMIZED_PLA_SHA256}
+    assert got == MINIMIZED_PLA_SHA256
+
+
+DETECTOR = """\
+.i 1
+.o 1
+.s 2
+.r IDLE
+1 IDLE SAW1 0
+1 SAW1 SAW1 1
+0 SAW1 IDLE 0
+.e
+"""
+
+
+def test_fsm_demo_artifacts_are_byte_identical():
+    # the '11' detector of demos/07_fsm_controller.py, minimized
+    image, _ = synthesize_controller(
+        parse_kiss2(DETECTOR), PlaProfile(2, 4, 2), minimize=True
+    )
+    fuse = emit_fusemap(image.state, image.input_names, image.output_names)
+    assert _digest(fuse) == (
+        "763646886361d0ef8b08359317f0b13e762e717239a59c6acebcf472137082ac"
+    )
+    assert _digest(emit_encoding(image.encoding)) == (
+        "1a023545632858e4f7b20d7ebfab85597b5157333c9ec9722112ff2697435365"
+    )

@@ -11,7 +11,6 @@ from plakit import (
     cover_eval,
     cover_from_expr,
     cube_contains,
-    cube_rows,
     equivalent,
     evaluate,
     format_expression,
@@ -20,7 +19,8 @@ from plakit import (
     table_from_expr,
     table_from_rows,
 )
-from oracles import cube_rows_naive, seeded
+from plakit.logic import cube_mask, cube_string, cube_words
+from oracles import all_cubes, cube_rows_naive, seeded
 
 MAJORITY = "A'BC + AB'C + ABC' + ABC"
 MAJORITY_COLUMN = [0, 0, 0, 1, 0, 1, 1, 1]  # rows 000..111
@@ -129,9 +129,19 @@ def test_pos_sop_duality():
         assert equivalent(table_from_expr(pos, order), table_from_expr(dual, order))
 
 
-def test_cube_rows_against_oracle():
-    for cube in ("011", "1-1", "--", "0-1-", "----", "1"):
-        assert cube_rows(cube) == cube_rows_naive(cube)
+def test_cube_mask_against_oracle():
+    for n in range(1, 5):
+        for cube in all_cubes(n):
+            mask = cube_mask(cube)
+            assert [i for i in range(1 << n) if mask >> i & 1] == cube_rows_naive(cube)
+
+
+def test_cube_words_round_trip():
+    for n in range(1, 5):
+        for cube in all_cubes(n):
+            req1, req0 = cube_words(cube)
+            assert not req1 & req0
+            assert cube_string(n, req1, req0) == cube
 
 
 def test_cube_contains():
