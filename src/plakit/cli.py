@@ -275,18 +275,10 @@ def cmd_fsmsim(args):
         raise ValueError("fuse map and vectors cannot both come from stdin")
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
     enc = parse_encoding(_read_text(args.encoding, "encoding"))
-    prof = fm.state.profile
-    need_in = enc.bits + enc.n_inputs
-    need_out = enc.bits + enc.n_outputs
-    if prof.n_inputs < need_in or prof.n_outputs < need_out:
-        raise ValueError(
-            f"encoding wants {need_in} inputs / {need_out} outputs but the device "
-            f"has {prof.n_inputs} / {prof.n_outputs}"
-        )
+    image = ControllerImage(fm.state, enc)
     if _exhaustive(args.vectors, enc.n_inputs):
         raise ValueError("a state machine needs a vector sequence, not 'all'")
     vectors = _load_vectors(args.vectors, enc.n_inputs)
-    image = ControllerImage(fm.state, enc)
     if args.header:
         print("# cycle state out")
     for cycle, (code, outs) in enumerate(simulate_controller(image, vectors)):

@@ -159,24 +159,52 @@ class _Compiled:
 
     Input j is bit n-1-j of an input word, so int(bits, 2) is the word of
     an input string and row r of a 2^n-row mask is input word r. Term t is
-    bit t of an OR row.
+    bit t of an OR row and of a term word. Output o is bit m-1-o of an
+    output word.
     """
 
     def __init__(self, state):
         self.n = state.profile.n_inputs
         self.full = (1 << (1 << self.n)) - 1
         self.polarity = state.polarity
+        self.flip = _word(state.polarity)
         self.literals = tuple(  # (req1, req0) per term
             (_word(row[0::2]), _word(row[1::2])) for row in state.and_plane
         )
         self.or_rows = tuple(_word(row[::-1]) for row in state.or_plane)
 
+    @cached_property
+    def slices(self):
+        """slices[s][v]: the word of terms left alive when bits 8s..8s+7 of
+        the input word read v. Built by doubling, one input bit at a time,
+        from the terms each bit value kills."""
+        dead = [[0, 0] for _ in range(self.n)]  # [when 0, when 1] per bit
+        for t, lits in enumerate(self.literals):
+            for value, req in enumerate(lits):  # req1 dies on 0, req0 on 1
+                while req:
+                    low = req & -req
+                    dead[low.bit_length() - 1][value] |= 1 << t
+                    req ^= low
+        every = (1 << len(self.literals)) - 1
+        tables = []
+        for lo in range(0, self.n, 8):
+            table = [every]
+            for dead0, dead1 in dead[lo : lo + 8]:
+                table = [e & ~dead0 for e in table] + [e & ~dead1 for e in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
     def eval(self, x):
-        active = sum(1 << t for t, (req1, req0) in enumerate(self.literals)
-                     if x & req1 == req1 and not x & req0)
-        return "".join(
-            "01"[bool(active & row) ^ p] for row, p in zip(self.or_rows, self.polarity)
-        )
+        """Output word for input word x: one lookup per 8-bit slice, then
+        one test per OR row."""
+        alive = -1
+        for table in self.slices:
+            alive &= table[x & 0xFF]
+            x >>= 8
+        word = 0
+        for row in self.or_rows:
+            word = word << 1 | (alive & row != 0)
+        return word ^ self.flip
 
     @cached_property
     def terms(self):
@@ -234,7 +262,8 @@ def eval_pla(state, bits):
     n = state.profile.n_inputs
     if len(bits) != n or set(bits) - {"0", "1"}:
         raise ValueError(f"input {bits!r} is not {n} binary digits")
-    return _compiled(state).eval(int(bits, 2))
+    word = _compiled(state).eval(int(bits, 2))
+    return format(word, f"0{state.profile.n_outputs}b")
 
 
 def output_masks(state):

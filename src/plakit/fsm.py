@@ -30,7 +30,7 @@ assignment and the input/output split:
 from dataclasses import dataclass, field
 
 from . import minimize as mn
-from .device import eval_pla
+from .device import _compiled, eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .expr import content_lines
 from .fit import _directive_count, _nonblank_lines, _signal_count, fit
@@ -223,6 +223,10 @@ class StateEncoding:
         object.__setattr__(self, "codes", codes)
         if self.bits < 1:
             raise ValueError("encoding needs at least one state bit")
+        if self.n_inputs < 1:
+            raise ValueError("encoding needs at least one input")
+        if self.n_outputs < 1:
+            raise ValueError("encoding needs at least one output")
         values = [c for _, c in codes]
         if values != sorted(values) or len(set(values)) != len(values):
             raise ValueError("state codes must be unique and ascending")
@@ -377,12 +381,26 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
 
 @dataclass(frozen=True)
 class ControllerImage:
-    """A programmed device plus the encoding that gives its bits meaning."""
+    """A programmed device plus the encoding that gives its bits meaning.
+
+    The device must have inputs for the state bits plus the machine's
+    inputs, and outputs for the state bits plus the machine's outputs.
+    """
 
     state: object
     encoding: StateEncoding
     input_names: tuple = field(default=())
     output_names: tuple = field(default=())
+
+    def __post_init__(self):
+        prof, enc = self.state.profile, self.encoding
+        need_in = enc.bits + enc.n_inputs
+        need_out = enc.bits + enc.n_outputs
+        if prof.n_inputs < need_in or prof.n_outputs < need_out:
+            raise ValueError(
+                f"encoding wants {need_in} inputs / {need_out} outputs but the device "
+                f"has {prof.n_inputs} / {prof.n_outputs}"
+            )
 
 
 def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=None):
@@ -436,20 +454,25 @@ def simulate_fsm(fsm, input_seq):
 def simulate_controller(image, input_seq):
     """Cycle-accurate run of the programmed device: [(state code bits, outputs)].
 
-    The register starts at code 0; each cycle evaluates the PLA on
-    (state bits + input bits) and latches the next-state outputs.
+    The register starts at code 0; each cycle evaluates the PLA on the
+    input word (state bits, input bits, unused inputs at 0) and latches the
+    next-state outputs.
     """
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
     prof = image.state.profile
-    pad = "0" * (prof.n_inputs - b - k)
+    device = _compiled(image.state)
+    pad = prof.n_inputs - b - k  # unused inputs read 0
+    next_at = prof.n_outputs - b  # the next code is the word's top b bits
+    outs_at, outs_mask = next_at - q, (1 << q) - 1
     code = 0
     trace = []
     for bits in input_seq:
         bits = _check_vector(bits, k)
-        outs = eval_pla(image.state, format(code, f"0{b}b") + bits + pad)
-        trace.append((format(code, f"0{b}b"), outs[b : b + q]))
-        code = int(outs[:b], 2)
+        word = device.eval(((code << k) | int(bits, 2)) << pad)
+        outs = word >> outs_at & outs_mask
+        trace.append((format(code, f"0{b}b"), format(outs, f"0{q}b")))
+        code = word >> next_at
     return trace
 
 

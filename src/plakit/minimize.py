@@ -167,12 +167,15 @@ def minimum_cover(primes, spec):
             len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
         )
         # on equal gain, max() takes the lexicographically smallest cube
+        # (copies of one cube tie on rank too, and any copy gives the same cover)
         rank = {cube: -r for r, cube in enumerate(sorted(set(primes)))}
+        live = [(rank[cube], i) for i, cube in enumerate(primes)]
         while remaining:
-            best = max(
-                range(len(primes)),
-                key=lambda i: ((masks[i] & remaining).bit_count(), rank[primes[i]]),
-            )
+            # a prime with nothing left to cover never gains again: drop it
+            scored = [(gain, r, i) for r, i in live
+                      if (gain := (masks[i] & remaining).bit_count())]
+            live = [(r, i) for _, r, i in scored]
+            best = max(scored)[2]
             selected.append(best)
             remaining &= ~masks[best]
     return Cover(spec.order, tuple(primes[i] for i in selected))

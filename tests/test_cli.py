@@ -319,6 +319,27 @@ def test_fsmsim_rejects_all(tmp_path, capsys):
     assert "sequence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("OUTPUTS -3", "at least one output"),
+    ("INPUTS 0", "at least one input"),
+])
+def test_fsmsim_nonpositive_encoding_count_is_malformed(tmp_path, capsys, line, message):
+    kiss = tmp_path / "toggle.kiss"
+    kiss.write_text(TOGGLE_KISS)
+    fuse = tmp_path / "toggle.fuse"
+    enc = tmp_path / "toggle.enc"
+    main(["fsm", str(kiss), "--profile", "n2p4m2",
+          "-o", str(fuse), "--encoding-out", str(enc)])
+    key = line.split()[0]
+    enc.write_text(enc.read_text().replace(f"{key} 1", line))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("1\n1\n")
+    capsys.readouterr()
+    assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                 "--vectors", str(vectors)]) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_fsmsim_encoding_device_mismatch(tmp_path, maj_map_file, capsys):
     enc = tmp_path / "big.enc"
     enc.write_text(

@@ -127,6 +127,38 @@ def test_eval_matches_naive_oracle_on_random_devices():
             assert got_masked == want
 
 
+def test_eval_matches_naive_oracle_across_slice_boundaries():
+    # eval reads the input word 8 bits at a time: widths sit on each side
+    # of a slice edge, and term counts pass 64
+    rng = seeded(71)
+    for n in (1, 7, 8, 9, 16, 17, 24):
+        for n_terms in (2, 9, 65, 80):
+            tech = rng.choice(("fuse", "antifuse"))
+            state = random_state(rng, PlaProfile(n, n_terms, 3, tech, True),
+                                 rng.choice((0.05, 0.15)))
+            j = rng.randrange(n)
+            contradictory = tuple(int(c in (2 * j, 2 * j + 1)) for c in range(2 * n))
+            and_plane = ((0,) * 2 * n,) + state.and_plane[1:-1] + (contradictory,)
+            # output 0 reads the constant-1 row, output 1 the constant-0 row,
+            # output 2 nothing
+            or_plane = ((1,) + state.or_plane[0][1:],
+                        state.or_plane[1][:-1] + (1,), (0,) * n_terms)
+            state = PlaState(state.profile, and_plane, or_plane, state.polarity)
+            if n <= 9:
+                vectors = list(all_inputs(n))
+            else:
+                vectors = ["0" * n, "1" * n]
+                vectors += [format(rng.getrandbits(n), f"0{n}b") for _ in range(40)]
+                for row in and_plane:  # a vector each live term accepts
+                    bits = [rng.choice("01") for _ in range(n)]
+                    for i in range(n):
+                        if row[2 * i] != row[2 * i + 1]:
+                            bits[i] = "01"[row[2 * i]]
+                    vectors.append("".join(bits))
+            for bits in vectors:
+                assert eval_pla(state, bits) == eval_pla_naive(state, bits)
+
+
 def test_set_crosspoint_is_persistent_style():
     state = majority_device()
     new = set_crosspoint(state, "and", 0, 0, 1)

@@ -164,6 +164,10 @@ def test_encoding_validation():
         StateEncoding(1, 1, 1, (("S0", 0), ("S1", 2)))
     with pytest.raises(ValueError, match="duplicate state name"):
         StateEncoding(1, 1, 1, (("S0", 0), ("S0", 1)))
+    with pytest.raises(ValueError, match="at least one input"):
+        StateEncoding(1, 0, 1, (("S0", 0),))
+    with pytest.raises(ValueError, match="at least one output"):
+        StateEncoding(1, 1, -3, (("S0", 0),))
 
 
 def test_encoding_sidecar_round_trip():
@@ -304,6 +308,31 @@ def test_controller_matches_symbolic_interpreter():
             assert [(enc.code_str(s), o) for s, o in sym] == dev
 
 
+def test_controller_matches_symbolic_on_a_three_slice_part():
+    # 3 state bits and 12 inputs on a 20-input part sit at input-word bits
+    # 5..19, across all three 8-bit slices the evaluator reads
+    rng = seeded(73)
+    k, q = 12, 4
+    states = [f"Q{i}" for i in range(6)]
+    transitions = []
+    for state in states:
+        split = rng.sample(range(k), 3)
+        for value in range(8):
+            cube = ["-"] * k
+            for pos, bit in zip(split, format(value, "03b")):
+                cube[pos] = bit
+            outputs = "".join(rng.choice("01") for _ in range(q))
+            transitions.append(
+                Transition("".join(cube), state, rng.choice(states), outputs)
+            )
+    fsm = Fsm(k, q, tuple(states), states[0], tuple(transitions))
+    image, _ = synthesize_controller(fsm, PlaProfile(20, 256, 8))
+    enc = image.encoding
+    seq = random_input_sequence(rng, k, 300)
+    sym = simulate_fsm(fsm, seq)
+    assert [(enc.code_str(s), o) for s, o in sym] == simulate_controller(image, seq)
+
+
 def test_encoding_permutation_leaves_traces_invariant():
     fsm = Fsm(
         1,
@@ -342,3 +371,12 @@ def test_simulate_controller_rejects_bad_width():
     image, _ = synthesize_controller(toggle(), PlaProfile(2, 4, 2))
     with pytest.raises(ValueError):
         simulate_controller(image, ["11"])
+
+
+def test_controller_image_must_fit_its_device():
+    image, _ = synthesize_controller(toggle(), PlaProfile(2, 4, 2))
+    codes = image.encoding.codes
+    for enc, need in ((StateEncoding(1, 1, 2, codes), "2 inputs / 3 outputs"),
+                      (StateEncoding(1, 2, 1, codes), "3 inputs / 2 outputs")):
+        with pytest.raises(ValueError, match=f"encoding wants {need}"):
+            simulate_controller(ControllerImage(image.state, enc), ["1", "1", "1"])
