@@ -24,7 +24,6 @@ from .errors import CapacityError, FormatError, ParseError, PlakitError
 from .expr import (
     And,
     Const,
-    Expr,
     Not,
     Or,
     Var,
@@ -35,8 +34,6 @@ from .expr import (
     variables,
 )
 from .fit import (
-    FitReport,
-    FuseMap,
     compile_equations,
     emit_fusemap,
     fit,
@@ -61,7 +58,6 @@ from .fsm import (
     write_kiss2,
 )
 from .logic import (
-    MAX_VARS,
     Cover,
     TruthTable,
     canonical_pos,

@@ -41,7 +41,14 @@ from .fsm import (
     simulate_controller,
     synthesize_controller,
 )
-from .logic import MAX_VARS, canonical_sop, lowest_row, minterm_cube, table_from_expr
+from .logic import (
+    MAX_VARS,
+    canonical_sop,
+    check_bits,
+    lowest_row,
+    minterm_cube,
+    table_from_expr,
+)
 from .minimize import minimize, share_terms
 
 _PROFILE_RE = re.compile(r"n(\d+)p(\d+)m(\d+)")
@@ -106,11 +113,10 @@ def _exhaustive(spec, width):
 def _load_vectors(spec, width, what="vectors"):
     vectors = []
     for lineno, line in content_lines(_read_text(spec, what)):
-        if len(line) != width or set(line) - {"0", "1"}:
-            raise FormatError(
-                f"{what} line {lineno}: {line!r} is not {width} binary digits"
-            )
-        vectors.append(line)
+        try:
+            vectors.append(check_bits(line, width))
+        except ValueError as exc:
+            raise FormatError(f"{what} line {lineno}: {exc}") from None
     return vectors
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .logic import MAX_VARS, _product_mask, lowest_row
+from .logic import MAX_VARS, _product_mask, check_bits, lowest_row
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -259,10 +259,7 @@ def _compiled(state):
 
 def eval_pla(state, bits):
     """Evaluate one input vector; returns the m-character output string."""
-    n = state.profile.n_inputs
-    if len(bits) != n or set(bits) - {"0", "1"}:
-        raise ValueError(f"input {bits!r} is not {n} binary digits")
-    word = _compiled(state).eval(int(bits, 2))
+    word = _compiled(state).eval(int(check_bits(bits, state.profile.n_inputs), 2))
     return format(word, f"0{state.profile.n_outputs}b")
 
 

@@ -78,6 +78,10 @@ def pad_input_names(order, n_inputs):
     return tuple(names)
 
 
+# cube character -> the (true, complement) column pair of its AND row, as bytes
+_AND_COLUMNS = str.maketrans({"1": "\x01\x00", "0": "\x00\x01", "-": "\x00\x00"})
+
+
 def fit(mcover, profile):
     """Map a MultiOutputCover onto a device; returns (PlaState, FitReport).
 
@@ -96,17 +100,9 @@ def fit(mcover, profile):
     if n_terms > profile.n_terms:
         raise CapacityError("terms", n_terms, profile.n_terms)
 
-    and_plane = []
-    for cube in mcover.term_pool:
-        row = [0] * (2 * profile.n_inputs)
-        for j, c in enumerate(cube):
-            if c == "1":
-                row[2 * j] = 1
-            elif c == "0":
-                row[2 * j + 1] = 1
-        and_plane.append(tuple(row))
-    for _ in range(profile.n_terms - n_terms):
-        and_plane.append((0,) * (2 * profile.n_inputs))
+    pad = (0,) * (2 * (profile.n_inputs - n_vars))
+    and_plane = [tuple(c.translate(_AND_COLUMNS).encode()) + pad for c in mcover.term_pool]
+    and_plane += [(0,) * (2 * profile.n_inputs)] * (profile.n_terms - n_terms)
 
     or_plane = []
     usage = [0] * n_terms
@@ -235,12 +231,12 @@ def parse_fusemap(text):
     line = _next_line(it, "ILB, OB, or AND")
     input_names = output_names = None
     if line.split()[0] == "ILB":
-        input_names = tuple(line.split()[1:])
+        input_names = _labels(line.split())
         if len(input_names) != n:
             raise FormatError(f"ILB lists {len(input_names)} names, DIM says {n} inputs")
         line = _next_line(it, "OB or AND")
     if line.split()[0] == "OB":
-        output_names = tuple(line.split()[1:])
+        output_names = _labels(line.split())
         if len(output_names) != m:
             raise FormatError(f"OB lists {len(output_names)} names, DIM says {m} outputs")
         line = _next_line(it, "AND")
@@ -307,9 +303,9 @@ def read_berkeley_pla(text, strict=False):
             elif key == ".p":
                 declared_p = _directive_count(parts, lineno)
             elif key == ".ilb":
-                input_names = tuple(parts[1:])
+                input_names = _labels(parts, f"line {lineno}: ")
             elif key == ".ob":
-                output_names = tuple(parts[1:])
+                output_names = _labels(parts, f"line {lineno}: ")
             elif key in (".e", ".end"):
                 break
             elif key == ".type":
@@ -326,15 +322,7 @@ def read_berkeley_pla(text, strict=False):
                 f"line {lineno}: expected '<inputs> <outputs>', got {line!r}"
             )
         in_part, out_part = parts
-        if len(in_part) != n or set(in_part) - {"0", "1", "-"}:
-            raise FormatError(
-                f"line {lineno}: input cube {in_part!r} is not {n} chars of 0/1/-"
-            )
-        if len(out_part) != m or set(out_part) - {"0", "1"}:
-            raise FormatError(
-                f"line {lineno}: output part {out_part!r} is not {m} chars of 0/1 "
-                "(output don't-cares are not supported)"
-            )
+        _check_line(lineno, in_part, out_part, n, m)
         uses.append((in_part, [o for o, c in enumerate(out_part) if c == "1"]))
     if n is None or m is None:
         raise FormatError("missing .i/.o declarations")
@@ -371,6 +359,33 @@ def _signal_count(parts, lineno):
     if value == 0:
         raise FormatError(f"line {lineno}: {parts[0]} must declare at least one signal")
     return value
+
+
+def _labels(parts, where=""):
+    """The names after an ILB/OB/.ilb/.ob keyword, none repeated."""
+    names = tuple(parts[1:])
+    if len(set(names)) < len(names):
+        raise FormatError(f"{where}{parts[0]} repeats a name: {' '.join(names)}")
+    return names
+
+
+def _check_row(cube, outs, n, m):
+    """Check one '<input cube> <outputs>' row of a .pla cover or KISS2 machine."""
+    logic.check_cube(cube, n)
+    try:
+        logic.check_bits(outs, m)
+    except ValueError:
+        raise ValueError(
+            f"outputs {outs!r} is not {m} chars of 0/1 "
+            "(output don't-cares are not supported)"
+        ) from None
+
+
+def _check_line(lineno, cube, outs, n, m):
+    try:
+        _check_row(cube, outs, n, m)
+    except ValueError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def write_berkeley_pla(mcover):

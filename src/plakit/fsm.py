@@ -4,7 +4,9 @@ A machine read from KISS2 is Mealy-style: each transition row carries an
 input cube, current state, next state, and output bits. The subset handled
 here requires at least one input and one output, binary outputs (no output
 don't-cares), and deterministic rows -- two rows for the same state whose
-input cubes overlap are rejected.
+input cubes overlap are rejected. Cubes and vectors are checked only by
+`logic.check_cube` and `logic.check_bits`; rows are compared as literal
+words and row masks.
 
 Synthesis uses the classic registered-PLA arrangement: state bits are fed
 back from the first outputs to the first inputs through an external
@@ -33,11 +35,10 @@ from . import minimize as mn
 from .device import _compiled, eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .expr import content_lines
-from .fit import _directive_count, _nonblank_lines, _signal_count, fit
-from .logic import cube_contains
-
-_IN_CHARS = frozenset("01-")
-_OUT_CHARS = frozenset("01")
+from .fit import (
+    _check_line, _check_row, _directive_count, _nonblank_lines, _signal_count, fit
+)
+from .logic import check_bits, cube_contains, cube_mask, cube_words, lowest_row
 
 
 @dataclass(frozen=True)
@@ -73,32 +74,23 @@ class Fsm:
         transitions = tuple(self.transitions)
         object.__setattr__(self, "transitions", transitions)
         seen = set()
+        by_state = {}  # state -> (req1, req0, cube) per row
         for t in transitions:
-            if len(t.input_cube) != self.n_inputs or set(t.input_cube) - _IN_CHARS:
-                raise ValueError(
-                    f"input cube {t.input_cube!r} is not {self.n_inputs} chars of 0/1/-"
-                )
-            if len(t.outputs) != self.n_outputs or set(t.outputs) - _OUT_CHARS:
-                raise ValueError(
-                    f"outputs {t.outputs!r} is not {self.n_outputs} chars of 0/1"
-                )
+            _check_row(t.input_cube, t.outputs, self.n_inputs, self.n_outputs)
             for s in (t.current, t.next_state):
                 if s not in states:
                     raise ValueError(f"transition uses undeclared state {s!r}")
             if t in seen:
                 raise ValueError(f"duplicate transition: {t.line()}")
             seen.add(t)
-        # determinism: within one state, no two input cubes may overlap
-        by_state = {}
-        for t in transitions:
-            by_state.setdefault(t.current, []).append(t)
+            group = by_state.setdefault(t.current, [])
+            group.append((*cube_words(t.input_cube), t.input_cube))
+        # determinism: two cubes share a row unless one needs a literal true
+        # that the other needs complemented
         for state, rows in by_state.items():
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    a, b = rows[i].input_cube, rows[j].input_cube
-                    if all(
-                        ca == "-" or cb == "-" or ca == cb for ca, cb in zip(a, b)
-                    ):
+            for i, (a1, a0, a) in enumerate(rows):
+                for b1, b0, b in rows[i + 1 :]:
+                    if not (a1 & b0 or a0 & b1):
                         raise ValueError(
                             f"state {state!r} has overlapping input cubes "
                             f"{a!r} and {b!r}"
@@ -159,15 +151,7 @@ def parse_kiss2(text):
                 f"line {lineno}: expected '<inputs> <current> <next> <outputs>'"
             )
         cube, cur, nxt, outs = parts
-        if len(cube) != n_in or set(cube) - _IN_CHARS:
-            raise FormatError(
-                f"line {lineno}: input cube {cube!r} is not {n_in} chars of 0/1/-"
-            )
-        if len(outs) != n_out or set(outs) - _OUT_CHARS:
-            raise FormatError(
-                f"line {lineno}: outputs {outs!r} is not {n_out} chars of 0/1 "
-                "(output don't-cares are not supported)"
-            )
+        _check_line(lineno, cube, outs, n_in, n_out)
         note_state(cur)
         note_state(nxt)
         transitions.append(Transition(cube, cur, nxt, outs))
@@ -354,13 +338,14 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
 
     unmatched = []
     for state in fsm.states:
-        rows = fsm.transitions_from(state)
         code_str = encoding.code_str(state)
         hold_targets = [j for j in range(b) if code_str[j] == "1"]
-        for value in range(1 << k):
-            bits = format(value, f"0{k}b")
-            if any(cube_contains(t.input_cube, bits) for t in rows):
-                continue
+        free = (1 << (1 << k)) - 1  # input rows no transition of this state covers
+        for t in fsm.transitions_from(state):
+            free &= ~cube_mask(t.input_cube, k)
+        while free:
+            bits = lowest_row(free, k)
+            free &= free - 1
             unmatched.append((state, bits))
             if hold_targets:
                 uses.append((code_str + bits, hold_targets))
@@ -437,7 +422,7 @@ def simulate_fsm(fsm, input_seq):
     cur = fsm.reset
     trace = []
     for bits in input_seq:
-        bits = _check_vector(bits, fsm.n_inputs)
+        bits = check_bits(bits, fsm.n_inputs)
         hit = None
         for t in fsm.transitions_from(cur):
             if cube_contains(t.input_cube, bits):
@@ -468,17 +453,9 @@ def simulate_controller(image, input_seq):
     code = 0
     trace = []
     for bits in input_seq:
-        bits = _check_vector(bits, k)
+        bits = check_bits(bits, k)
         word = device.eval(((code << k) | int(bits, 2)) << pad)
         outs = word >> outs_at & outs_mask
         trace.append((format(code, f"0{b}b"), format(outs, f"0{q}b")))
         code = word >> next_at
     return trace
-
-
-def _check_vector(bits, width):
-    if not isinstance(bits, str):
-        bits = "".join(str(x) for x in bits)
-    if len(bits) != width or set(bits) - {"0", "1"}:
-        raise ValueError(f"input {bits!r} is not {width} binary digits")
-    return bits

@@ -12,7 +12,8 @@ variable in order: '1' means the variable appears true, '0' complemented,
 (req1, req0) literal-word pair the device compiles AND rows into
 (`cube_words`, `cube_string`), and its rows are a row mask (`cube_mask`).
 A cover is an ordered list of cubes whose union (OR of products) is the
-function.
+function. An input vector is n binary digits. `check_cube` and
+`check_bits` are the one place either text format is checked.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from . import expr as ex
 MAX_VARS = 24  # exhaustive 2^n sweeps stay cheap up to here
 
 _CUBE_CHARS = frozenset("01-")
+_BIT_CHARS = frozenset("01")
 _REQ1 = str.maketrans("01-", "010")  # cube -> word of its true literals
 _REQ0 = str.maketrans("01-", "100")  # cube -> word of its complemented literals
 
@@ -149,12 +151,19 @@ def table_from_rows(order, outputs):
 
 
 def check_cube(cube, n):
-    if len(cube) != n:
-        raise ValueError(f"cube {cube!r} has {len(cube)} positions, expected {n}")
-    bad = set(cube) - _CUBE_CHARS
-    if bad:
-        raise ValueError(f"cube {cube!r} has illegal characters {sorted(bad)}")
+    """The cube, unless it is not n characters of 0/1/- (ValueError)."""
+    if len(cube) != n or not _CUBE_CHARS.issuperset(cube):
+        raise ValueError(f"input cube {cube!r} is not {n} chars of 0/1/-")
     return cube
+
+
+def check_bits(bits, n):
+    """An input vector (string or 0/1 sequence) as n binary digits, else ValueError."""
+    if not isinstance(bits, str):
+        bits = "".join(str(b) for b in bits)
+    if len(bits) != n or not _BIT_CHARS.issuperset(bits):
+        raise ValueError(f"input {bits!r} is not {n} binary digits")
+    return bits
 
 
 def _product_mask(n, req1, req0):
@@ -264,10 +273,7 @@ def _cube_to_term(cube, order):
 
 def cover_eval(cover, bits):
     """Evaluate a cover on one input string (or sequence of 0/1)."""
-    if not isinstance(bits, str):
-        bits = "".join(str(b) for b in bits)
-    if len(bits) != cover.n or set(bits) - {"0", "1"}:
-        raise ValueError(f"input {bits!r} is not {cover.n} binary digits")
+    bits = check_bits(bits, cover.n)
     return 1 if any(cube_contains(cube, bits) for cube in cover.cubes) else 0
 
 

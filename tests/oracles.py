@@ -140,6 +140,66 @@ def random_fsm(rng, max_states=6, max_inputs=2, max_outputs=2):
     return Fsm(k, q, tuple(states), states[0], tuple(transitions))
 
 
+def _split_cube(rng, cube, depth):
+    """Disjoint cubes whose union is `cube`, cut on random '-' positions."""
+    free = [j for j, c in enumerate(cube) if c == "-"]
+    if not free or depth == 0 or rng.random() < 0.3:
+        return [cube]
+    j = rng.choice(free)
+    return [
+        piece
+        for bit in "01"
+        for piece in _split_cube(rng, cube[:j] + bit + cube[j + 1 :], depth - 1)
+    ]
+
+
+def _punch_hole(rng, cube):
+    """Disjoint cubes covering `cube` except a random sub-cube of 1 to 4 rows."""
+    free = [j for j, c in enumerate(cube) if c == "-"]
+    fixed = rng.sample(free, max(0, len(free) - rng.randint(0, 2)))
+    pieces, rest = [], list(cube)
+    for j in fixed:
+        bit = rng.choice("01")
+        rest[j] = "1" if bit == "0" else "0"
+        pieces.append("".join(rest))
+        rest[j] = bit
+    return pieces
+
+
+def random_cube_fsm(rng, k, max_states=6, max_outputs=3):
+    """A deterministic random machine with k inputs and '-' in its cubes.
+
+    Each state's input space is cut at random positions into disjoint
+    cubes, so no two rows of a state overlap; about a quarter of the
+    pieces, and always the reset state's first, lose a small sub-cube,
+    leaving unmatched (state, input) pairs.
+    """
+    s = rng.randint(2, max_states)
+    q = rng.randint(1, max_outputs)
+    states = [f"Q{i}" for i in range(s)]
+    transitions = []
+    for state in states:
+        for i, piece in enumerate(_split_cube(rng, "-" * k, 4)):
+            holed = rng.random() < 0.25 or (state == states[0] and i == 0)
+            cubes = _punch_hole(rng, piece) if holed else [piece]
+            for cube in cubes:
+                outputs = "".join(str(rng.randint(0, 1)) for _ in range(q))
+                transitions.append(
+                    Transition(cube, state, rng.choice(states), outputs)
+                )
+    return Fsm(k, q, tuple(states), states[0], tuple(transitions))
+
+
+def next_state_naive(fsm, state, bits):
+    """The transition of `state` whose cube covers `bits`, by scanning, or None."""
+    for t in fsm.transitions:
+        if t.current == state and all(
+            c == "-" or c == b for c, b in zip(t.input_cube, bits)
+        ):
+            return t
+    return None
+
+
 def random_input_sequence(rng, width, length):
     return [
         "".join(str(rng.randint(0, 1)) for _ in range(width)) for _ in range(length)

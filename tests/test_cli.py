@@ -7,7 +7,20 @@ from pathlib import Path
 import pytest
 
 import plakit
-from plakit import PlaProfile, parse_fusemap
+from plakit import (
+    Cover,
+    Fsm,
+    PlaProfile,
+    Transition,
+    blank_device,
+    cover_eval,
+    emit_fusemap,
+    eval_pla,
+    parse_fusemap,
+    simulate_controller,
+    simulate_fsm,
+    synthesize_controller,
+)
 from plakit.cli import main, parse_profile
 
 MAJ_EQNS = "M = AB + AC + BC\n"
@@ -187,6 +200,41 @@ def test_sim_bad_vector_line(tmp_path, maj_map_file, capsys):
     assert "not 3 binary digits" in capsys.readouterr().err
 
 
+FOUR_INPUT_FSM = Fsm(4, 1, ("S0",), "S0", (Transition("1---", "S0", "S0", "1"),))
+VECTOR_ENTRY_POINTS = {
+    "eval_pla": lambda bits: eval_pla(blank_device(PlaProfile(4, 1, 1)), bits),
+    "cover_eval": lambda bits: cover_eval(Cover(tuple("ABCD"), ("1---",)), bits),
+    "simulate_fsm": lambda bits: simulate_fsm(FOUR_INPUT_FSM, [bits]),
+    "simulate_controller": lambda bits: simulate_controller(
+        synthesize_controller(FOUR_INPUT_FSM, PlaProfile(5, 2, 2))[0], [bits]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bits",
+    [
+        (entry, bits)
+        for entry in (*VECTOR_ENTRY_POINTS, "sim --vectors FILE")
+        for bits in ("", "0120", "010", [0, 2])
+        # a vector file cannot hold the empty vector: blank lines are skipped
+        if bits or entry in VECTOR_ENTRY_POINTS
+    ],
+)
+def test_every_vector_entry_point_rejects_bad_vectors(entry, bits, tmp_path, capsys):
+    if entry in VECTOR_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="not 4 binary digits"):
+            VECTOR_ENTRY_POINTS[entry](bits)
+        return
+    fuse = tmp_path / "n4.fuse"
+    fuse.write_text(emit_fusemap(blank_device(PlaProfile(4, 1, 1))))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("".join(map(str, bits)) + "\n")
+    assert main(["sim", str(fuse), "--vectors", str(vectors)]) == 4
+    err = capsys.readouterr().err
+    assert "vectors line 1:" in err and "not 4 binary digits" in err
+
+
 def test_sim_fusemap_from_stdin(maj_map_file, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(open(maj_map_file).read()))
     assert main(["sim", "--vectors", "all"]) == 0
@@ -202,6 +250,17 @@ def test_verify_equivalent(maj_map_file, maj_eq_file, capsys):
     assert main(["verify", maj_map_file, "--equations", maj_eq_file]) == 0
     out = capsys.readouterr().out
     assert out == "equivalent: 1 output(s) verified over 8 input vectors\n"
+
+
+def test_verify_refuses_repeated_ob_name(tmp_path, capsys):
+    eqns = tmp_path / "fg.eqn"
+    eqns.write_text("F = AB + AC + BC\nG = A\n")
+    fuse = tmp_path / "fg.fuse"
+    assert main(["compile", str(eqns), "--profile", "n3p4m2", "-o", str(fuse)]) == 0
+    fuse.write_text(fuse.read_text().replace("OB F G", "OB F F"))
+    eqns.write_text("F = AB + AC + BC\n")
+    assert main(["verify", str(fuse), "--equations", str(eqns)]) == 4
+    assert "OB repeats a name: F F" in capsys.readouterr().err
 
 
 def test_verify_mismatch(tmp_path, maj_map_file, capsys):

@@ -188,6 +188,11 @@ def test_parse_fusemap_polarity_section():
         (lambda t: t.replace("DIM 3 4 1", "DIM 3 0 1"), "positive"),
         (lambda t: t.replace("ILB A B C", "ILB A B"), "ILB lists 2"),
         (lambda t: t.replace("OB M", "OB M N"), "OB lists 2"),
+        (lambda t: t.replace("ILB A B C", "ILB A A C"), "ILB repeats a name: A A C"),
+        (
+            lambda t: t.replace("DIM 3 4 1", "DIM 3 4 2").replace("OB M", "OB M M"),
+            "OB repeats a name: M M",
+        ),
         (lambda t: t.replace("AND\n", "XAND\n"), "expected AND"),
         (lambda t: t.replace("001010", "00101"), "AND row 0 has 5 columns"),
         (lambda t: t.replace("001010", "00102-"), "illegal characters"),
@@ -286,6 +291,8 @@ def test_read_berkeley_ignores_content_after_e():
         (".i 1 2\n.o 1\n.e\n", "one numeric argument"),
         (".i 1\n.o 1\n.ilb a b\n1 1\n.e\n", ".ilb lists 2"),
         (".i 1\n.o 1\n.ob\n1 1\n.e\n", ".ob lists 0"),
+        (".i 2\n.o 1\n.ilb a a\n11 1\n.e\n", "line 3: .ilb repeats a name: a a"),
+        (".i 1\n.o 2\n.ob f f\n1 11\n.e\n", "line 3: .ob repeats a name: f f"),
         (".i 0\n.o 1\n.e\n", "line 1: .i must declare at least one"),
         (".i 2\n.o 0\n.e\n", "line 2: .o must declare at least one"),
     ],

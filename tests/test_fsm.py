@@ -17,7 +17,15 @@ from plakit import (
     synthesize_controller,
     write_kiss2,
 )
-from oracles import random_fsm, random_input_sequence, seeded
+from oracles import (
+    all_cubes,
+    cube_rows_naive,
+    next_state_naive,
+    random_cube_fsm,
+    random_fsm,
+    random_input_sequence,
+    seeded,
+)
 
 TOGGLE_KISS = """\
 .i 1
@@ -79,6 +87,21 @@ def test_fsm_validation():
             "S0",
             (Transition("1-", "S0", "S1", "1"), Transition("11", "S0", "S0", "0")),
         )
+
+
+def test_overlap_check_matches_shared_rows():
+    rng = seeded(89)
+    pairs = [(a, b) for k in (1, 2, 3) for a in all_cubes(k) for b in all_cubes(k)]
+    for _ in range(200):
+        k = rng.randint(4, 10)
+        pairs.append(tuple("".join(rng.choice("01--") for _ in range(k)) for _ in "ab"))
+    for a, b in pairs:
+        rows = (Transition(a, "S0", "S0", "0"), Transition(b, "S0", "S0", "1"))
+        if set(cube_rows_naive(a)) & set(cube_rows_naive(b)):
+            with pytest.raises(ValueError, match="overlapping input cubes"):
+                Fsm(len(a), 1, ("S0",), "S0", rows)
+        else:
+            Fsm(len(a), 1, ("S0",), "S0", rows)
 
 
 def test_parse_kiss2_toggle():
@@ -247,6 +270,30 @@ def test_fsm_to_covers_strict_rejects_unmatched():
         ),
     )
     fsm_to_covers(full, strict=True)  # fully specified: no error
+
+
+def test_lowering_matches_brute_force_on_cube_machines():
+    # every (state code, input) row of the covers gives the matching
+    # transition's next code and outputs, or the hold code and zeros
+    rng = seeded(79)
+    for k in range(1, 11):
+        machine = random_cube_fsm(rng, k)
+        enc = default_encoding(machine)
+        mcover, _ = fsm_to_covers(machine, enc)
+        tables = [mcover.cover_for(name).to_table().bits for name in mcover.names]
+        unmatched = 0
+        for state in machine.states:
+            for value in range(1 << k):
+                t = next_state_naive(machine, state, format(value, f"0{k}b"))
+                if t is None:
+                    unmatched += 1
+                    want = enc.code_str(state) + "0" * machine.n_outputs
+                else:
+                    want = enc.code_str(t.next_state) + t.outputs
+                row = enc.code_of(state) << k | value
+                assert "".join(str(bits >> row & 1) for bits in tables) == want
+        with pytest.raises(ValueError, match=f"^{unmatched} unmatched"):
+            fsm_to_covers(machine, enc, strict=True)
 
 
 def test_synthesize_toggle_golden():

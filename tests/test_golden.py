@@ -7,6 +7,8 @@ minimizer or the fitter has to reproduce the same text exactly.
 
 Seeded random functions run n = 4..11 with and without don't-cares at a
 30 % on-set: n <= 6 reaches Petrick's method, n >= 7 the greedy cover.
+Seeded machines with '-' input cubes and unmatched (state, input) pairs
+pin the KISS2 lowering and both controller fuse maps.
 """
 
 import hashlib
@@ -16,13 +18,14 @@ from plakit import (
     TruthTable,
     emit_encoding,
     emit_fusemap,
+    fsm_to_covers,
     minimize,
     parse_kiss2,
     share_terms,
     synthesize_controller,
     write_berkeley_pla,
 )
-from oracles import seeded
+from oracles import random_cube_fsm, seeded
 
 MINIMIZED_PLA_SHA256 = {
     (4, False): "dfa15c2201a94bae574e9c2aa514d9b8fdef36399982308882d841ba333fbe6d",
@@ -96,3 +99,43 @@ def test_fsm_demo_artifacts_are_byte_identical():
     assert _digest(emit_encoding(image.encoding)) == (
         "1a023545632858e4f7b20d7ebfab85597b5157333c9ec9722112ff2697435365"
     )
+
+
+# k -> sha256 of (lowered .pla, fuse map, minimized fuse map)
+CUBE_FSM_SHA256 = {
+    3: (
+        "af81579c4d3872238bac12fdac84655a52ceb2ca0204afc8688999ac4a1569cf",
+        "56a3cac2ec0159f1e4a49ea0ebe130c41c3620d44eb28d1a0358c5bf37d8634e",
+        "30e818958d3d36cf38e3d50f56efb6775094aec87602d6c4be6b104fc49b1d5b",
+    ),
+    6: (
+        "4a52e81468f1a81ae3afafa39068e227c55d32d75aef5735f1f8d7790ccff5dc",
+        "b9b02d5698309fd375e96e664adf42087b03b5b1c2e377f5dd72dfd3f83ebd9b",
+        "7759c9ef725bb28f7b93794fec96ed2480076230f3a26baf4c23300e4339629d",
+    ),
+    10: (
+        "3001f8e3d2a9bb85e673f2c6f2b48bde4bb1b777d5838df584d824708b9c1a96",
+        "b537b34aa2cc2e36a9b494d6dc6a3f30cb776eb978de6ed23c5bbe4f0e63b7d1",
+        "6fe637d8e2c305cb3780b0bc9122580836a93d04ff809d59e81b5f64a7cfdb1f",
+    ),
+}
+
+
+def test_cube_fsm_lowering_and_controllers_are_byte_identical():
+    got = {}
+    for k in CUBE_FSM_SHA256:
+        # two states at k = 10 keep the minimized run near a second
+        machine = random_cube_fsm(seeded(1000 + k), k, max_states=6 if k < 10 else 2)
+        mcover, _ = fsm_to_covers(machine)
+        bits = max(1, (len(machine.states) - 1).bit_length())
+        profile = PlaProfile(
+            bits + k, 2 * len(mcover.term_pool), bits + machine.n_outputs
+        )
+        digests = [_digest(write_berkeley_pla(mcover))]
+        for minimized in (False, True):
+            image, _ = synthesize_controller(machine, profile, minimize=minimized)
+            digests.append(_digest(
+                emit_fusemap(image.state, image.input_names, image.output_names)
+            ))
+        got[k] = tuple(digests)
+    assert got == CUBE_FSM_SHA256
