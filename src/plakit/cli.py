@@ -12,14 +12,15 @@ malformed artifact (equations, fuse map, .pla, KISS2, encoding, vectors).
 import argparse
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
 from .device import (
     Fault,
     PlaProfile,
-    enumerate_faults,
     eval_pla,
+    fault_sweep,
     find_test_vector,
     output_masks,
     render_crosspoint_diagram,
@@ -46,7 +47,6 @@ from .logic import (
     canonical_sop,
     check_bits,
     lowest_row,
-    minterm_cube,
     table_from_expr,
 )
 from .minimize import minimize, share_terms
@@ -182,22 +182,50 @@ def cmd_sim(args):
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
     n = fm.state.profile.n_inputs
     if _exhaustive(args.vectors, n):
-        # row i of the table is bit i of each output mask
-        columns = [format(m, f"0{1 << n}b")[::-1] for m in output_masks(fm.state)]
-        rows = (
-            (minterm_cube(i, n), "".join(outs)) for i, outs in enumerate(zip(*columns))
-        )
+        chunks = _exhaustive_lines(output_masks(fm.state), n)
     else:
-        rows = ((v, eval_pla(fm.state, v)) for v in _load_vectors(args.vectors, n))
+        vectors = _load_vectors(args.vectors, n)
+        chunks = (f"{v} {eval_pla(fm.state, v)}\n" for v in vectors)
     if args.header:
         ins = fm.input_names or tuple(f"x{j}" for j in range(n))
         outs = fm.output_names or tuple(
             f"f{o}" for o in range(fm.state.profile.n_outputs)
         )
         print("# " + " ".join(ins) + " | " + " ".join(outs))
-    for v, outs in rows:
-        print(f"{v} {outs}")
+    for chunk in chunks:
+        sys.stdout.write(chunk)
     return 0
+
+
+_CHUNK_BITS = 12  # rows per chunk of `sim --vectors all`: 2^12
+
+
+def _exhaustive_lines(masks, n):
+    """The 'inputs outputs' lines of every input row in order, 2^_CHUNK_BITS
+    rows to a string. Row i of the table is bit i of each output mask. Each
+    character position of a line is one strided slice of the chunk, so a
+    chunk is filled by one slice assignment per high input bit and per
+    output, from that output's slice of its mask."""
+    width = min(n, _CHUNK_BITS)
+    size = 1 << width
+    stride = n + len(masks) + 2
+    high = n - width
+    chunk = bytearray(
+        "".join(f"{'0' * high}{i:0{width}b} {'0' * len(masks)}\n" for i in range(size)),
+        "ascii",
+    )
+    fills = {"0": b"0" * size, "1": b"1" * size}
+    nbytes = max(1, (1 << n) >> 3)
+    columns = [m.to_bytes(nbytes, "little") for m in masks]
+    for base in range(0, 1 << n, size):
+        if high:
+            for k, bit in enumerate(format(base >> width, f"0{high}b")):
+                chunk[k::stride] = fills[bit]
+        start, end = base >> 3, (base + size + 7) >> 3
+        for o, col in enumerate(columns, n + 1):
+            bits = format(int.from_bytes(col[start:end], "little"), f"0{size}b")
+            chunk[o::stride] = bits[::-1].encode("ascii")
+        yield chunk.decode("ascii")
 
 
 def cmd_verify(args):
@@ -310,19 +338,19 @@ def _parse_fault(text):
 def cmd_fault(args):
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
     if args.all:
-        faults = enumerate_faults(fm.state.profile)
+        verdicts = fault_sweep(fm.state)
     elif args.fault:
         faults = [_parse_fault(f) for f in args.fault]
+        # every fault is range-checked before anything is printed
+        verdicts = [(str(f), find_test_vector(fm.state, f)) for f in faults]
     else:
         raise ValueError("give --fault specs or --all")
-    # every fault is range-checked before anything is printed
-    vectors = [find_test_vector(fm.state, f) for f in faults]
-    for f, vector in zip(faults, vectors):
-        print(f"{f}: {vector or 'undetectable'}")
-    detected = sum(vector is not None for vector in vectors)
-    pct = 100.0 * detected / len(faults)
-    print(f"coverage: {detected}/{len(faults)} detected ({pct:.1f}%)")
-    if args.require_full_coverage and detected < len(faults):
+    detected = sum(vector is not None for _, vector in verdicts)
+    pct = 100.0 * detected / len(verdicts)
+    lines = [f"{label}: {vector or 'undetectable'}\n" for label, vector in verdicts]
+    lines.append(f"coverage: {detected}/{len(verdicts)} detected ({pct:.1f}%)\n")
+    sys.stdout.write("".join(lines))
+    if args.require_full_coverage and detected < len(verdicts):
         return 1
     return 0
 
@@ -332,6 +360,8 @@ def cmd_fault(args):
 
 
 def build_parser():
+    """The argparse parser for every subcommand; `main` builds it once per
+    process, since parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="plakit",
         description="Two-level logic on programmable logic arrays: "
@@ -342,18 +372,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
-        return p
-
-    p = add("table", cmd_table, "print the truth table of an expression")
+    p = sub.add_parser("table", help="print the truth table of an expression")
     p.add_argument("expr")
     p.add_argument("--order", help="comma-separated variable order")
     p.add_argument("--multi-letter", action="store_true")
     p.add_argument("--header", action="store_true")
 
-    p = add("synth", cmd_synth, "equations file to a Berkeley .pla cover")
+    p = sub.add_parser("synth", help="equations file to a Berkeley .pla cover")
     p.add_argument("equations")
     p.add_argument("--minimize", action="store_true",
                    help="minimal covers instead of canonical minterm covers")
@@ -361,7 +386,7 @@ def build_parser():
     p.add_argument("--multi-letter", action="store_true")
     p.add_argument("-o", "--output")
 
-    p = add("compile", cmd_compile, "program equations into a fuse map")
+    p = sub.add_parser("compile", help="program equations into a fuse map")
     p.add_argument("equations")
     p.add_argument("--profile", required=True, help="nXpYmZ[:fuse|:antifuse][:xor]")
     p.add_argument("--minimize", action="store_true")
@@ -371,21 +396,21 @@ def build_parser():
     p.add_argument("--report", action="store_true", help="fit summary on stderr")
     p.add_argument("-o", "--output")
 
-    p = add("sim", cmd_sim, "evaluate a fuse map on input vectors")
+    p = sub.add_parser("sim", help="evaluate a fuse map on input vectors")
     p.add_argument("fusemap", nargs="?", default="-")
     p.add_argument("--vectors", required=True, help="vector file, '-', or 'all'")
     p.add_argument("--header", action="store_true")
 
-    p = add("verify", cmd_verify, "prove a fuse map equivalent to equations")
+    p = sub.add_parser("verify", help="prove a fuse map equivalent to equations")
     p.add_argument("fusemap")
     p.add_argument("--equations", required=True)
     p.add_argument("--var-order", help="device input order (overrides ILB)")
     p.add_argument("--multi-letter", action="store_true")
 
-    p = add("diagram", cmd_diagram, "ASCII crosspoint map of a fuse map")
+    p = sub.add_parser("diagram", help="ASCII crosspoint map of a fuse map")
     p.add_argument("fusemap", nargs="?", default="-")
 
-    p = add("fsm", cmd_fsm, "synthesize a KISS2 machine into a fuse map")
+    p = sub.add_parser("fsm", help="synthesize a KISS2 machine into a fuse map")
     p.add_argument("kiss")
     p.add_argument("--profile", required=True)
     p.add_argument("--minimize", action="store_true")
@@ -395,22 +420,23 @@ def build_parser():
     p.add_argument("--report", action="store_true")
     p.add_argument("-o", "--output")
 
-    p = add("fsmsim", cmd_fsmsim, "clock a synthesized controller")
+    p = sub.add_parser("fsmsim", help="clock a synthesized controller")
     p.add_argument("fusemap", nargs="?", default="-")
     p.add_argument("--encoding", required=True, help="PLAENC sidecar")
     p.add_argument("--vectors", required=True)
     p.add_argument("--names", action="store_true", help="append state names")
     p.add_argument("--header", action="store_true")
 
-    p = add("fault", cmd_fault, "stuck-crosspoint test vectors and coverage")
+    p = sub.add_parser("fault", help="stuck-crosspoint test vectors and coverage")
     p.add_argument("fusemap", nargs="?", default="-")
-    p.add_argument(
+    which = p.add_mutually_exclusive_group()
+    which.add_argument(
         "--fault",
         action="append",
         metavar="PLANE,ROW,COL,STUCK",
         help="one fault; repeatable",
     )
-    p.add_argument("--all", action="store_true", help="every possible fault")
+    which.add_argument("--all", action="store_true", help="every possible fault")
     p.add_argument(
         "--require-full-coverage",
         action="store_true",
@@ -419,17 +445,23 @@ def build_parser():
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    if not getattr(args, "func", None):
+    if args.command is None:
         parser.print_help(sys.stderr)
         return 2
+    # looked up per call, so the kept parser holds no command function and a
+    # rebound cmd_* (a tracer's wrapper, say) takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .logic import MAX_VARS, _product_mask, check_bits, lowest_row
+from .logic import MAX_VARS, _product_mask, _var_mask, check_bits, lowest_row
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -245,6 +245,13 @@ class _Compiled:
             for t, m in enumerate(self.terms)
         )
 
+    @cached_property
+    def columns(self):
+        """(rows where input j is 0, rows where it is 1) per input j."""
+        return tuple(
+            (self.full ^ _var_mask(self.n, j), _var_mask(self.n, j)) for j in range(self.n)
+        )
+
 
 def _compiled(state):
     """The image's integer form, built on first use and kept on the instance
@@ -288,7 +295,11 @@ class Fault:
             raise ValueError(f"stuck must be one of {STUCK_MODES}, got {self.stuck!r}")
 
     def __str__(self):
-        return f"{self.plane}[{self.row},{self.col}] stuck-{self.stuck}"
+        return _fault_label(self.plane, self.row, self.col, self.stuck)
+
+
+def _fault_label(plane, row, col, stuck):
+    return f"{plane}[{row},{col}] stuck-{stuck}"
 
 
 def inject_fault(state, fault):
@@ -305,32 +316,82 @@ def enumerate_faults(profile):
             for row in range(rows) for col in range(cols) for stuck in STUCK_MODES]
 
 
+def _and_diffs(image, t):
+    """diffs[c]: the rows where flipping AND crosspoint (t, c) changes an output.
+
+    A literal that joins the term removes the rows where it reads 0; one that
+    leaves adds the mirror image of the term across its input, unless the
+    term is contradictory (constant 0), whose rows must be rebuilt."""
+    n, term = image.n, image.terms[t]
+    visible = image.full ^ image.hidden[t]
+    if not visible:
+        return [0] * (2 * n)
+    req1, req0 = image.literals[t]
+    contradictory = req1 & req0
+    diffs = []
+    for j, (zeros, ones) in enumerate(image.columns):
+        bit = 1 << (n - 1 - j)  # also the row distance between mirror rows
+        if not req1 & bit:
+            true = term & zeros
+        elif contradictory:
+            true = _product_mask(n, req1 ^ bit, req0)
+        else:
+            true = term >> bit
+        if not req0 & bit:
+            comp = term & ones
+        elif contradictory:
+            comp = _product_mask(n, req1, req0 ^ bit)
+        else:
+            comp = term << bit
+        diffs += (true & visible, comp & visible)
+    return diffs
+
+
+def _or_diffs(image, o):
+    """diffs[t]: the rows where flipping OR crosspoint (o, t) changes output o.
+
+    Connecting term t adds its rows the output lacks; disconnecting it loses
+    the rows no other connected term covers."""
+    row = image.or_rows[o]
+    gained = image.full ^ image.raw[o]
+    lost = image.full ^ image.twice[o]
+    return [m & (lost if row >> t & 1 else gained) for t, m in enumerate(image.terms)]
+
+
 def find_test_vector(state, fault):
     """Lowest input vector whose outputs expose the fault, or None.
 
     None means the fault is undetectable on this image -- usually because
     the stuck value equals the programmed value, or the crosspoint feeds
-    nothing observable. Only the faulted term or output is re-evaluated.
+    nothing observable. Only the faulted row is re-evaluated; `fault_sweep`
+    answers every fault of the image in one walk.
     """
     stuck = 1 if fault.stuck == "connected" else 0
     row, col = fault.row, fault.col
     if _plane(state, fault.plane, row, col)[row][col] == stuck:
         return None
     image = _compiled(state)
-    if fault.plane == "and":
-        req1, req0 = image.literals[row]
-        bit = 1 << (image.n - 1 - col // 2)
-        if col % 2:
-            req0 ^= bit
-        else:
-            req1 ^= bit
-        changed = image.terms[row] ^ _product_mask(image.n, req1, req0)
-        diff = changed & ~image.hidden[row]
-    elif stuck:
-        diff = image.terms[col] & ~image.raw[row]
-    else:
-        diff = image.terms[col] & ~image.twice[row]
-    return lowest_row(diff, image.n)
+    diffs = _and_diffs(image, row) if fault.plane == "and" else _or_diffs(image, row)
+    return lowest_row(diffs[col], image.n)
+
+
+def fault_sweep(state):
+    """(text of the fault, find_test_vector's verdict) for every fault of
+    enumerate_faults(state.profile), in that order, from one walk of the
+    image row by row. A fault stuck at the programmed value needs no work."""
+    image = _compiled(state)
+    n = image.n
+    verdicts = []
+    for plane, matrix, row_diffs in (("and", state.and_plane, _and_diffs),
+                                     ("or", state.or_plane, _or_diffs)):
+        for r, bits in enumerate(matrix):
+            for c, (bit, diff) in enumerate(zip(bits, row_diffs(image, r))):
+                vector = lowest_row(diff, n)
+                verdicts += (
+                    (_fault_label(plane, r, c, "connected"), None if bit else vector),
+                    (_fault_label(plane, r, c, "disconnected"), vector if bit else None),
+                )
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

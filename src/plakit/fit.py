@@ -335,6 +335,12 @@ def read_berkeley_pla(text, strict=False):
         raise FormatError(f".ilb lists {len(input_names)} names, .i says {n}")
     if output_names is not None and len(output_names) != m:
         raise FormatError(f".ob lists {len(output_names)} names, .o says {m}")
+    # Default names come from the declared counts alone. A cube or label line
+    # spends a character per signal, so a count beyond the file's length is
+    # backed by neither, and building its names would be unbounded work.
+    for key, count in ((".i", n), (".o", m)):
+        if count > len(text):
+            raise FormatError(f"{key} {count} is more signals than the file describes")
     if input_names is None:
         input_names = tuple(f"x{j}" for j in range(n))
     if output_names is None:

@@ -8,7 +8,7 @@ independent path.
 import random
 from itertools import combinations, product
 
-from plakit import Fsm, PlaProfile, PlaState, Transition
+from plakit import Fsm, PlaProfile, PlaState, Transition, inject_fault, output_masks
 
 
 def all_cubes(n):
@@ -83,6 +83,19 @@ def eval_pla_naive(state, bits):
                 raw = 1
         out += str(raw ^ state.polarity[o])
     return out
+
+
+def lowest_differing_row_naive(state, fault):
+    """Input string of the lowest row where the good image and the image
+    with `fault` injected differ, each evaluated from scratch; None when
+    they agree everywhere."""
+    diff = 0
+    for good, bad in zip(output_masks(state), output_masks(inject_fault(state, fault))):
+        diff |= good ^ bad
+    if not diff:
+        return None
+    n = state.profile.n_inputs
+    return format((diff & -diff).bit_length() - 1, f"0{n}b")
 
 
 def random_state(rng, profile, density=0.3):

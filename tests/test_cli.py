@@ -1,7 +1,9 @@
+import contextlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,17 +13,21 @@ from plakit import (
     Cover,
     Fsm,
     PlaProfile,
+    PlaState,
     Transition,
     blank_device,
     cover_eval,
     emit_fusemap,
+    enumerate_faults,
     eval_pla,
+    find_test_vector,
     parse_fusemap,
     simulate_controller,
     simulate_fsm,
     synthesize_controller,
 )
-from plakit.cli import main, parse_profile
+from plakit.cli import _CHUNK_BITS, main, parse_profile
+from oracles import lowest_differing_row_naive, random_state, seeded
 
 MAJ_EQNS = "M = AB + AC + BC\n"
 TOGGLE_KISS = ".i 1\n.o 1\n.r S0\n1 S0 S1 1\n1 S1 S0 0\n.e\n"
@@ -498,3 +504,114 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["0 1", "1 0"]
+
+
+def test_fault_all_and_fault_are_mutually_exclusive(maj_map_file, capsys):
+    for spec in ("bogus", "or,0,0,disconnected"):
+        assert main(["fault", maj_map_file, "--all", "--fault", spec]) == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err and captured.out == ""
+
+
+def test_kept_parser_carries_no_state_between_calls(maj_map_file, capsys):
+    assert main(["fault", maj_map_file, "--fault", "or,0,0,disconnected"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "or[0,0] stuck-disconnected: 110", "coverage: 1/1 detected (100.0%)"]
+    assert main(["fault", maj_map_file, "--fault", "and,0,0,connected"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 and out[0].startswith("and[0,0] stuck-connected: ")
+
+    assert main(["sim", maj_map_file, "--vectors", "all", "--header"]) == 0
+    assert capsys.readouterr().out.startswith("# A B C | M\n")
+    assert main(["sim", maj_map_file, "--vectors", "all"]) == 0
+    assert capsys.readouterr().out.startswith("000 0\n")
+
+    assert main(["--version"]) == 0
+    assert main(["-h"]) == 0
+    assert "usage:" in capsys.readouterr().out
+    assert main([]) == 2
+    assert main(["sim", maj_map_file, "--vectors", "all", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def _planted_state(rng, n, tech, xor):
+    """A random image with a contradictory AND row, an all-zero AND row and
+    an unconnected OR row planted among random ones."""
+    prof = PlaProfile(n, rng.randint(3, 6), rng.randint(2, 3), tech, xor)
+    state = random_state(rng, prof, rng.choice((0.15, 0.3, 0.5)))
+    and_plane = [list(row) for row in state.and_plane]
+    or_plane = [list(row) for row in state.or_plane]
+    j = rng.randrange(n)
+    and_plane[0][2 * j] = and_plane[0][2 * j + 1] = 1
+    and_plane[1] = [0] * (2 * n)
+    or_plane[0][0] = or_plane[0][1] = 1
+    or_plane[-1] = [0] * prof.n_terms
+    return PlaState(prof, and_plane, or_plane, state.polarity)
+
+
+def test_fault_all_matches_find_test_vector_and_oracle(tmp_path, capsys):
+    rng = seeded(61)
+    cases = [(n, tech, xor) for n in range(1, 10)
+             for tech in ("fuse", "antifuse") for xor in (False, True)]
+    cases.append((16, "antifuse", True))
+    for n, tech, xor in cases:
+        state = _planted_state(rng, n, tech, xor)
+        fuse = tmp_path / "image.fuse"
+        fuse.write_text(emit_fusemap(state))
+        assert main(["fault", str(fuse), "--all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        faults = enumerate_faults(state.profile)
+        assert len(lines) == len(faults) + 1
+        detected = 0
+        for line, fault in zip(lines, faults):
+            want = lowest_differing_row_naive(state, fault)
+            assert find_test_vector(state, fault) == want, fault
+            assert line == f"{fault}: {want or 'undetectable'}"
+            detected += want is not None
+        pct = 100.0 * detected / len(faults)
+        assert lines[-1] == f"coverage: {detected}/{len(faults)} detected ({pct:.1f}%)"
+
+
+def test_sim_all_chunks_match_explicit_vectors(tmp_path, capsys):
+    rng = seeded(67)
+    for n in (_CHUNK_BITS - 1, _CHUNK_BITS, _CHUNK_BITS + 1):
+        prof = PlaProfile(n, 6, 3, "fuse", has_output_xor=True)
+        state = random_state(rng, prof, 0.08)
+        # term 0 is the first input alone, so output 0 differs between chunks
+        and_plane = ((1,) + (0,) * (2 * n - 1),) + state.and_plane[1:]
+        or_plane = ((1,) + state.or_plane[0][1:],) + state.or_plane[1:]
+        state = PlaState(prof, and_plane, or_plane, (1, 0, 1))
+        fuse = tmp_path / "image.fuse"
+        fuse.write_text(emit_fusemap(state))
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("".join(format(r, f"0{n}b") + "\n" for r in range(1 << n)))
+        for extra in ([], ["--header"]):
+            assert main(["sim", str(fuse), "--vectors", "all"] + extra) == 0
+            swept = capsys.readouterr().out.splitlines()
+            assert main(["sim", str(fuse), "--vectors", str(vectors)] + extra) == 0
+            explicit = capsys.readouterr().out.splitlines()
+            assert len(swept) == len(explicit) == (1 << n) + len(extra)
+            # the first differing line, not a diff of 2^n lines
+            assert next(filter(lambda pair: pair[0] != pair[1], zip(swept, explicit)),
+                        None) is None
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_sim_all_formats_a_chunk_at_a_time(tmp_path):
+    # 20 inputs x 8 outputs: the full columns alone would be 8 x 2^20 characters
+    rng = seeded(71)
+    prof = PlaProfile(20, 8, 8)
+    fuse = tmp_path / "wide.fuse"
+    fuse.write_text(emit_fusemap(random_state(rng, prof, 0.05)))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["sim", str(fuse), "--vectors", "all"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"peak {peak} bytes"

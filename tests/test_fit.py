@@ -295,6 +295,8 @@ def test_read_berkeley_ignores_content_after_e():
         (".i 1\n.o 2\n.ob f f\n1 11\n.e\n", "line 3: .ob repeats a name: f f"),
         (".i 0\n.o 1\n.e\n", "line 1: .i must declare at least one"),
         (".i 2\n.o 0\n.e\n", "line 2: .o must declare at least one"),
+        (".i 2\n.o 99999999\n", ".o 99999999 is more signals than the file describes"),
+        (".i 99999999\n.o 1\n.e\n", ".i 99999999 is more signals"),
     ],
 )
 def test_read_berkeley_errors(text, message):
