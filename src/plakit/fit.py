@@ -298,6 +298,9 @@ def read_berkeley_pla(text, strict=False):
             key = parts[0]
             if key == ".i":
                 n = _signal_count(parts, lineno)
+                if n > logic.MAX_VARS:
+                    raise FormatError(f"line {lineno}: .i {n} is more signals than "
+                                      f"the limit of {logic.MAX_VARS} inputs")
             elif key == ".o":
                 m = _signal_count(parts, lineno)
             elif key == ".p":

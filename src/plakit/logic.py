@@ -84,7 +84,7 @@ class TruthTable:
 
     def on_set(self):
         """Row indices where the output is 1, ascending."""
-        return [i for i in range(1 << self.n) if (self.bits >> i) & 1]
+        return mask_rows(self.bits)
 
     def complement(self):
         full = (1 << (1 << self.n)) - 1
@@ -168,15 +168,29 @@ def check_bits(bits, n):
 
 def _product_mask(n, req1, req0):
     """Rows of the product needing variable j at 1 where bit n-1-j of req1
-    is set and at 0 where that bit of req0 is set."""
-    mask = (1 << (1 << n)) - 1
-    for j in range(n):
-        bit = 1 << (n - 1 - j)
-        if req1 & bit:
-            mask &= _var_mask(n, j)
-        if req0 & bit:
-            mask &= ~_var_mask(n, j)
-    return mask
+    is set and at 0 where that bit of req0 is set: the rows of the cube
+    anchored at row 0 over the absent variables, doubled once per absent
+    bit, then shifted up to row req1. A contradictory pair covers none."""
+    if req1 & req0:
+        return 0
+    free = ((1 << n) - 1) & ~(req1 | req0)
+    rows = 1
+    while free:
+        bit = free & -free
+        free ^= bit
+        rows |= rows << bit
+    return rows << req1
+
+
+def mask_rows(mask):
+    """Indices of the set bits of a row mask, ascending."""
+    digits = format(mask, "b")[::-1]
+    rows = []
+    row = digits.find("1")
+    while row >= 0:
+        rows.append(row)
+        row = digits.find("1", row + 1)
+    return rows
 
 
 def cube_words(cube):

@@ -1,28 +1,35 @@
 """Two-level minimization: prime implicants and minimum covers.
 
-Cubes are '01-' strings only at the API. Primes come from Quine-McCluskey
-tabulation over the on-set plus don't-care set, run on (req1, req0)
-literal words: a cube merges with the cube that has one of its
-complemented literals true, found by set lookup. Cover selection works
-on one on-set row mask per prime: it extracts essential primes first,
-then finishes with Petrick's method (exact) when the residual problem is
-small enough, or a greedy set cover otherwise. The switch is size-based
-so small problems -- anything a datasheet example would show -- always
-get the true minimum.
+Cubes are '01-' strings only at the API. Primes come from the on-set
+plus don't-care set as one row mask, never from minterm lists: for each
+word D of absent literals, an anchor mask M[D] holds the rows r (with
+r & D == 0) whose D-cube lies inside the function. M[D|w] is
+M[D] & M[D] >> w over the rows with bit w clear, and only nonzero anchor
+masks are visited, level by level. An anchor that no one-bit-wider cube
+contains is a prime. Cover selection works on one on-set row mask per
+prime: it extracts essential primes first, then finishes with Petrick's
+method (exact) when the residual problem is small enough, or a lazy
+greedy set cover otherwise: a prime's gain only falls as rows get
+covered, so gains kept in a heap are upper bounds and only the top is
+rescored. The switch is size-based so small problems -- anything a
+datasheet example would show -- always get the true minimum.
 
 Everything here is deterministic: primes are reported in a fixed sort
 order, ties in cover selection break lexicographically, and the same input
 always yields the same cover.
 """
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 
-from .logic import Cover, TruthTable, check_cube, cube_mask, cube_string
+from .logic import (
+    Cover, TruthTable, _var_mask, check_cube, cube_mask, cube_string, mask_rows,
+)
 
 log = logging.getLogger(__name__)
 
-QM_MAX_VARS = 16  # tabulation is exponential; past this use a different tool
+MINIMIZER_MAX_VARS = 16  # prime counts grow exponentially; past this use a different tool
 PETRICK_MAX_PRIMES = 24
 PETRICK_MAX_MINTERMS = 64
 
@@ -42,8 +49,10 @@ class MinimizeSpec:
         n = len(self.order)
         if n == 0:
             raise ValueError("variable order must not be empty")
-        if n > QM_MAX_VARS:
-            raise ValueError(f"{n} variables exceeds the minimizer limit of {QM_MAX_VARS}")
+        if n > MINIMIZER_MAX_VARS:
+            raise ValueError(
+                f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}"
+            )
         limit = 1 << n
         for row in self.on_set | self.dc_set:
             if not 0 <= row < limit:
@@ -67,28 +76,34 @@ def prime_implicants(spec):
         return []
     n = spec.n
     full = (1 << n) - 1
-    # level k holds the implicants with k absent literals, as literal words
-    current = {(row, full ^ row) for row in spec.on_set | spec.dc_set}
+    rows = (1 << (1 << n)) - 1
+    low = {1 << k: rows ^ _var_mask(n, n - 1 - k) for k in range(n)}  # bit k clear
+    # absent-literal word -> anchor mask
+    level = {0: sum(1 << row for row in spec.on_set | spec.dc_set)}
     levels = []
-    while current:
-        merged = set()
-        used = set()
-        for req1, req0 in current:
-            lits = req0
-            while lits:
-                d = lits & -lits  # the partner has this literal true
-                lits ^= d
-                partner = (req1 | d, req0 ^ d)
-                if partner in current:
-                    merged.add((req1, req0 ^ d))
-                    used.add((req1, req0))
-                    used.add(partner)
-        levels.append(current - used)
-        current = merged
-    return [
-        cube for level in reversed(levels)
-        for cube in sorted(cube_string(n, *words) for words in level)
-    ]
+    while level:
+        # each wider word once, from its parent without its top bit; a
+        # zero anchor mask has only zero wider ones, so it is dropped
+        wider = {}
+        for absent, anchors in level.items():
+            w = 1 << absent.bit_length()
+            while w <= full:
+                grown = anchors & anchors >> w & low[w]
+                if grown:
+                    wider[absent | w] = grown
+                w <<= 1
+        cubes = []
+        for absent, anchors in level.items():
+            spare = full ^ absent
+            while spare:
+                w = spare & -spare
+                spare ^= w
+                grown = wider.get(absent | w, 0)
+                anchors &= ~(grown | grown << w)
+            cubes += [cube_string(n, r, full ^ absent ^ r) for r in mask_rows(anchors)]
+        levels.append(sorted(cubes))
+        level = wider
+    return [cube for cubes in reversed(levels) for cube in cubes]
 
 
 def _petrick(chart, n_primes):
@@ -137,8 +152,7 @@ def minimum_cover(primes, spec):
     for m in masks:
         once, twice = once | m, twice | once & m
     if on & ~once:
-        missing = [row for row in sorted(spec.on_set) if not once >> row & 1]
-        raise ValueError(f"primes do not cover required rows {missing}")
+        raise ValueError(f"primes do not cover required rows {mask_rows(on & ~once)}")
 
     # essential primes: sole coverers of some row; the rest lies in `twice`
     chosen, remaining = 0, twice
@@ -156,7 +170,7 @@ def minimum_cover(primes, spec):
         )
         chart = {
             row: {i for i, m in enumerate(masks) if m >> row & 1}
-            for row in spec.on_set if remaining >> row & 1
+            for row in mask_rows(remaining)
         }
         chosen |= _petrick(chart, len(primes))
         remaining = 0
@@ -166,18 +180,25 @@ def minimum_cover(primes, spec):
             "greedy cover: %d primes, %d residual rows exceed thresholds %d/%d",
             len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
         )
-        # on equal gain, max() takes the lexicographically smallest cube
-        # (copies of one cube tie on rank too, and any copy gives the same cover)
-        rank = {cube: -r for r, cube in enumerate(sorted(set(primes)))}
-        live = [(rank[cube], i) for i, cube in enumerate(primes)]
+        # the most new rows wins; on equal gain the lexicographically smallest
+        # cube, then the last copy of it (any copy gives the same cover)
+        rank = {cube: r for r, cube in enumerate(sorted(set(primes)))}
+        heap = [(-gain, rank[primes[i]], -i) for i, m in enumerate(masks)
+                if (gain := (m & remaining).bit_count())]
+        heapq.heapify(heap)
         while remaining:
-            # a prime with nothing left to cover never gains again: drop it
-            scored = [(gain, r, i) for r, i in live
-                      if (gain := (masks[i] & remaining).bit_count())]
-            live = [(r, i) for _, r, i in scored]
-            best = max(scored)[2]
-            selected.append(best)
-            remaining &= ~masks[best]
+            top = heap[0]
+            i = -top[2]
+            gain = (masks[i] & remaining).bit_count()
+            if gain == -top[0]:
+                # every other stale gain bounds its true gain from above
+                heapq.heappop(heap)
+                selected.append(i)
+                remaining &= ~masks[i]
+            elif gain:
+                heapq.heapreplace(heap, (-gain, top[1], top[2]))
+            else:
+                heapq.heappop(heap)  # nothing left to cover: it never gains again
     return Cover(spec.order, tuple(primes[i] for i in selected))
 
 

@@ -1,11 +1,12 @@
 """Brute-force reference implementations the tests trust.
 
-Everything here is deliberately naive -- enumerate, don't be clever -- so
-the library's bit-parallel and tabulation code is checked against an
-independent path.
+Everything here is deliberately naive -- enumerate, tabulate, rescore,
+don't be clever -- so the library's bit-parallel code is checked against
+an independent path.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, product
 
 from plakit import Fsm, PlaProfile, PlaState, Transition, inject_fault, output_masks
@@ -44,6 +45,70 @@ def brute_primes(care, n):
         if not any(implicant(w) for w in wider):
             primes.append(cube)
     return sorted(primes, key=lambda c: (-c.count("-"), c))
+
+
+def qm_primes(care, n):
+    """Prime implicants of the care rows by Quine-McCluskey tabulation on
+    (req1, req0) literal words, widest first then lexicographic.
+
+    A cube merges with the cube that has one of its complemented literals
+    true, found by set lookup; what merges with nothing is prime.
+    """
+    full = (1 << n) - 1
+    # level k holds the implicants with k absent literals
+    current = {(row, full ^ row) for row in care}
+    levels = []
+    while current:
+        merged = set()
+        used = set()
+        for req1, req0 in current:
+            lits = req0
+            while lits:
+                d = lits & -lits  # the partner has this literal true
+                lits ^= d
+                partner = (req1 | d, req0 ^ d)
+                if partner in current:
+                    merged.add((req1, req0 ^ d))
+                    used.add((req1, req0))
+                    used.add(partner)
+        levels.append(current - used)
+        current = merged
+    return [
+        cube for level in reversed(levels)
+        for cube in sorted(
+            "".join("1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
+                    for k in range(n - 1, -1, -1))
+            for req1, req0 in level
+        )
+    ]
+
+
+def greedy_cover_naive(primes, on_rows):
+    """The cover minimum_cover picks without Petrick: every prime that is the
+    sole coverer of some on-set row, in list order, then greedy picks that
+    rescore every prime at every step -- the most uncovered rows first, ties
+    to the lexicographically smallest cube."""
+    on_rows = set(on_rows)
+    rows_of = [  # a cube's rows, by filling in its '-' positions both ways
+        {int("".join(bits), 2) for bits in product(*(c.replace("-", "01") for c in cube))}
+        & on_rows
+        for cube in primes
+    ]
+    coverers = Counter(row for rows in rows_of for row in rows)
+    chosen = [i for i, rows in enumerate(rows_of)
+              if any(coverers[row] == 1 for row in rows)]
+    masks = [sum(1 << row for row in rows) for rows in rows_of]
+    remaining = sum(1 << row for row in on_rows)
+    for i in chosen:
+        remaining &= ~masks[i]
+    backwards = [tuple(-ord(c) for c in cube) for cube in primes]  # max() picks the least
+    picked = []
+    while remaining:
+        best = max(range(len(primes)),
+                   key=lambda i: ((masks[i] & remaining).bit_count(), backwards[i]))
+        picked.append(best)
+        remaining &= ~masks[best]
+    return tuple(primes[i] for i in chosen + picked)
 
 
 def brute_min_cover_size(primes, on_rows, n):

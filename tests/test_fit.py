@@ -297,6 +297,8 @@ def test_read_berkeley_ignores_content_after_e():
         (".i 2\n.o 0\n.e\n", "line 2: .o must declare at least one"),
         (".i 2\n.o 99999999\n", ".o 99999999 is more signals than the file describes"),
         (".i 99999999\n.o 1\n.e\n", ".i 99999999 is more signals"),
+        (".i 25\n.o 1\n" + "1" * 25 + " 1\n.e\n",
+         "line 1: .i 25 is more signals than the limit of 24"),
     ],
 )
 def test_read_berkeley_errors(text, message):

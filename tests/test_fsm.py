@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from plakit import (
@@ -294,6 +296,21 @@ def test_lowering_matches_brute_force_on_cube_machines():
                 assert "".join(str(bits >> row & 1) for bits in tables) == want
         with pytest.raises(ValueError, match=f"^{unmatched} unmatched"):
             fsm_to_covers(machine, enc, strict=True)
+
+
+def test_minimized_wide_cube_controller_is_bounded_work():
+    # 13 device inputs, transition cubes with up to 10 absent literals:
+    # tabulating primes from minterms took about 15 s here
+    machine = random_cube_fsm(seeded(1010), 10)
+    enc = default_encoding(machine)
+    profile = PlaProfile(enc.bits + machine.n_inputs, 256, enc.bits + machine.n_outputs)
+    start = time.perf_counter()
+    image, _ = synthesize_controller(machine, profile, minimize=True)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, limit 5s"
+    seq = random_input_sequence(seeded(1011), machine.n_inputs, 200)
+    want = [(enc.code_str(s), o) for s, o in simulate_fsm(machine, seq)]
+    assert simulate_controller(image, seq) == want
 
 
 def test_synthesize_toggle_golden():

@@ -19,7 +19,9 @@ from plakit import (
     table_from_expr,
     table_from_rows,
 )
-from plakit.logic import cube_mask, cube_string, cube_words
+from plakit.logic import (
+    _product_mask, cube_mask, cube_string, cube_words, mask_rows,
+)
 from oracles import all_cubes, cube_rows_naive, seeded
 
 MAJORITY = "A'BC + AB'C + ABC' + ABC"
@@ -134,6 +136,33 @@ def test_cube_mask_against_oracle():
         for cube in all_cubes(n):
             mask = cube_mask(cube)
             assert [i for i in range(1 << n) if mask >> i & 1] == cube_rows_naive(cube)
+
+
+def test_product_mask_against_oracle():
+    # random literal words, with contradictory pairs (a variable required at
+    # both 1 and 0) and the all-free word among them
+    rng = seeded(37)
+    for n in range(1, 13):
+        pairs = [(0, 0)]
+        for _ in range(15):
+            req1, req0 = rng.getrandbits(n), rng.getrandbits(n)
+            pairs += [(req1, req0), (req1, req0 & ~req1)]
+        for req1, req0 in pairs:
+            if req1 & req0:
+                want = 0
+            else:
+                cube = "".join("1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
+                               for k in range(n - 1, -1, -1))
+                want = sum(1 << r for r in cube_rows_naive(cube))
+            assert _product_mask(n, req1, req0) == want
+
+
+def test_mask_rows_lists_set_bits():
+    rng = seeded(41)
+    assert mask_rows(0) == []
+    for n in range(1, 12):
+        bits = rng.getrandbits(1 << n)
+        assert mask_rows(bits) == [r for r in range(1 << n) if bits >> r & 1]
 
 
 def test_cube_words_round_trip():

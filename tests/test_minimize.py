@@ -15,7 +15,14 @@ from plakit import (
     share_terms,
     table_from_expr,
 )
-from oracles import brute_min_cover_size, brute_primes, cube_rows_naive, seeded
+from oracles import (
+    brute_min_cover_size,
+    brute_primes,
+    cube_rows_naive,
+    greedy_cover_naive,
+    qm_primes,
+    seeded,
+)
 
 # the package re-exports the minimize() function under the submodule's name,
 # so reach the module itself through importlib for monkeypatching
@@ -79,6 +86,53 @@ def test_primes_match_brute_force_oracle():
             dc = {r for r in range(size) if r not in on and rng.random() < 0.25}
             spec = MinimizeSpec(order, frozenset(on), frozenset(dc))
             assert prime_implicants(spec) == brute_primes(on | dc, n)
+
+
+def _random_spec(rng, n):
+    """A seeded 30 %-on/10 %-dc function, or a union of random cubes with
+    mostly absent literals (whose sub-cubes tabulation must all list)."""
+    size = 1 << n
+    order = tuple(f"x{j}" for j in range(n))
+    if rng.random() < 0.5:
+        draws = [rng.random() for _ in range(size)]
+        on = {r for r in range(size) if draws[r] < 0.3}
+        dc = {r for r in range(size) if 0.3 <= draws[r] < 0.4}
+    else:
+        on, dc = set(), set()
+        for _ in range(rng.randint(1, 6)):
+            fixed = rng.sample(range(n), rng.randint(3, max(3, n - 5)))
+            cube = ["-"] * n
+            for j in fixed:
+                cube[j] = rng.choice("01")
+            (dc if rng.random() < 0.2 else on).update(cube_rows_naive("".join(cube)))
+        dc -= on
+        on = on or {0}
+        dc.discard(0)
+    return MinimizeSpec(order, frozenset(on), frozenset(dc))
+
+
+def test_primes_match_tabulation_oracle():
+    rng = seeded(43)
+    for n in range(6, 14):
+        for _ in range(6 if n < 11 else 2):
+            spec = _random_spec(rng, n)
+            assert prime_implicants(spec) == qm_primes(spec.on_set | spec.dc_set, n)
+
+
+def test_greedy_cover_matches_eager_oracle(monkeypatch):
+    monkeypatch.setattr(mn, "PETRICK_MAX_PRIMES", 0)
+    rng = seeded(47)
+    for n in range(5, 13):
+        for _ in range(3 if n < 11 else 1):
+            spec = _random_spec(rng, n)
+            primes = prime_implicants(spec)
+            got = minimum_cover(primes, spec).cubes
+            assert got == greedy_cover_naive(primes, spec.on_set)
+            # list order and repeated primes change ranks and essentials
+            mixed = primes + rng.choices(primes, k=len(primes) // 3 + 1)
+            rng.shuffle(mixed)
+            got = minimum_cover(mixed, spec).cubes
+            assert got == greedy_cover_naive(mixed, spec.on_set)
 
 
 def test_minimum_cover_is_exact_for_small_n():
