@@ -315,9 +315,9 @@ def cmd_fsmsim(args):
     vectors = _load_vectors(args.vectors, enc.n_inputs)
     if args.header:
         print("# cycle state out")
+    names = {format(c, f"0{enc.bits}b"): f" {name}" for name, c in enc.codes}
     for cycle, (code, outs) in enumerate(simulate_controller(image, vectors)):
-        name = enc.name_of(int(code, 2))
-        suffix = f" {name}" if args.names and name else ""
+        suffix = names.get(code, "") if args.names else ""
         print(f"{cycle} {code} {outs}{suffix}")
     return 0
 

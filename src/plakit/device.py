@@ -53,85 +53,109 @@ class PlaProfile:
             raise ValueError(f"switch_tech must be one of {SWITCH_TECHS}")
 
 
-def _check_matrix(name, matrix, n_rows, n_cols):
-    matrix = tuple(tuple(row) for row in matrix)
-    if len(matrix) != n_rows:
-        raise ValueError(f"{name} has {len(matrix)} rows, expected {n_rows}")
-    for r, row in enumerate(matrix):
-        if len(row) != n_cols:
-            raise ValueError(f"{name} row {r} has {len(row)} columns, expected {n_cols}")
-        for bit in row:
-            if bit not in (0, 1):
-                raise ValueError(f"{name} row {r} has non-binary entry {bit!r}")
-    return matrix
-
-
 @dataclass(frozen=True)
 class PlaState:
-    """One programmed image of a device: 1 = crosspoint connected."""
+    """One programmed image of a device: 1 = crosspoint connected.
+
+    The planes are stored as words. AND row t is a (req1, req0) pair: bit
+    n-1-j of req1 connects input j true (column 2j), the same bit of req0
+    its complement (column 2j+1). Bit t of OR row o connects term t to
+    output o. Bit m-1-o of pol_word is output o's polarity. The cached
+    properties below are built on first read and kept outside the
+    dataclass fields, so equality, hashing and replace() see the words
+    alone. and_plane, or_plane and polarity show the image as 0/1 ints.
+    """
 
     profile: PlaProfile
-    and_plane: tuple  # p rows x 2n columns
-    or_plane: tuple  # m rows x p columns
-    polarity: tuple  # m bits
+    and_words: tuple  # p (req1, req0) pairs of n-bit words
+    or_words: tuple  # m words of p bits
+    pol_word: int = 0  # m bits
 
     def __post_init__(self):
         p = self.profile
-        object.__setattr__(
-            self,
-            "and_plane",
-            _check_matrix("and_plane", self.and_plane, p.n_terms, 2 * p.n_inputs),
-        )
-        object.__setattr__(
-            self,
-            "or_plane",
-            _check_matrix("or_plane", self.or_plane, p.n_outputs, p.n_terms),
-        )
-        polarity = tuple(self.polarity)
-        if len(polarity) != p.n_outputs:
-            raise ValueError(
-                f"polarity has {len(polarity)} bits, expected {p.n_outputs}"
-            )
-        for bit in polarity:
-            if bit not in (0, 1):
-                raise ValueError(f"polarity bit must be 0 or 1, got {bit!r}")
-        if any(polarity) and not p.has_output_xor:
+        and_words = tuple(map(tuple, self.and_words))
+        if len(and_words) != p.n_terms or {len(pair) for pair in and_words} - {2}:
+            raise ValueError(f"and_plane needs {p.n_terms} (req1, req0) word pairs")
+        or_words = tuple(self.or_words)
+        if len(or_words) != p.n_outputs:
+            raise ValueError(f"or_plane has {len(or_words)} rows, expected {p.n_outputs}")
+        literals = [w for pair in and_words for w in pair]
+        for name, words, width in (("and_plane", literals, p.n_inputs),
+                                   ("or_plane", or_words, p.n_terms),
+                                   ("polarity", (self.pol_word,), p.n_outputs)):
+            for w in words:
+                if not (isinstance(w, int) and 0 <= w < 1 << width):
+                    raise ValueError(f"{name} holds {w!r}, not a {width}-bit word")
+        if self.pol_word and not p.has_output_xor:
             raise ValueError("polarity bits set but profile has no output XOR")
-        object.__setattr__(self, "polarity", polarity)
+        object.__setattr__(self, "and_words", and_words)
+        object.__setattr__(self, "or_words", or_words)
+
+    @cached_property
+    def compiled(self):
+        """The image's integer form (_Compiled), built on first use. Every
+        edit makes a new instance, so it never goes stale."""
+        return _Compiled(self)
+
+    @cached_property
+    def and_plane(self):
+        """p rows x 2n columns of 0/1."""
+        return tuple(tuple(_row_bits(self, "and", t)) for t in range(self.profile.n_terms))
+
+    @cached_property
+    def or_plane(self):
+        """m rows x p columns of 0/1."""
+        return tuple(tuple(_row_bits(self, "or", o)) for o in range(self.profile.n_outputs))
+
+    @cached_property
+    def polarity(self):
+        """m bits of 0/1."""
+        return tuple(self.pol_word >> s & 1 for s in range(self.profile.n_outputs - 1, -1, -1))
 
 
 def blank_device(profile):
     """The unprogrammed image: fuse arrays all connected, antifuse all open."""
-    bit = 1 if profile.switch_tech == "fuse" else 0
-    and_plane = tuple(
-        tuple(bit for _ in range(2 * profile.n_inputs)) for _ in range(profile.n_terms)
-    )
-    or_plane = tuple(
-        tuple(bit for _ in range(profile.n_terms)) for _ in range(profile.n_outputs)
-    )
-    return PlaState(profile, and_plane, or_plane, (0,) * profile.n_outputs)
+    fuse = profile.switch_tech == "fuse"
+    literals = (1 << profile.n_inputs) - 1 if fuse else 0
+    terms = (1 << profile.n_terms) - 1 if fuse else 0
+    return PlaState(profile, ((literals, literals),) * profile.n_terms,
+                    (terms,) * profile.n_outputs)
 
 
-def _plane(state, plane, row, col):
-    """The plane holding crosspoint (row, col), after checking it exists."""
+def _row_bits(state, plane, row):
+    """The 0/1 columns of one stored row, read by shift."""
+    if plane == "and":
+        return [w >> s & 1 for s in range(state.profile.n_inputs - 1, -1, -1)
+                for w in state.and_words[row]]
+    word = state.or_words[row]
+    return [word >> t & 1 for t in range(state.profile.n_terms)]
+
+
+def _crosspoint(state, plane, row, col):
+    """The stored bit at crosspoint (row, col), after checking it exists."""
     if plane not in PLANES:
         raise ValueError(f"plane must be one of {PLANES}, got {plane!r}")
-    matrix = state.and_plane if plane == "and" else state.or_plane
-    if not (0 <= row < len(matrix) and 0 <= col < len(matrix[0])):
+    prof = state.profile
+    rows, cols = ((prof.n_terms, 2 * prof.n_inputs) if plane == "and"
+                  else (prof.n_outputs, prof.n_terms))
+    if not (0 <= row < rows and 0 <= col < cols):
         raise ValueError(f"{plane} plane has no crosspoint ({row}, {col})")
-    return matrix
+    return _row_bits(state, plane, row)[col]
 
 
 def set_crosspoint(state, plane, row, col, connected):
     """Return a new image with one crosspoint forced to `connected` (0 or 1)."""
     if connected not in (0, 1):
         raise ValueError(f"crosspoint value must be 0 or 1, got {connected!r}")
-    matrix = _plane(state, plane, row, col)
-    new_row = matrix[row][:col] + (connected,) + matrix[row][col + 1 :]
-    updated = matrix[:row] + (new_row,) + matrix[row + 1 :]
+    change = _crosspoint(state, plane, row, col) ^ connected
     if plane == "and":
-        return replace(state, and_plane=updated)
-    return replace(state, or_plane=updated)
+        pair = list(state.and_words[row])
+        pair[col & 1] ^= change << (state.profile.n_inputs - 1 - (col >> 1))
+        words = state.and_words
+        return replace(state, and_words=words[:row] + (tuple(pair),) + words[row + 1 :])
+    words = state.or_words
+    return replace(state, or_words=words[:row] + (words[row] ^ change << col,)
+                   + words[row + 1 :])
 
 
 def set_polarity(state, index, bit):
@@ -141,17 +165,12 @@ def set_polarity(state, index, bit):
         raise ValueError(f"polarity bit must be 0 or 1, got {bit!r}")
     if not 0 <= index < state.profile.n_outputs:
         raise ValueError(f"no output {index}")
-    polarity = list(state.polarity)
-    polarity[index] = bit
-    return replace(state, polarity=tuple(polarity))
+    w = 1 << (state.profile.n_outputs - 1 - index)
+    return replace(state, pol_word=state.pol_word & ~w | (w if bit else 0))
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
-
-
-def _word(bits):
-    return int("".join(map(str, bits)), 2)
 
 
 class _Compiled:
@@ -166,12 +185,9 @@ class _Compiled:
     def __init__(self, state):
         self.n = state.profile.n_inputs
         self.full = (1 << (1 << self.n)) - 1
-        self.polarity = state.polarity
-        self.flip = _word(state.polarity)
-        self.literals = tuple(  # (req1, req0) per term
-            (_word(row[0::2]), _word(row[1::2])) for row in state.and_plane
-        )
-        self.or_rows = tuple(_word(row[::-1]) for row in state.or_plane)
+        self.flip = state.pol_word
+        self.literals = state.and_words  # (req1, req0) per term
+        self.or_rows = state.or_words
 
     @cached_property
     def slices(self):
@@ -220,7 +236,9 @@ class _Compiled:
 
     @cached_property
     def outputs(self):
-        return tuple(m ^ self.full if p else m for m, p in zip(self.raw, self.polarity))
+        top = len(self.raw) - 1
+        return tuple(m ^ self.full if self.flip >> (top - o) & 1 else m
+                     for o, m in enumerate(self.raw))
 
     @cached_property
     def twice(self):
@@ -253,26 +271,15 @@ class _Compiled:
         )
 
 
-def _compiled(state):
-    """The image's integer form, built on first use and kept on the instance
-    outside the dataclass fields, so equality, hashing and replace() are
-    untouched. Every edit makes a new instance, so it never goes stale."""
-    compiled = state.__dict__.get("_compiled")
-    if compiled is None:
-        compiled = _Compiled(state)
-        object.__setattr__(state, "_compiled", compiled)
-    return compiled
-
-
 def eval_pla(state, bits):
     """Evaluate one input vector; returns the m-character output string."""
-    word = _compiled(state).eval(int(check_bits(bits, state.profile.n_inputs), 2))
+    word = state.compiled.eval(int(check_bits(bits, state.profile.n_inputs), 2))
     return format(word, f"0{state.profile.n_outputs}b")
 
 
 def output_masks(state):
     """Bit-parallel exhaustive evaluation: one 2^n-bit mask per output."""
-    return _compiled(state).outputs
+    return state.compiled.outputs
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +375,9 @@ def find_test_vector(state, fault):
     """
     stuck = 1 if fault.stuck == "connected" else 0
     row, col = fault.row, fault.col
-    if _plane(state, fault.plane, row, col)[row][col] == stuck:
+    if _crosspoint(state, fault.plane, row, col) == stuck:
         return None
-    image = _compiled(state)
+    image = state.compiled
     diffs = _and_diffs(image, row) if fault.plane == "and" else _or_diffs(image, row)
     return lowest_row(diffs[col], image.n)
 
@@ -379,13 +386,14 @@ def fault_sweep(state):
     """(text of the fault, find_test_vector's verdict) for every fault of
     enumerate_faults(state.profile), in that order, from one walk of the
     image row by row. A fault stuck at the programmed value needs no work."""
-    image = _compiled(state)
+    image = state.compiled
     n = image.n
     verdicts = []
-    for plane, matrix, row_diffs in (("and", state.and_plane, _and_diffs),
-                                     ("or", state.or_plane, _or_diffs)):
-        for r, bits in enumerate(matrix):
-            for c, (bit, diff) in enumerate(zip(bits, row_diffs(image, r))):
+    for plane, rows, row_diffs in (("and", state.and_words, _and_diffs),
+                                   ("or", state.or_words, _or_diffs)):
+        for r in range(len(rows)):
+            for c, (bit, diff) in enumerate(zip(_row_bits(state, plane, r),
+                                                row_diffs(image, r))):
                 vector = lowest_row(diff, n)
                 verdicts += (
                     (_fault_label(plane, r, c, "connected"), None if bit else vector),
@@ -433,17 +441,18 @@ def render_crosspoint_diagram(state, input_names=None, output_names=None):
         line = term_labels[t].ljust(left_w)
         line += "".join(
             ("X" if bit else ".").ljust(w)
-            for bit, w in zip(state.and_plane[t], and_ws)
+            for bit, w in zip(_row_bits(state, "and", t), and_ws)
         )
         line += "| " + "".join(
-            ("X" if state.or_plane[o][t] else ".").ljust(w)
-            for o, w in zip(range(prof.n_outputs), or_ws)
+            ("X" if row >> t & 1 else ".").ljust(w)
+            for row, w in zip(state.or_words, or_ws)
         )
         lines.append(line.rstrip())
     if prof.has_output_xor:
         line = "POL".ljust(left_w) + " " * sum(and_ws)
         line += "| " + "".join(
-            str(bit).ljust(w) for bit, w in zip(state.polarity, or_ws)
+            bit.ljust(w)
+            for bit, w in zip(format(state.pol_word, f"0{prof.n_outputs}b"), or_ws)
         )
         lines.append(line.rstrip())
     return "\n".join(lines) + "\n"

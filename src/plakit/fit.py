@@ -78,10 +78,6 @@ def pad_input_names(order, n_inputs):
     return tuple(names)
 
 
-# cube character -> the (true, complement) column pair of its AND row, as bytes
-_AND_COLUMNS = str.maketrans({"1": "\x01\x00", "0": "\x00\x01", "-": "\x00\x00"})
-
-
 def fit(mcover, profile):
     """Map a MultiOutputCover onto a device; returns (PlaState, FitReport).
 
@@ -93,31 +89,28 @@ def fit(mcover, profile):
     n_vars = len(mcover.order)
     n_outs = len(mcover.outputs)
     n_terms = len(mcover.term_pool)
-    if n_vars > profile.n_inputs:
-        raise CapacityError("inputs", n_vars, profile.n_inputs)
-    if n_outs > profile.n_outputs:
-        raise CapacityError("outputs", n_outs, profile.n_outputs)
-    if n_terms > profile.n_terms:
-        raise CapacityError("terms", n_terms, profile.n_terms)
+    for axis, needed, available in (("inputs", n_vars, profile.n_inputs),
+                                    ("outputs", n_outs, profile.n_outputs),
+                                    ("terms", n_terms, profile.n_terms)):
+        if needed > available:
+            raise CapacityError(axis, needed, available)
 
-    pad = (0,) * (2 * (profile.n_inputs - n_vars))
-    and_plane = [tuple(c.translate(_AND_COLUMNS).encode()) + pad for c in mcover.term_pool]
-    and_plane += [(0,) * (2 * profile.n_inputs)] * (profile.n_terms - n_terms)
+    pad = profile.n_inputs - n_vars  # unused inputs take the low bits
+    and_words = [(req1 << pad, req0 << pad)
+                 for req1, req0 in map(logic.cube_words, mcover.term_pool)]
+    and_words += [(0, 0)] * (profile.n_terms - n_terms)
 
-    or_plane = []
+    or_words = []
     usage = [0] * n_terms
     for _, sel in mcover.outputs:
-        row = [0] * profile.n_terms
+        word = 0
         for t in sel:
-            row[t] = 1
+            word |= 1 << t
             usage[t] += 1
-        or_plane.append(tuple(row))
-    for _ in range(profile.n_outputs - n_outs):
-        or_plane.append((0,) * profile.n_terms)
+        or_words.append(word)
+    or_words += [0] * (profile.n_outputs - n_outs)
 
-    state = PlaState(
-        profile, tuple(and_plane), tuple(or_plane), (0,) * profile.n_outputs
-    )
+    state = PlaState(profile, and_words, or_words)
     out_names = list(mcover.names)
     for o in range(n_outs, profile.n_outputs):
         out_names.append(f"f{o}")
@@ -165,13 +158,16 @@ def emit_fusemap(state, input_names=None, output_names=None):
     if output_names is not None:
         lines.append("OB " + " ".join(output_names))
     lines.append("AND")
-    for row in state.and_plane:
-        lines.append("".join(str(b) for b in row))
+    n = prof.n_inputs
+    row = bytearray(2 * n)  # column 2j: input j true, 2j+1: its complement
+    for req1, req0 in state.and_words:
+        row[0::2] = format(req1, f"0{n}b").encode()
+        row[1::2] = format(req0, f"0{n}b").encode()
+        lines.append(row.decode())
     lines.append("OR")
-    for row in state.or_plane:
-        lines.append("".join(str(b) for b in row))
+    lines += [format(w, f"0{prof.n_terms}b")[::-1] for w in state.or_words]
     if prof.has_output_xor:
-        lines.append("POL " + "".join(str(b) for b in state.polarity))
+        lines.append("POL " + format(state.pol_word, f"0{prof.n_outputs}b"))
     lines.append("END")
     return "\n".join(lines) + "\n"
 
@@ -189,13 +185,16 @@ def _next_line(it, what):
     raise FormatError(f"truncated fuse map: expected {what}")
 
 
-def _bitrow(line, width, what):
+def _row_text(line, width, what):
+    """The row's 0/1 text after its width and character checks. The
+    character check stands before any int(row, 2), which would also take
+    '_', '+' and spaces."""
     if len(line) != width:
         raise FormatError(f"{what} has {len(line)} columns, expected {width}")
-    bad = set(line) - {"0", "1"}
-    if bad:
-        raise FormatError(f"{what} has illegal characters {sorted(bad)}")
-    return tuple(int(c) for c in line)
+    if not logic._BIT_CHARS.issuperset(line):
+        raise FormatError(f"{what} has illegal characters "
+                          f"{sorted(set(line) - logic._BIT_CHARS)}")
+    return line
 
 
 def parse_fusemap(text):
@@ -243,26 +242,25 @@ def parse_fusemap(text):
 
     if line != "AND":
         raise FormatError(f"expected AND section, got {line!r}")
-    and_plane = tuple(
-        _bitrow(_next_line(it, f"AND row {r}"), 2 * n, f"AND row {r}")
-        for r in range(p)
-    )
+    and_words = []
+    for r in range(p):
+        row = _row_text(_next_line(it, f"AND row {r}"), 2 * n, f"AND row {r}")
+        and_words.append((int(row[0::2], 2), int(row[1::2], 2)))
     line = _next_line(it, "OR")
     if line != "OR":
         raise FormatError(f"expected OR section, got {line!r}")
-    or_plane = tuple(
-        _bitrow(_next_line(it, f"OR row {r}"), p, f"OR row {r}") for r in range(m)
-    )
+    or_words = [int(_row_text(_next_line(it, f"OR row {r}"), p, f"OR row {r}")[::-1], 2)
+                for r in range(m)]
 
     line = _next_line(it, "POL or END")
-    polarity = (0,) * m
+    polarity = 0
     if line.split()[0] == "POL":
         if not has_xor:
             raise FormatError("POL line on a device without output XOR")
         parts = line.split()
         if len(parts) != 2:
             raise FormatError("malformed POL line")
-        polarity = _bitrow(parts[1], m, "POL")
+        polarity = int(_row_text(parts[1], m, "POL"), 2)
         line = _next_line(it, "END")
     elif has_xor:
         raise FormatError("device has output XOR but no POL line")
@@ -272,7 +270,7 @@ def parse_fusemap(text):
         raise FormatError(f"content after END: {extra!r}")
 
     profile = PlaProfile(n, p, m, switch_tech=tech, has_output_xor=has_xor)
-    state = PlaState(profile, and_plane, or_plane, polarity)
+    state = PlaState(profile, and_words, or_words, polarity)
     return FuseMap(state, input_names, output_names)
 
 
@@ -466,8 +464,8 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     mcover = mn.share_terms(named_covers)
     state, report = fit(mcover, profile)
     if any(pol_bits):
-        full_pol = tuple(pol_bits) + (0,) * (profile.n_outputs - len(pol_bits))
-        state = replace(state, polarity=full_pol)
+        top = profile.n_outputs - 1
+        state = replace(state, pol_word=sum(b << (top - o) for o, b in enumerate(pol_bits)))
     return state, report
 
 

@@ -32,7 +32,7 @@ assignment and the input/output split:
 from dataclasses import dataclass, field
 
 from . import minimize as mn
-from .device import _compiled, eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
+from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .expr import content_lines
 from .fit import (
@@ -224,20 +224,14 @@ class StateEncoding:
             raise ValueError("duplicate state name in encoding")
 
     def code_of(self, name):
-        for n, c in self.codes:
-            if n == name:
-                return c
-        raise KeyError(name)
+        return dict(self.codes)[name]
 
     def code_str(self, name):
         return format(self.code_of(name), f"0{self.bits}b")
 
     def name_of(self, code):
         """State name for a code, or None for an unused code."""
-        for n, c in self.codes:
-            if c == code:
-                return n
-        return None
+        return {c: n for n, c in self.codes}.get(code)
 
     @property
     def reset(self):
@@ -328,17 +322,19 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     order = tuple(f"s{j}" for j in range(b)) + tuple(f"i{j}" for j in range(k))
     out_names = [f"ns{j}" for j in range(b)] + [f"o{j}" for j in range(q)]
 
+    code_strs = {name: format(code, f"0{b}b") for name, code in encoding.codes}
     uses = []  # (cube, output positions): next-state bits first, then outputs
     for t in fsm.transitions:
-        cube = encoding.code_str(t.current) + t.input_cube
-        targets = [j for j in range(b) if encoding.code_str(t.next_state)[j] == "1"]
+        cube = code_strs[t.current] + t.input_cube
+        next_str = code_strs[t.next_state]
+        targets = [j for j in range(b) if next_str[j] == "1"]
         targets += [b + j for j in range(q) if t.outputs[j] == "1"]
         if targets:
             uses.append((cube, targets))
 
     unmatched = []
     for state in fsm.states:
-        code_str = encoding.code_str(state)
+        code_str = code_strs[state]
         hold_targets = [j for j in range(b) if code_str[j] == "1"]
         free = (1 << (1 << k)) - 1  # input rows no transition of this state covers
         for t in fsm.transitions_from(state):
@@ -441,21 +437,29 @@ def simulate_controller(image, input_seq):
 
     The register starts at code 0; each cycle evaluates the PLA on the
     input word (state bits, input bits, unused inputs at 0) and latches the
-    next-state outputs.
+    next-state outputs. A run evaluates each distinct (code, input) pair
+    once: the step table keeps its trace entry and next code, and a key
+    enters the table only after its vector passed check_bits.
     """
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
     prof = image.state.profile
-    device = _compiled(image.state)
+    device = image.state.compiled
     pad = prof.n_inputs - b - k  # unused inputs read 0
     next_at = prof.n_outputs - b  # the next code is the word's top b bits
     outs_at, outs_mask = next_at - q, (1 << q) - 1
+    steps = {}  # (code, input string) -> ((code bits, outputs), next code)
     code = 0
     trace = []
     for bits in input_seq:
-        bits = check_bits(bits, k)
-        word = device.eval(((code << k) | int(bits, 2)) << pad)
-        outs = word >> outs_at & outs_mask
-        trace.append((format(code, f"0{b}b"), format(outs, f"0{q}b")))
-        code = word >> next_at
+        if not isinstance(bits, str):
+            bits = check_bits(bits, k)
+        step = steps.get((code, bits))
+        if step is None:
+            word = device.eval(((code << k) | int(check_bits(bits, k), 2)) << pad)
+            step = steps[code, bits] = ((format(code, f"0{b}b"),
+                                         format(word >> outs_at & outs_mask, f"0{q}b")),
+                                        word >> next_at)
+        trace.append(step[0])
+        code = step[1]
     return trace

@@ -17,7 +17,8 @@ function. An input vector is n binary digits. `check_cube` and
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from . import expr as ex
 
@@ -95,9 +96,7 @@ def table_from_expr(expr, order=None):
     """Build the table of an expression; order defaults to first appearance."""
     if order is None:
         order = ex.variables(expr)
-        if not order:
-            # constant expression: give it a dummy single-row table? No --
-            # keep it honest and refuse; callers supply an order for constants.
+        if not order:  # a constant has no rows to number; callers give an order
             raise ValueError("expression has no variables; pass an explicit order")
     order = _check_order(order)
     missing = set(ex.variables(expr)) - set(order)
@@ -115,15 +114,9 @@ def table_from_expr(expr, order=None):
         if isinstance(e, ex.Not):
             return full ^ walk(e.child)
         if isinstance(e, ex.And):
-            bits = full
-            for c in e.children:
-                bits &= walk(c)
-            return bits
+            return reduce(and_, map(walk, e.children), full)
         if isinstance(e, ex.Or):
-            bits = 0
-            for c in e.children:
-                bits |= walk(c)
-            return bits
+            return reduce(or_, map(walk, e.children), 0)
         raise TypeError(f"not an Expr: {e!r}")
 
     return TruthTable(order, walk(expr))
@@ -312,10 +305,8 @@ def canonical_pos(table):
         return ex.Const(0)
     factors = []
     for row in zero_rows:
-        literals = []
-        for j, name in enumerate(table.order):
-            bit = (row >> (n - 1 - j)) & 1
-            literals.append(ex.Not(ex.Var(name)) if bit else ex.Var(name))
+        literals = [ex.Not(ex.Var(name)) if row >> (n - 1 - j) & 1 else ex.Var(name)
+                    for j, name in enumerate(table.order)]
         factors.append(literals[0] if len(literals) == 1 else ex.Or(*literals))
     return factors[0] if len(factors) == 1 else ex.And(*factors)
 
@@ -332,12 +323,8 @@ def cover_from_expr(expr, order):
     order = _check_order(order)
     index = {name: j for j, name in enumerate(order)}
     terms = expr.children if isinstance(expr, ex.Or) else [expr]
-    cubes = []
-    for term in terms:
-        cube = _term_to_cube(term, index, len(order))
-        if cube is not None:
-            cubes.append(cube)
-    return Cover(order, tuple(cubes))
+    cubes = (_term_to_cube(term, index, len(order)) for term in terms)
+    return Cover(order, tuple(cube for cube in cubes if cube is not None))
 
 
 def _term_to_cube(term, index, n):
@@ -381,21 +368,13 @@ def _as_table(obj, order=None):
 
 
 def _common_order(a, b):
-    order_a = a.order if isinstance(a, (TruthTable, Cover)) else None
-    order_b = b.order if isinstance(b, (TruthTable, Cover)) else None
-    if order_a is not None and order_b is not None:
-        if order_a != order_b:
-            raise ValueError(
-                f"variable orders differ: {order_a} vs {order_b}; "
-                "compare under one order"
-            )
-        return order_a
-    if order_a is not None:
-        return order_a
-    if order_b is not None:
-        return order_b
+    orders = [x.order for x in (a, b) if isinstance(x, (TruthTable, Cover))]
+    if len(orders) == 2 and orders[0] != orders[1]:
+        raise ValueError(
+            f"variable orders differ: {orders[0]} vs {orders[1]}; compare under one order"
+        )
     # two bare expressions: union of variables in first-appearance order
-    return ex.variables(a, b)
+    return orders[0] if orders else ex.variables(a, b)
 
 
 def counterexample(a, b):

@@ -75,6 +75,10 @@ def prime_implicants(spec):
     if not spec.on_set:
         return []
     n = spec.n
+    if len(spec.on_set) + len(spec.dc_set) == 1 << n:
+        # ON ∪ DC is every row (the sets are disjoint and in range): its one
+        # prime is the all-'-' cube, and the walk would visit every word
+        return ["-" * n]
     full = (1 << n) - 1
     rows = (1 << (1 << n)) - 1
     low = {1 << k: rows ^ _var_mask(n, n - 1 - k) for k in range(n)}  # bit k clear

@@ -9,7 +9,9 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
-from plakit import Fsm, PlaProfile, PlaState, Transition, inject_fault, output_masks
+from plakit import (
+    Fsm, PlaProfile, PlaState, Transition, eval_pla, inject_fault, output_masks,
+)
 
 
 def all_cubes(n):
@@ -177,7 +179,25 @@ def random_state(rng, profile, density=0.3):
         polarity = tuple(rng.randint(0, 1) for _ in range(profile.n_outputs))
     else:
         polarity = (0,) * profile.n_outputs
-    return PlaState(profile, and_plane, or_plane, polarity)
+    return state_from_planes(profile, and_plane, or_plane, polarity)
+
+
+def state_from_planes(profile, and_plane, or_plane, polarity):
+    """The PlaState drawn as 0/1 rows: AND rows of 2n columns (input j true
+    at 2j, complement at 2j+1), OR rows of p term columns, m polarity bits.
+    Each word is summed bit by bit."""
+    def word(bits):  # first bit most significant
+        bits = list(bits)
+        assert set(bits) <= {0, 1}, bits
+        return sum(bit << (len(bits) - 1 - k) for k, bit in enumerate(bits))
+
+    n, p, m = profile.n_inputs, profile.n_terms, profile.n_outputs
+    assert all(len(row) == 2 * n for row in and_plane), "AND rows need 2n columns"
+    assert all(len(row) == p for row in or_plane), "OR rows need p columns"
+    assert len(polarity) == m, "polarity needs m bits"
+    and_words = [(word(row[0::2]), word(row[1::2])) for row in and_plane]
+    return PlaState(profile, and_words, [word(row[::-1]) for row in or_plane],
+                    word(polarity))
 
 
 def random_profile(rng, max_inputs=4, max_terms=6, max_outputs=3):
@@ -276,6 +296,23 @@ def next_state_naive(fsm, state, bits):
         ):
             return t
     return None
+
+
+def simulate_controller_naive(image, input_seq):
+    """Clocked run with one eval_pla call per cycle and no memory between
+    cycles: [(state code bits, outputs)] from code 0."""
+    enc = image.encoding
+    b, q = enc.bits, enc.n_outputs
+    pad = "0" * (image.state.profile.n_inputs - b - enc.n_inputs)
+    code = "0" * b
+    trace = []
+    for bits in input_seq:
+        if not isinstance(bits, str):
+            bits = "".join(map(str, bits))
+        word = eval_pla(image.state, code + bits + pad)
+        trace.append((code, word[b : b + q]))
+        code = word[:b]
+    return trace
 
 
 def random_input_sequence(rng, width, length):

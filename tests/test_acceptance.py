@@ -15,7 +15,6 @@ from plakit import (
     CapacityError,
     MultiOutputCover,
     PlaProfile,
-    PlaState,
     blank_device,
     canonical_pos,
     compile_equations,
@@ -58,6 +57,7 @@ from oracles import (
     random_profile,
     random_state,
     seeded,
+    state_from_planes,
 )
 
 MAJORITY_EQN = "A'BC + AB'C + ABC' + ABC"
@@ -210,8 +210,8 @@ def test_criterion_5_device_semantics():
         assert eval_pla(blank, bits) == "00"
 
     prof = PlaProfile(2, 1, 1)
-    empty_row = PlaState(prof, ((0, 0, 0, 0),), ((1,),), (0,))
-    contradictory = PlaState(prof, ((1, 1, 0, 0),), ((1,),), (0,))
+    empty_row = state_from_planes(prof, ((0, 0, 0, 0),), ((1,),), (0,))
+    contradictory = state_from_planes(prof, ((1, 1, 0, 0),), ((1,),), (0,))
     assert eval_pla(empty_row, "00") == "1"
     assert eval_pla(empty_row, "11") == "1"
     assert eval_pla(contradictory, "00") == "0"
@@ -228,7 +228,7 @@ def test_criterion_5_device_semantics():
             switch_tech="antifuse",
             has_output_xor=profile.has_output_xor,
         )
-        anti_state = PlaState(
+        anti_state = state_from_planes(
             anti_prof, fuse_state.and_plane, fuse_state.or_plane, fuse_state.polarity
         )
         for bits in _all_vectors(profile.n_inputs):

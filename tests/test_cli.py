@@ -13,7 +13,6 @@ from plakit import (
     Cover,
     Fsm,
     PlaProfile,
-    PlaState,
     Transition,
     blank_device,
     cover_eval,
@@ -27,7 +26,7 @@ from plakit import (
     synthesize_controller,
 )
 from plakit.cli import _CHUNK_BITS, main, parse_profile
-from oracles import lowest_differing_row_naive, random_state, seeded
+from oracles import lowest_differing_row_naive, random_state, seeded, state_from_planes
 
 MAJ_EQNS = "M = AB + AC + BC\n"
 TOGGLE_KISS = ".i 1\n.o 1\n.r S0\n1 S0 S1 1\n1 S1 S0 0\n.e\n"
@@ -355,6 +354,9 @@ def test_fsm_pipeline(tmp_path, capsys):
                  "--vectors", str(vectors), "--names"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out == ["0 0 1 S0", "1 1 0 S1", "2 0 1 S0"]
+    assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                 "--vectors", str(vectors)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 0 1", "1 1 0", "2 0 1"]
 
 
 def test_fsm_strict_exit(tmp_path, capsys):
@@ -460,6 +462,10 @@ def test_exit_codes_for_bad_files(tmp_path, capsys):
     bad.write_text("not a fuse map\n")
     assert main(["sim", str(bad), "--vectors", "all"]) == 4
     assert "PLAFUSE" in capsys.readouterr().err
+    for row in ("_1", "+1"):  # int(row, 2) reads both
+        bad.write_text(f"PLAFUSE 1\nTECH fuse XOR 0\nDIM 1 1 1\nAND\n{row}\nOR\n1\nEND\n")
+        assert main(["sim", str(bad), "--vectors", "all"]) == 4
+        assert "illegal characters" in capsys.readouterr().err
     bad_eq = tmp_path / "bad.eqn"
     bad_eq.write_text("F =\n")
     assert main(["synth", str(bad_eq)]) == 4
@@ -546,7 +552,7 @@ def _planted_state(rng, n, tech, xor):
     and_plane[1] = [0] * (2 * n)
     or_plane[0][0] = or_plane[0][1] = 1
     or_plane[-1] = [0] * prof.n_terms
-    return PlaState(prof, and_plane, or_plane, state.polarity)
+    return state_from_planes(prof, and_plane, or_plane, state.polarity)
 
 
 def test_fault_all_matches_find_test_vector_and_oracle(tmp_path, capsys):
@@ -580,7 +586,7 @@ def test_sim_all_chunks_match_explicit_vectors(tmp_path, capsys):
         # term 0 is the first input alone, so output 0 differs between chunks
         and_plane = ((1,) + (0,) * (2 * n - 1),) + state.and_plane[1:]
         or_plane = ((1,) + state.or_plane[0][1:],) + state.or_plane[1:]
-        state = PlaState(prof, and_plane, or_plane, (1, 0, 1))
+        state = state_from_planes(prof, and_plane, or_plane, (1, 0, 1))
         fuse = tmp_path / "image.fuse"
         fuse.write_text(emit_fusemap(state))
         vectors = tmp_path / "v.txt"

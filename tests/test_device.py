@@ -14,12 +14,14 @@ from plakit import (
     set_crosspoint,
     set_polarity,
 )
-from oracles import eval_pla_naive, random_profile, random_state, seeded
+from oracles import (
+    eval_pla_naive, random_profile, random_state, seeded, state_from_planes,
+)
 
 
 def majority_device():
     # BC + AC + AB on a 3x3x1 device
-    return PlaState(
+    return state_from_planes(
         PlaProfile(3, 3, 1),
         ((0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 1, 0), (1, 0, 1, 0, 0, 0)),
         ((1, 1, 1),),
@@ -45,13 +47,21 @@ def test_profile_validation():
 def test_state_validation():
     prof = PlaProfile(2, 1, 1)
     with pytest.raises(ValueError, match="and_plane"):
-        PlaState(prof, ((0, 0),), ((0,),), (0,))
+        PlaState(prof, ((0b100, 0),), (0,), 0)  # a literal on a third input
+    with pytest.raises(ValueError, match="and_plane"):
+        PlaState(prof, ((0, 0), (0, 0)), (0,), 0)  # two rows for one term
+    with pytest.raises(ValueError, match="and_plane"):
+        PlaState(prof, ((0,),), (0,), 0)
     with pytest.raises(ValueError, match="or_plane"):
-        PlaState(prof, ((0, 0, 0, 0),), ((0, 0),), (0,))
+        PlaState(prof, ((0, 0),), (0b10,), 0)  # a second term column
+    with pytest.raises(ValueError, match="or_plane"):
+        PlaState(prof, ((0, 0),), (0, 0), 0)
     with pytest.raises(ValueError, match="polarity"):
-        PlaState(prof, ((0, 0, 0, 0),), ((0,),), (0, 0))
+        PlaState(prof, ((0, 0),), (0,), 0b10)  # a second output
+    with pytest.raises(ValueError, match="polarity"):
+        PlaState(prof, ((0, 0),), (0,), -1)
     with pytest.raises(ValueError, match="XOR"):
-        PlaState(prof, ((0, 0, 0, 0),), ((0,),), (1,))
+        PlaState(prof, ((0, 0),), (0,), 1)
 
 
 def test_blank_fuse_device_outputs_zero_everywhere():
@@ -70,21 +80,21 @@ def test_blank_antifuse_device_outputs_zero_everywhere():
 
 def test_empty_and_row_is_constant_one():
     prof = PlaProfile(2, 1, 1)
-    state = PlaState(prof, ((0, 0, 0, 0),), ((1,),), (0,))
+    state = state_from_planes(prof, ((0, 0, 0, 0),), ((1,),), (0,))
     for bits in all_inputs(2):
         assert eval_pla(state, bits) == "1"
 
 
 def test_contradictory_and_row_is_constant_zero():
     prof = PlaProfile(2, 1, 1)
-    state = PlaState(prof, ((1, 1, 0, 0),), ((1,),), (0,))
+    state = state_from_planes(prof, ((1, 1, 0, 0),), ((1,),), (0,))
     for bits in all_inputs(2):
         assert eval_pla(state, bits) == "0"
 
 
 def test_unconnected_or_row_is_constant_zero():
     prof = PlaProfile(2, 1, 1)
-    state = PlaState(prof, ((0, 0, 0, 0),), ((0,),), (0,))
+    state = state_from_planes(prof, ((0, 0, 0, 0),), ((0,),), (0,))
     for bits in all_inputs(2):
         assert eval_pla(state, bits) == "0"
 
@@ -92,7 +102,7 @@ def test_unconnected_or_row_is_constant_zero():
 def test_single_literal_rows():
     prof = PlaProfile(2, 2, 2)
     # term 0 = x0, term 1 = x1'; f0 = x0, f1 = x1'
-    state = PlaState(prof, ((1, 0, 0, 0), (0, 0, 0, 1)), ((1, 0), (0, 1)), (0, 0))
+    state = state_from_planes(prof, ((1, 0, 0, 0), (0, 0, 0, 1)), ((1, 0), (0, 1)), (0, 0))
     assert eval_pla(state, "00") == "01"
     assert eval_pla(state, "01") == "00"
     assert eval_pla(state, "10") == "11"
@@ -143,7 +153,7 @@ def test_eval_matches_naive_oracle_across_slice_boundaries():
             # output 2 nothing
             or_plane = ((1,) + state.or_plane[0][1:],
                         state.or_plane[1][:-1] + (1,), (0,) * n_terms)
-            state = PlaState(state.profile, and_plane, or_plane, state.polarity)
+            state = state_from_planes(state.profile, and_plane, or_plane, state.polarity)
             if n <= 9:
                 vectors = list(all_inputs(n))
             else:
@@ -186,7 +196,7 @@ def test_set_crosspoint_validation():
 def test_polarity_complements_every_vector():
     prof = PlaProfile(3, 3, 1, has_output_xor=True)
     base = majority_device()
-    state = PlaState(prof, base.and_plane, base.or_plane, (0,))
+    state = state_from_planes(prof, base.and_plane, base.or_plane, (0,))
     flipped = set_polarity(state, 0, 1)
     for bits in all_inputs(3):
         good = eval_pla(state, bits)
@@ -199,7 +209,7 @@ def test_polarity_requires_xor_feature():
     with pytest.raises(ValueError, match="XOR"):
         set_polarity(state, 0, 1)
     prof = PlaProfile(3, 3, 1, has_output_xor=True)
-    ok = PlaState(prof, state.and_plane, state.or_plane, (0,))
+    ok = state_from_planes(prof, state.and_plane, state.or_plane, (0,))
     with pytest.raises(ValueError):
         set_polarity(ok, 1, 1)
     with pytest.raises(ValueError):
@@ -209,7 +219,7 @@ def test_polarity_requires_xor_feature():
 def test_fuse_and_antifuse_agree_with_equal_connectivity():
     base = majority_device()
     anti_prof = PlaProfile(3, 3, 1, switch_tech="antifuse")
-    anti = PlaState(anti_prof, base.and_plane, base.or_plane, base.polarity)
+    anti = state_from_planes(anti_prof, base.and_plane, base.or_plane, base.polarity)
     assert output_masks(anti) == output_masks(base)
     for bits in all_inputs(3):
         assert eval_pla(anti, bits) == eval_pla(base, bits)
@@ -277,7 +287,7 @@ def test_find_test_vector_majority():
 
 def test_find_test_vector_reports_lowest_row():
     prof = PlaProfile(2, 1, 1)
-    state = PlaState(prof, ((0, 0, 0, 0),), ((1,),), (0,))
+    state = state_from_planes(prof, ((0, 0, 0, 0),), ((1,),), (0,))
     # killing the constant-1 term changes every row; lowest is 00
     assert find_test_vector(state, Fault("or", 0, 0, "disconnected")) == "00"
 
@@ -320,7 +330,7 @@ def test_edited_image_evaluates_its_own_planes():
         for fault in rng.sample(enumerate_faults(prof), 4):
             edits.append(inject_fault(state, fault))
         for new in edits:
-            fresh = PlaState(prof, new.and_plane, new.or_plane, new.polarity)
+            fresh = state_from_planes(prof, new.and_plane, new.or_plane, new.polarity)
             assert new == fresh and hash(new) == hash(fresh)
             assert output_masks(new) == output_masks(fresh)
             for bits in all_inputs(prof.n_inputs):
@@ -338,7 +348,7 @@ def test_diagram_golden_majority():
 
 
 def test_diagram_golden_default_names_and_pol():
-    state = PlaState(
+    state = state_from_planes(
         PlaProfile(2, 2, 1, has_output_xor=True),
         ((1, 0, 0, 1), (0, 0, 1, 0)),
         ((1, 0),),

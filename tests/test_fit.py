@@ -196,6 +196,13 @@ def test_parse_fusemap_polarity_section():
         (lambda t: t.replace("AND\n", "XAND\n"), "expected AND"),
         (lambda t: t.replace("001010", "00101"), "AND row 0 has 5 columns"),
         (lambda t: t.replace("001010", "00102-"), "illegal characters"),
+        # int(row, 2) would read these: the character check must come first
+        (lambda t: t.replace("001010", "0_1010"), "AND row 0 has illegal characters"),
+        (lambda t: t.replace("001010", "+01010"), "AND row 0 has illegal characters"),
+        (lambda t: t.replace("1110\n", "1_10\n"), "OR row 0 has illegal characters"),
+        (lambda t: t.replace("1110\n", "+110\n"), "OR row 0 has illegal characters"),
+        (lambda t: t.replace("XOR 0", "XOR 1").replace("END", "POL +\nEND"),
+         "POL has illegal characters"),
         (lambda t: t.replace("1110\n", "111\n"), "OR row 0 has 3"),
         (lambda t: t.replace("OR\n1110\nEND\n", "OR\n"), "truncated"),
         (lambda t: t.replace("END", "POL 0\nEND"), "without output XOR"),
@@ -206,6 +213,16 @@ def test_parse_fusemap_polarity_section():
 def test_parse_fusemap_errors(mutate, message):
     with pytest.raises(FormatError, match=message):
         parse_fusemap(mutate(MAJ_FUSEMAP))
+
+
+POL_FUSEMAP = "PLAFUSE 1\nTECH fuse XOR 1\nDIM 1 1 2\nAND\n10\nOR\n1\n0\nPOL 01\nEND\n"
+
+
+@pytest.mark.parametrize("pol", ["+1", "-1", "_1", "0_"])
+def test_parse_fusemap_pol_needs_bit_characters(pol):
+    # int(pol, 2) would read the first two
+    with pytest.raises(FormatError, match="POL has illegal characters"):
+        parse_fusemap(POL_FUSEMAP.replace("POL 01", "POL " + pol))
 
 
 def test_parse_fusemap_xor_requires_pol():

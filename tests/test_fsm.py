@@ -16,6 +16,7 @@ from plakit import (
     parse_kiss2,
     simulate_controller,
     simulate_fsm,
+    set_crosspoint,
     synthesize_controller,
     write_kiss2,
 )
@@ -27,6 +28,7 @@ from oracles import (
     random_fsm,
     random_input_sequence,
     seeded,
+    simulate_controller_naive,
 )
 
 TOGGLE_KISS = """\
@@ -444,3 +446,77 @@ def test_controller_image_must_fit_its_device():
                       (StateEncoding(1, 2, 1, codes), "3 inputs / 2 outputs")):
         with pytest.raises(ValueError, match=f"encoding wants {need}"):
             simulate_controller(ControllerImage(image.state, enc), ["1", "1", "1"])
+
+
+def _repeating_stimulus(rng, k, length):
+    """A long stimulus drawn from a handful of vectors, so (state, input)
+    pairs recur many times."""
+    pool = random_input_sequence(rng, k, rng.randint(1, 4))
+    return [rng.choice(pool) for _ in range(length)]
+
+
+def test_step_table_matches_per_cycle_oracle():
+    rng = seeded(83)
+    for _ in range(12):
+        machine = random_fsm(rng, max_inputs=3)
+        enc = default_encoding(machine)
+        for minimize in (False, True):
+            image, _ = synthesize_controller(
+                machine, profile_for(machine, minimize_safe=True), minimize=minimize
+            )
+            for seq in (_repeating_stimulus(rng, machine.n_inputs, 2000),
+                        random_input_sequence(rng, machine.n_inputs, 500)):
+                got = simulate_controller(image, seq)
+                assert got == simulate_controller_naive(image, seq)
+                assert got == [(enc.code_str(s), o) for s, o in simulate_fsm(machine, seq)]
+
+
+def test_step_table_on_a_wide_machine_with_few_repeats():
+    machine = random_cube_fsm(seeded(89), 14)
+    image, _ = synthesize_controller(machine, profile_for(machine))
+    seq = random_input_sequence(seeded(97), machine.n_inputs, 400)
+    assert len(set(seq)) > 390
+    assert simulate_controller(image, seq) == simulate_controller_naive(image, seq)
+
+
+def test_step_table_takes_vectors_as_lists():
+    rng = seeded(101)
+    machine = random_fsm(rng, max_inputs=3)
+    image, _ = synthesize_controller(machine, profile_for(machine))
+    seq = _repeating_stimulus(rng, machine.n_inputs, 300)
+    as_lists = [[int(c) for c in bits] for bits in seq]
+    mixed = [bits if i % 3 else tuple(map(int, bits)) for i, bits in enumerate(seq)]
+    want = simulate_controller_naive(image, seq)
+    assert simulate_controller(image, as_lists) == want
+    assert simulate_controller(image, mixed) == want
+
+
+@pytest.mark.parametrize("bad", ["x", "11", "", " 1", [2], [1, 1], "1\n"])
+def test_step_table_checks_a_vector_after_many_repeats(bad):
+    image, _ = synthesize_controller(toggle(), PlaProfile(2, 4, 2))
+    good = ["1"] * 500 + [[1], [0], "0"] * 50
+    simulate_controller(image, good)
+    with pytest.raises(ValueError):
+        simulate_controller(image, good + [bad])
+
+
+def test_step_table_of_an_edited_image_is_its_own():
+    rng = seeded(103)
+    machine = random_fsm(rng, max_states=4, max_inputs=2)
+    image, _ = synthesize_controller(machine, profile_for(machine))
+    seq = _repeating_stimulus(rng, machine.n_inputs, 600)
+    before = simulate_controller(image, seq)
+    prof = image.state.profile
+    edits = 0
+    for plane, rows, cols in (("and", prof.n_terms, 2 * prof.n_inputs),
+                              ("or", prof.n_outputs, prof.n_terms)):
+        for row in range(rows):
+            for col in range(cols):
+                for value in (0, 1):
+                    state = set_crosspoint(image.state, plane, row, col, value)
+                    edited = ControllerImage(state, image.encoding)
+                    want = simulate_controller_naive(edited, seq)
+                    assert simulate_controller(edited, seq) == want
+                    edits += want != before
+    assert edits > 0
+    assert simulate_controller(image, seq) == before

@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import pytest
 
@@ -71,6 +72,36 @@ def test_empty_on_set_has_no_primes():
 def test_constant_one_minimizes_to_tautology_cube():
     t = TruthTable(("A", "B", "C"), 0xFF)
     assert minimize(t).cubes == ("---",)
+
+
+def test_dense_functions_match_tabulation_oracle():
+    # on-set plus don't-cares covering every row leaves one prime; one row
+    # fewer must still go through the anchor-mask walk
+    rng = seeded(19)
+    for n in range(2, 9):
+        order = tuple(f"x{j}" for j in range(n))
+        rows = set(range(1 << n))
+        for dc_share in (0.0, 0.3, 0.9, 1.0):
+            dc = {r for r in rows if rng.random() < dc_share}
+            on = rows - dc or {rng.randrange(1 << n)}
+            dc -= on
+            spec = MinimizeSpec(order, frozenset(on), frozenset(dc))
+            assert prime_implicants(spec) == qm_primes(rows, n) == ["-" * n]
+            gap = rng.choice(sorted(on)) if len(on) > 1 else rng.choice(sorted(dc))
+            spec = MinimizeSpec(order, frozenset(on - {gap}), frozenset(dc - {gap}))
+            assert prime_implicants(spec) == qm_primes(rows - {gap}, n)
+        assert prime_implicants(MinimizeSpec(order, frozenset(), frozenset(rows))) == []
+
+
+def test_constant_one_at_the_minimizer_limit_is_fast():
+    n = 16
+    order = tuple(f"x{j}" for j in range(n))
+    full = (1 << (1 << n)) - 1
+    start = time.perf_counter()
+    assert minimize(TruthTable(order, full)).cubes == ("-" * n,)
+    assert minimize(TruthTable(order, full ^ 0b101), [0, 2]).cubes == ("-" * n,)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
 
 
 def test_primes_match_brute_force_oracle():
