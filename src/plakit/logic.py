@@ -254,8 +254,8 @@ class Cover:
 
     def to_table(self):
         bits = 0
-        for cube in self.cubes:
-            bits |= cube_mask(cube, self.n)
+        for cube in self.cubes:  # checked when the cover was made
+            bits |= _product_mask(self.n, *cube_words(cube))
         return TruthTable(self.order, bits)
 
     def to_expr(self):

@@ -1,22 +1,26 @@
 """Two-level minimization: prime implicants and minimum covers.
 
-Cubes are '01-' strings only at the API. Primes come from the on-set
-plus don't-care set as one row mask, never from minterm lists: for each
-word D of absent literals, an anchor mask M[D] holds the rows r (with
-r & D == 0) whose D-cube lies inside the function. M[D|w] is
-M[D] & M[D] >> w over the rows with bit w clear, and only nonzero anchor
-masks are visited, level by level. An anchor that no one-bit-wider cube
-contains is a prime. Cover selection works on one on-set row mask per
-prime: it extracts essential primes first, then finishes with Petrick's
-method (exact) when the residual problem is small enough, or a lazy
-greedy set cover otherwise: a prime's gain only falls as rows get
+Cubes are '01-' strings only at the API. Inside, a prime is its
+(req1, req0) literal-word pair from the first anchor mask to the chosen
+cover, and `minimize` formats only the selected primes, once. Primes come
+from the on-set plus don't-care set as one row mask, never from minterm
+lists: for each word D of absent literals, an anchor mask M[D] holds the
+rows r (with r & D == 0) whose D-cube lies inside the function.
+M[D|w] is M[D] & M[D] >> w over the rows with bit w clear, and only
+nonzero anchor masks are visited, level by level. An anchor that no
+one-bit-wider cube contains is a prime. Cover selection works on one
+on-set row mask per prime: it extracts essential primes first, then
+finishes with Petrick's method (exact) when the residual chart is small
+enough and its absorbed products stay within PETRICK_MAX_PRODUCTS, or a
+lazy greedy set cover otherwise: a prime's gain only falls as rows get
 covered, so gains kept in a heap are upper bounds and only the top is
-rescored. The switch is size-based so small problems -- anything a
-datasheet example would show -- always get the true minimum.
+rescored. Small problems -- anything a datasheet example would show --
+always get the true minimum.
 
 Everything here is deterministic: primes are reported in a fixed sort
 order, ties in cover selection break lexicographically, and the same input
-always yields the same cover.
+always yields the same cover. Both orders come from one integer key per
+word pair (`_order_key`) that sorts pairs as their cube strings sort.
 """
 
 import heapq
@@ -24,7 +28,8 @@ import logging
 from dataclasses import dataclass, field
 
 from .logic import (
-    Cover, TruthTable, _var_mask, check_cube, cube_mask, cube_string, mask_rows,
+    Cover, TruthTable, _product_mask, _var_mask, check_cube, cube_string, cube_words,
+    mask_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -32,6 +37,37 @@ log = logging.getLogger(__name__)
 MINIMIZER_MAX_VARS = 16  # prime counts grow exponentially; past this use a different tool
 PETRICK_MAX_PRIMES = 24
 PETRICK_MAX_MINTERMS = 64
+PETRICK_MAX_PRODUCTS = 512  # absorbed products kept after any chart row
+
+# 8 bits spread to the even bits of 16: a variable's two key bits
+_SPREAD = tuple(sum((x >> k & 1) << 2 * k for k in range(8)) for x in range(256))
+
+
+def _order_key(words):
+    """An integer that orders (req1, req0) pairs as their cube strings sort
+    ('-' < '0' < '1'): two bits per variable, 00 for '-', 01 for '0' and
+    10 for '1', the first variable highest. Words have at most 16 bits."""
+    req1, req0 = words
+    return ((_SPREAD[req1 & 255] | _SPREAD[req1 >> 8] << 16) << 1
+            | _SPREAD[req0 & 255] | _SPREAD[req0 >> 8] << 16)
+
+
+def _checked_mask(n, rows):
+    """The row mask of row indices over n variables; ValueError unless n
+    suits the minimizer and every index is one of the 2^n rows."""
+    if n == 0:
+        raise ValueError("variable order must not be empty")
+    if n > MINIMIZER_MAX_VARS:
+        raise ValueError(
+            f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}"
+        )
+    limit = 1 << n
+    digits = bytearray(b"0" * limit)  # row r is digit limit-1-r
+    for row in rows:
+        if not 0 <= row < limit:
+            raise ValueError(f"row {row} out of range for {n} variables")
+        digits[~row] = 49  # "1"
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)
@@ -46,17 +82,7 @@ class MinimizeSpec:
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "on_set", frozenset(self.on_set))
         object.__setattr__(self, "dc_set", frozenset(self.dc_set))
-        n = len(self.order)
-        if n == 0:
-            raise ValueError("variable order must not be empty")
-        if n > MINIMIZER_MAX_VARS:
-            raise ValueError(
-                f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}"
-            )
-        limit = 1 << n
-        for row in self.on_set | self.dc_set:
-            if not 0 <= row < limit:
-                raise ValueError(f"row {row} out of range for {n} variables")
+        _checked_mask(len(self.order), self.on_set | self.dc_set)
         overlap = self.on_set & self.dc_set
         if overlap:
             raise ValueError(f"rows both required and don't-care: {sorted(overlap)}")
@@ -66,24 +92,18 @@ class MinimizeSpec:
         return len(self.order)
 
 
-def prime_implicants(spec):
-    """All prime implicants of on_set ∪ dc_set, widest first then lexicographic.
-
-    An empty on_set yields an empty list: the constant-0 function needs no
-    implicants, whatever the don't-cares would allow.
-    """
-    if not spec.on_set:
+def _primes(n, on, care):
+    """Prime implicants of the `care` row mask as (req1, req0) pairs, widest
+    first, then in cube-string order; none when the `on` mask is empty."""
+    if not on:
         return []
-    n = spec.n
-    if len(spec.on_set) + len(spec.dc_set) == 1 << n:
-        # ON ∪ DC is every row (the sets are disjoint and in range): its one
-        # prime is the all-'-' cube, and the walk would visit every word
-        return ["-" * n]
-    full = (1 << n) - 1
     rows = (1 << (1 << n)) - 1
+    if care == rows:
+        # its one prime is the all-'-' cube, and the walk would visit every word
+        return [(0, 0)]
+    full = (1 << n) - 1
     low = {1 << k: rows ^ _var_mask(n, n - 1 - k) for k in range(n)}  # bit k clear
-    # absent-literal word -> anchor mask
-    level = {0: sum(1 << row for row in spec.on_set | spec.dc_set)}
+    level = {0: care}  # absent-literal word -> anchor mask
     levels = []
     while level:
         # each wider word once, from its parent without its top bit; a
@@ -96,62 +116,75 @@ def prime_implicants(spec):
                 if grown:
                     wider[absent | w] = grown
                 w <<= 1
-        cubes = []
+        words = []
         for absent, anchors in level.items():
-            spare = full ^ absent
+            present = spare = full ^ absent
             while spare:
                 w = spare & -spare
                 spare ^= w
                 grown = wider.get(absent | w, 0)
                 anchors &= ~(grown | grown << w)
-            cubes += [cube_string(n, r, full ^ absent ^ r) for r in mask_rows(anchors)]
-        levels.append(sorted(cubes))
+            if anchors:
+                words += [(r, present ^ r) for r in mask_rows(anchors)]
+        words.sort(key=_order_key)
+        levels.append(words)
         level = wider
-    return [cube for cubes in reversed(levels) for cube in cubes]
+    return [pair for words in reversed(levels) for pair in words]
 
 
-def _petrick(chart, n_primes):
-    """Minimum-cardinality column sets covering every row of the chart.
+def prime_implicants(spec):
+    """All prime implicants of on_set ∪ dc_set, widest first then lexicographic.
 
-    `chart` maps each uncovered minterm to the set of usable prime indices.
-    Products are bitmasks over prime indices; multiplication keeps only
-    absorption-minimal terms, which caps the blowup on problems this size.
-    Returns the winning bitmask (fewest primes, then lexicographically
-    smallest index tuple).
+    An empty on_set yields an empty list: the constant-0 function needs no
+    implicants, whatever the don't-cares would allow.
     """
+    n = spec.n
+    on = _checked_mask(n, spec.on_set)
+    care = on | _checked_mask(n, spec.dc_set)
+    return [cube_string(n, *pair) for pair in _primes(n, on, care)]
+
+
+def _petrick(masks, remaining):
+    """The fewest primes covering every row of `remaining`, or None past
+    the work budget.
+
+    Each row is a sum over the primes whose mask holds it, and products
+    are bitmasks over prime indices. Multiplying in a row keeps only
+    absorption-minimal products: a product already holding one of the
+    row's primes passes unchanged. A row that would keep more than
+    PETRICK_MAX_PRODUCTS products gives up. Returns the winning bitmask
+    (fewest primes, then lexicographically smallest index tuple).
+    """
+    # of primes with equal residual rows only the first can be in the winner
+    first = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m & remaining, 1 << i)
     products = [0]  # start with the empty product (the identity)
-    for row in sorted(chart):
-        sums = [1 << p for p in sorted(chart[row])]
-        next_products = []
+    for row in mask_rows(remaining):
+        row_primes = [p for m, p in first.items() if m >> row & 1]
+        hit = sum(row_primes)
+        grown = set()
         for prod in products:
-            for s in sums:
-                next_products.append(prod | s)
+            if prod & hit:
+                grown.add(prod)
+            else:
+                grown.update(prod | s for s in row_primes)
         # absorption: drop any product that is a superset of another
-        next_products.sort(key=int.bit_count)
         kept = []
-        for m in next_products:
+        for m in sorted(grown, key=int.bit_count):
             if not any(k & m == k for k in kept):
+                if len(kept) == PETRICK_MAX_PRODUCTS:
+                    return None
                 kept.append(m)
         products = kept
-    def key(mask):
-        idxs = [i for i in range(n_primes) if (mask >> i) & 1]
-        return (len(idxs), idxs)
-    return min(products, key=key)
+    return min(products, key=lambda mask: (mask.bit_count(), mask_rows(mask)))
 
 
-def minimum_cover(primes, spec):
-    """Select a cover of on_set from the prime implicants.
-
-    Essential primes always enter the cover; the rest comes from Petrick's
-    method when the chart fits PETRICK_MAX_PRIMES / PETRICK_MAX_MINTERMS
-    (exact minimum cardinality) or from greedy most-uncovered-first
-    selection beyond that. Ties break on the lexicographically smallest
-    cube; selection is emitted in prime-list order (greedy picks in pick
-    order) so output is stable.
-    """
-    primes = list(primes)
-    on = sum(1 << row for row in spec.on_set)
-    masks = [cube_mask(cube, spec.n) & on for cube in primes]
+def _cover(n, words, on):
+    """Indices of the primes (as (req1, req0) pairs) chosen to cover the
+    `on` row mask: essentials in list order, then Petrick's choice in list
+    order or greedy picks in pick order."""
+    masks = [_product_mask(n, req1, req0) & on for req1, req0 in words]
     once = twice = 0
     for m in masks:
         once, twice = once | m, twice | once & m
@@ -165,44 +198,55 @@ def minimum_cover(primes, spec):
             chosen |= 1 << i
             remaining &= ~m
 
-    small = len(primes) <= PETRICK_MAX_PRIMES
-    if remaining and small and remaining.bit_count() <= PETRICK_MAX_MINTERMS:
-        log.info(
-            "exact cover via Petrick: %d primes, %d residual rows "
-            "(thresholds %d/%d)",
-            len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
-        )
-        chart = {
-            row: {i for i, m in enumerate(masks) if m >> row & 1}
-            for row in mask_rows(remaining)
-        }
-        chosen |= _petrick(chart, len(primes))
-        remaining = 0
-    selected = [i for i in range(len(primes)) if chosen >> i & 1]
-    if remaining:
-        log.info(
-            "greedy cover: %d primes, %d residual rows exceed thresholds %d/%d",
-            len(primes), remaining.bit_count(), PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS,
-        )
-        # the most new rows wins; on equal gain the lexicographically smallest
-        # cube, then the last copy of it (any copy gives the same cover)
-        rank = {cube: r for r, cube in enumerate(sorted(set(primes)))}
-        heap = [(-gain, rank[primes[i]], -i) for i, m in enumerate(masks)
-                if (gain := (m & remaining).bit_count())]
-        heapq.heapify(heap)
-        while remaining:
-            top = heap[0]
-            i = -top[2]
-            gain = (masks[i] & remaining).bit_count()
-            if gain == -top[0]:
-                # every other stale gain bounds its true gain from above
-                heapq.heappop(heap)
-                selected.append(i)
-                remaining &= ~masks[i]
-            elif gain:
-                heapq.heapreplace(heap, (-gain, top[1], top[2]))
-            else:
-                heapq.heappop(heap)  # nothing left to cover: it never gains again
+    if not remaining:
+        return mask_rows(chosen)
+    counts = len(words), remaining.bit_count()
+    if counts[0] > PETRICK_MAX_PRIMES or counts[1] > PETRICK_MAX_MINTERMS:
+        why = f"exceed thresholds {PETRICK_MAX_PRIMES}/{PETRICK_MAX_MINTERMS}"
+    elif (exact := _petrick(masks, remaining)) is None:
+        why = f"keep more than {PETRICK_MAX_PRODUCTS} Petrick products"
+    else:
+        log.info("exact cover via Petrick: %d primes, %d residual rows "
+                 "(thresholds %d/%d)", *counts, PETRICK_MAX_PRIMES, PETRICK_MAX_MINTERMS)
+        return mask_rows(chosen | exact)
+    log.info("greedy cover: %d primes, %d residual rows %s", *counts, why)
+    selected = mask_rows(chosen)
+    # the most new rows wins; on equal gain the lexicographically smallest
+    # cube, then the last copy of it (any copy gives the same cover)
+    heap = [(-gain, _order_key(words[i]), -i) for i, m in enumerate(masks)
+            if (gain := (m & remaining).bit_count())]
+    heapq.heapify(heap)
+    while remaining:
+        top = heap[0]
+        i = -top[2]
+        gain = (masks[i] & remaining).bit_count()
+        if gain == -top[0]:
+            # every other stale gain bounds its true gain from above
+            heapq.heappop(heap)
+            selected.append(i)
+            remaining &= ~masks[i]
+        elif gain:
+            heapq.heapreplace(heap, (-gain, top[1], top[2]))
+        else:
+            heapq.heappop(heap)  # nothing left to cover: it never gains again
+    return selected
+
+
+def minimum_cover(primes, spec):
+    """Select a cover of on_set from the prime implicants.
+
+    Essential primes always enter the cover; the rest comes from Petrick's
+    method when the chart fits PETRICK_MAX_PRIMES / PETRICK_MAX_MINTERMS
+    and its products stay within PETRICK_MAX_PRODUCTS (exact minimum
+    cardinality) or from greedy most-uncovered-first selection otherwise.
+    Ties break on the lexicographically smallest cube; selection is
+    emitted in prime-list order (greedy picks in pick order) so output is
+    stable.
+    """
+    primes = list(primes)
+    n = spec.n
+    words = [cube_words(check_cube(cube, n)) for cube in primes]
+    selected = _cover(n, words, _checked_mask(n, spec.on_set))
     return Cover(spec.order, tuple(primes[i] for i in selected))
 
 
@@ -210,15 +254,18 @@ def minimize(table_or_cover, dc=None):
     """Minimize a TruthTable or Cover into a minimal SOP cover.
 
     `dc` is an optional iterable of don't-care row indices. The result
-    covers every on-set row, may absorb don't-cares, and is exact for
-    problems within the Petrick bounds.
+    covers every on-set row, may absorb don't-cares, and is exact within
+    the Petrick bounds and budget. It is the cover `minimum_cover` picks
+    from `prime_implicants`, chosen on words and formatted once.
     """
     src = table_or_cover
     table = src if isinstance(src, TruthTable) else src.to_table()
-    dc_set = frozenset(dc) if dc else frozenset()
-    on_set = frozenset(table.on_set()) - dc_set
-    spec = MinimizeSpec(table.order, on_set, dc_set)
-    return minimum_cover(prime_implicants(spec), spec)
+    n = table.n
+    dc_mask = _checked_mask(n, dc or ())
+    on = table.bits & ~dc_mask
+    words = _primes(n, on, table.bits | dc_mask)
+    selected = _cover(n, words, on)
+    return Cover(table.order, tuple(cube_string(n, *words[i]) for i in selected))
 
 
 # ---------------------------------------------------------------------------

@@ -77,12 +77,15 @@ def qm_primes(care, n):
         current = merged
     return [
         cube for level in reversed(levels)
-        for cube in sorted(
-            "".join("1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
-                    for k in range(n - 1, -1, -1))
-            for req1, req0 in level
-        )
+        for cube in sorted(cube_of_words(n, req1, req0) for req1, req0 in level)
     ]
+
+
+def cube_of_words(n, req1, req0):
+    """The cube string of a (req1, req0) literal-word pair, one variable at a
+    time: bit n-1-j of req1 makes variable j '1', of req0 '0'."""
+    return "".join("1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
+                   for k in range(n - 1, -1, -1))
 
 
 def greedy_cover_naive(primes, on_rows):

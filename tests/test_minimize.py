@@ -1,4 +1,5 @@
 import importlib
+import logging
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from plakit import (
     MultiOutputCover,
     TruthTable,
     cover_eval,
+    equivalent,
     minimize,
     minimum_cover,
     parse_expression,
@@ -19,6 +21,7 @@ from plakit import (
 from oracles import (
     brute_min_cover_size,
     brute_primes,
+    cube_of_words,
     cube_rows_naive,
     greedy_cover_naive,
     qm_primes,
@@ -148,6 +151,70 @@ def test_primes_match_tabulation_oracle():
         for _ in range(6 if n < 11 else 2):
             spec = _random_spec(rng, n)
             assert prime_implicants(spec) == qm_primes(spec.on_set | spec.dc_set, n)
+
+
+def test_order_key_sorts_word_pairs_like_cube_strings():
+    rng = seeded(53)
+    for n in range(1, 17):
+        full = (1 << n) - 1
+        pairs = [(0, 0), (full, 0), (0, full)]
+        for density in (0.2, 0.5, 0.9):
+            for _ in range(30):
+                present = sum(1 << k for k in range(n) if rng.random() < density)
+                req1 = rng.getrandbits(n) & present
+                pairs.append((req1, present ^ req1))
+        pairs += rng.choices(pairs, k=20)  # repeated pairs, the all-'-' one too
+        rng.shuffle(pairs)
+        by_key = sorted(pairs, key=mn._order_key)
+        assert ([cube_of_words(n, *pair) for pair in by_key]
+                == sorted(cube_of_words(n, *pair) for pair in pairs))
+        assert len(set(map(mn._order_key, pairs))) == len(set(pairs))
+
+
+def test_minimize_equals_the_string_api():
+    # minimize() runs the word cores directly; the public string functions
+    # wrap the same cores and must pick the same cover
+    rng = seeded(59)
+    for n in range(2, 13):
+        order = tuple(f"x{j}" for j in range(n))
+        size = 1 << n
+        for with_dc in (False, True):
+            draws = [rng.random() for _ in range(size)]
+            bits = sum(1 << r for r in range(size) if draws[r] < 0.3)
+            # don't-cares also claim a few on rows, which minimize() drops
+            dc = [r for r in range(size) if 0.3 <= draws[r] < 0.4 or draws[r] < 0.02]
+            dc = dc if with_dc else []
+            table = TruthTable(order, bits)
+            spec = MinimizeSpec(order, frozenset(table.on_set()) - frozenset(dc),
+                                frozenset(dc))
+            expected = minimum_cover(prime_implicants(spec), spec)
+            assert minimize(table, dc) == expected
+            assert minimize(Cover(order, expected.cubes), dc) == expected
+
+
+def test_minimize_checks_like_the_spec():
+    with pytest.raises(ValueError, match="minimizer limit"):
+        minimize(TruthTable(tuple(f"v{i}" for i in range(17)), 0))
+    t = TruthTable(("A", "B"), 0b0110)
+    for row in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            minimize(t, [row])
+
+
+def test_petrick_budget_bounds_a_cyclic_chart(caplog):
+    # off-set {0, 3, 10, 13, 22, 29}: 26 on rows, 24 primes, no essential
+    # prime, and a Petrick product expansion of thousands of terms
+    order = tuple("ABCDE")
+    off = {0, 3, 10, 13, 22, 29}
+    t = TruthTable(order, sum(1 << r for r in range(32) if r not in off))
+    assert len(prime_implicants(MinimizeSpec(order, t.on_set()))) == 24
+    with caplog.at_level(logging.INFO, logger="plakit.minimize"):
+        start = time.perf_counter()
+        cover = minimize(t)
+        elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s, limit 0.5s"
+    assert equivalent(cover, t)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["greedy cover"]
 
 
 def test_greedy_cover_matches_eager_oracle(monkeypatch):
