@@ -136,8 +136,8 @@ def cmd_table(args):
     table = table_from_expr(expr, order)
     if args.header:
         print("# " + " ".join(order))
-    for bits, value in table.rows():
-        print(f"{bits} {value}")
+    for chunk in _exhaustive_lines([table.bits], table.n):
+        sys.stdout.write(chunk)
     return 0
 
 
@@ -197,7 +197,7 @@ def cmd_sim(args):
     return 0
 
 
-_CHUNK_BITS = 12  # rows per chunk of `sim --vectors all`: 2^12
+_CHUNK_BITS = 12  # rows per chunk of `table` and `sim --vectors all`: 2^12
 
 
 def _exhaustive_lines(masks, n):

@@ -111,74 +111,51 @@ _RPAREN = ")"
 _END = "end"
 
 
+_PUNCT = {"+": _PLUS, "!": _BANG, "'": _PRIME, "(": _LPAREN, ")": _RPAREN,
+          **dict.fromkeys(_AND_CHARS, _STAR)}
+
+
+def _byte_offset(text, index):
+    """The UTF-8 byte offset of character `index`, as a ParseError reports it."""
+    return len(text[:index].encode("utf-8"))
+
+
 def _tokenize(text, multi_letter):
-    """Yield (kind, text, byte_offset) triples; offsets are UTF-8 byte positions."""
+    """(kind, text, index) triples; an index is a character position in `text`."""
     tokens = []
     i = 0
-    byte_pos = 0
     n = len(text)
     while i < n:
         ch = text[i]
-        start = byte_pos
         if ch.isspace():
             i += 1
-            byte_pos += len(ch.encode("utf-8"))
-            continue
-        if ch.isalpha():
+        elif ch.isalpha():
+            j = i + 1
             if multi_letter:
-                j = i + 1
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
-                name = text[i:j]
-                byte_pos += len(name.encode("utf-8"))
-                i = j
-            else:
+            elif j < n and text[j].isdigit():
                 # each letter is its own variable; a digit glued to it is an error
-                if i + 1 < n and text[i + 1].isdigit():
-                    raise ParseError(
-                        f"digit adjacent to variable {ch!r}; constants must stand alone",
-                        start,
-                    )
-                name = ch
-                i += 1
-                byte_pos += len(ch.encode("utf-8"))
-            tokens.append((_NAME, name, start))
+                raise ParseError(
+                    f"digit adjacent to variable {ch!r}; constants must stand alone",
+                    _byte_offset(text, i),
+                )
+            tokens.append((_NAME, text[i:j], i))
+            i = j
         elif ch in "01":
             if not multi_letter and i + 1 < n and text[i + 1].isalpha():
                 raise ParseError(
                     f"letter adjacent to constant {ch!r}; constants must stand alone",
-                    start,
+                    _byte_offset(text, i),
                 )
-            tokens.append((_CONST, ch, start))
+            tokens.append((_CONST, ch, i))
             i += 1
-            byte_pos += 1
-        elif ch == "+":
-            tokens.append((_PLUS, ch, start))
+        elif ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, i))
             i += 1
-            byte_pos += 1
-        elif ch in _AND_CHARS:
-            tokens.append((_STAR, ch, start))
-            i += 1
-            byte_pos += len(ch.encode("utf-8"))
-        elif ch == "!":
-            tokens.append((_BANG, ch, start))
-            i += 1
-            byte_pos += 1
-        elif ch == "'":
-            tokens.append((_PRIME, ch, start))
-            i += 1
-            byte_pos += 1
-        elif ch == "(":
-            tokens.append((_LPAREN, ch, start))
-            i += 1
-            byte_pos += 1
-        elif ch == ")":
-            tokens.append((_RPAREN, ch, start))
-            i += 1
-            byte_pos += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", start)
-    tokens.append((_END, "", byte_pos))
+            raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
+    tokens.append((_END, "", n))
     return tokens
 
 
@@ -186,10 +163,14 @@ _FACTOR_START = (_NAME, _CONST, _LPAREN, _BANG)
 
 
 class _Parser:
-    def __init__(self, tokens, multi_letter):
-        self.tokens = tokens
+    def __init__(self, text, multi_letter):
+        self.text = text
+        self.tokens = _tokenize(text, multi_letter)
         self.pos = 0
         self.multi_letter = multi_letter
+
+    def error(self, message, index):
+        return ParseError(message, _byte_offset(self.text, index))
 
     @property
     def cur(self):
@@ -210,14 +191,14 @@ class _Parser:
     def parse_and(self):
         factors = [self.parse_factor()]
         while True:
-            kind, _, offset = self.cur
+            kind, _, index = self.cur
             if kind == _STAR:
                 self.advance()
                 factors.append(self.parse_factor())
             elif kind in _FACTOR_START:
                 if self.multi_letter:
-                    raise ParseError(
-                        "missing AND operator (multi-letter mode requires '*')", offset
+                    raise self.error(
+                        "missing AND operator (multi-letter mode requires '*')", index
                     )
                 factors.append(self.parse_factor())
             else:
@@ -235,23 +216,23 @@ class _Parser:
         return expr
 
     def parse_primary(self):
-        kind, text, offset = self.advance()
+        kind, text, index = self.advance()
         if kind == _NAME:
             return Var(text)
         if kind == _CONST:
             return Const(int(text))
         if kind == _LPAREN:
             expr = self.parse_or()
-            kind, _, off2 = self.cur
+            kind, _, index = self.cur
             if kind != _RPAREN:
-                raise ParseError("unbalanced parentheses: expected ')'", off2)
+                raise self.error("unbalanced parentheses: expected ')'", index)
             self.advance()
             return expr
         if kind == _RPAREN:
-            raise ParseError("unbalanced parentheses: unexpected ')'", offset)
+            raise self.error("unbalanced parentheses: unexpected ')'", index)
         if kind == _END:
-            raise ParseError("empty operand: unexpected end of expression", offset)
-        raise ParseError(f"empty operand: unexpected {text!r}", offset)
+            raise self.error("empty operand: unexpected end of expression", index)
+        raise self.error(f"empty operand: unexpected {text!r}", index)
 
 
 def _negate(expr):
@@ -265,11 +246,11 @@ def parse_expression(text, multi_letter=False):
     """Parse a Boolean expression; raises ParseError with a byte offset."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(text, multi_letter), multi_letter)
+    parser = _Parser(text, multi_letter)
     expr = parser.parse_or()
-    kind, tok, offset = parser.cur
+    kind, tok, index = parser.cur
     if kind != _END:
-        raise ParseError(f"unexpected trailing token {tok!r}", offset)
+        raise parser.error(f"unexpected trailing token {tok!r}", index)
     return expr
 
 

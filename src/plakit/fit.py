@@ -67,10 +67,16 @@ class FitReport:
 
 def pad_input_names(order, n_inputs):
     """Extend cover variable names with fresh labels for unused device inputs."""
-    names = list(order)
+    return _pad_names(order, n_inputs, "x")
+
+
+def _pad_names(names, width, stem):
+    """`names` extended to `width` with stem+position labels, each prefixed
+    with '_' while the name is taken."""
+    names = list(names)
     used = set(names)
-    for j in range(len(names), n_inputs):
-        candidate = f"x{j}"
+    for j in range(len(names), width):
+        candidate = f"{stem}{j}"
         while candidate in used:
             candidate = "_" + candidate
         names.append(candidate)
@@ -111,9 +117,6 @@ def fit(mcover, profile):
     or_words += [0] * (profile.n_outputs - n_outs)
 
     state = PlaState(profile, and_words, or_words)
-    out_names = list(mcover.names)
-    for o in range(n_outs, profile.n_outputs):
-        out_names.append(f"f{o}")
     report = FitReport(
         inputs_used=n_vars,
         inputs_available=profile.n_inputs,
@@ -124,7 +127,7 @@ def fit(mcover, profile):
         assignments=mcover.outputs,
         shared_terms=tuple(t for t in range(n_terms) if usage[t] >= 2),
         input_names=pad_input_names(mcover.order, profile.n_inputs),
-        output_names=tuple(out_names),
+        output_names=_pad_names(mcover.names, profile.n_outputs, "f"),
     )
     return state, report
 
@@ -295,10 +298,7 @@ def read_berkeley_pla(text, strict=False):
             parts = line.split()
             key = parts[0]
             if key == ".i":
-                n = _signal_count(parts, lineno)
-                if n > logic.MAX_VARS:
-                    raise FormatError(f"line {lineno}: .i {n} is more signals than "
-                                      f"the limit of {logic.MAX_VARS} inputs")
+                n = _input_count(parts, lineno)
             elif key == ".o":
                 m = _signal_count(parts, lineno)
             elif key == ".p":
@@ -365,6 +365,15 @@ def _signal_count(parts, lineno):
     value = _directive_count(parts, lineno)
     if value == 0:
         raise FormatError(f"line {lineno}: {parts[0]} must declare at least one signal")
+    return value
+
+
+def _input_count(parts, lineno):
+    """A `.i` count, which sizes every 2^n-row mask made from the file."""
+    value = _signal_count(parts, lineno)
+    if value > logic.MAX_VARS:
+        raise FormatError(f"line {lineno}: .i {value} is more signals than "
+                          f"the limit of {logic.MAX_VARS} inputs")
     return value
 
 

@@ -30,15 +30,19 @@ assignment and the input/output split:
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import minimize as mn
 from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .expr import content_lines
 from .fit import (
-    _check_line, _check_row, _directive_count, _nonblank_lines, _signal_count, fit
+    _check_line, _check_row, _directive_count, _input_count, _nonblank_lines,
+    _signal_count, fit,
 )
-from .logic import check_bits, cube_contains, cube_mask, cube_words, lowest_row
+from .logic import (
+    MAX_VARS, _product_mask, check_bits, cube_contains, cube_words, mask_rows
+)
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,8 @@ class Fsm:
     def __post_init__(self):
         if self.n_inputs < 1:
             raise ValueError("machine needs at least one input")
+        if self.n_inputs > MAX_VARS:
+            raise ValueError(f"{self.n_inputs} inputs exceeds the limit of {MAX_VARS}")
         if self.n_outputs < 1:
             raise ValueError("machine needs at least one output")
         states = tuple(self.states)
@@ -128,7 +134,7 @@ def parse_kiss2(text):
         if line.startswith("."):
             key = parts[0]
             if key == ".i":
-                n_in = _signal_count(parts, lineno)
+                n_in = _input_count(parts, lineno)
             elif key == ".o":
                 n_out = _signal_count(parts, lineno)
             elif key == ".s":
@@ -323,8 +329,10 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     out_names = [f"ns{j}" for j in range(b)] + [f"o{j}" for j in range(q)]
 
     code_strs = {name: format(code, f"0{b}b") for name, code in encoding.codes}
+    free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)  # rows no transition covers
     uses = []  # (cube, output positions): next-state bits first, then outputs
     for t in fsm.transitions:
+        free[t.current] &= ~_product_mask(k, *cube_words(t.input_cube))
         cube = code_strs[t.current] + t.input_cube
         next_str = code_strs[t.next_state]
         targets = [j for j in range(b) if next_str[j] == "1"]
@@ -332,24 +340,20 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         if targets:
             uses.append((cube, targets))
 
-    unmatched = []
+    row_fmt = f"0{k}b"
+    if strict and any(free.values()):
+        pairs = ((s, row) for s in fsm.states for row in mask_rows(free[s]))
+        shown = ", ".join(f"({s}, {row:{row_fmt}})" for s, row in islice(pairs, 5))
+        raise ValueError(
+            f"{sum(m.bit_count() for m in free.values())} unmatched state/input "
+            f"combinations, e.g. {shown}"
+        )
     for state in fsm.states:
         code_str = code_strs[state]
         hold_targets = [j for j in range(b) if code_str[j] == "1"]
-        free = (1 << (1 << k)) - 1  # input rows no transition of this state covers
-        for t in fsm.transitions_from(state):
-            free &= ~cube_mask(t.input_cube, k)
-        while free:
-            bits = lowest_row(free, k)
-            free &= free - 1
-            unmatched.append((state, bits))
-            if hold_targets:
-                uses.append((code_str + bits, hold_targets))
-    if strict and unmatched:
-        shown = ", ".join(f"({s}, {bits})" for s, bits in unmatched[:5])
-        raise ValueError(
-            f"{len(unmatched)} unmatched state/input combinations, e.g. {shown}"
-        )
+        if hold_targets:
+            uses += [(code_str + format(row, row_fmt), hold_targets)
+                     for row in mask_rows(free[state])]
 
     dc_rows = []
     used = {c for _, c in encoding.codes}
@@ -357,7 +361,7 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         if code not in used:
             dc_rows.extend(range(code << k, (code + 1) << k))
 
-    return mn.MultiOutputCover.pooled(order, out_names, uses), sorted(dc_rows)
+    return mn.MultiOutputCover.pooled(order, out_names, uses), dc_rows
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ _CUBE_CHARS = frozenset("01-")
 _BIT_CHARS = frozenset("01")
 _REQ1 = str.maketrans("01-", "010")  # cube -> word of its true literals
 _REQ0 = str.maketrans("01-", "100")  # cube -> word of its complemented literals
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 byte values -> binary digits
 
 
 def _check_order(order):
@@ -80,8 +81,8 @@ class TruthTable:
     def rows(self):
         """Yield (input_string, output_bit) over all 2^n rows in order."""
         n = self.n
-        for i in range(1 << n):
-            yield format(i, f"0{n}b"), (self.bits >> i) & 1
+        digits = format(self.bits, f"0{1 << n}b")[::-1]  # character i is row i
+        yield from zip(map(f"{{:0{n}b}}".format, range(1 << n)), map(int, digits))
 
     def on_set(self):
         """Row indices where the output is 1, ascending."""
@@ -131,12 +132,11 @@ def table_from_rows(order, outputs):
             f"expected {1 << len(order)} outputs for {len(order)} variables, "
             f"got {len(outputs)}"
         )
-    bits = 0
     for i, bit in enumerate(outputs):
         if bit not in (0, 1):
             raise ValueError(f"row {i}: output must be 0 or 1, got {bit!r}")
-        bits |= bit << i
-    return TruthTable(order, bits)
+    # one binary-digit string, row 0 last
+    return TruthTable(order, int(bytes(outputs[::-1]).translate(_DIGITS), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def canonical_pos(table):
     table with no ones is the constant 0.
     """
     n = table.n
-    zero_rows = [i for i in range(1 << n) if not (table.bits >> i) & 1]
+    zero_rows = table.complement().on_set()
     if not zero_rows:
         return ex.Const(1)
     if len(zero_rows) == 1 << n:

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,10 +21,12 @@ from plakit import (
     enumerate_faults,
     eval_pla,
     find_test_vector,
+    parse_expression,
     parse_fusemap,
     simulate_controller,
     simulate_fsm,
     synthesize_controller,
+    table_from_expr,
 )
 from plakit.cli import _CHUNK_BITS, main, parse_profile
 from oracles import lowest_differing_row_naive, random_state, seeded, state_from_planes
@@ -77,6 +80,32 @@ def test_table_majority(capsys):
 def test_table_respects_order(capsys):
     assert main(["table", "A", "--order", "B,A"]) == 0
     assert capsys.readouterr().out.splitlines() == ["00 0", "01 1", "10 0", "11 1"]
+
+
+@pytest.mark.parametrize("n", [1, 3, _CHUNK_BITS + 1])
+def test_table_lines_are_per_row_formatting(capsys, n):
+    # across the chunk boundary at n = 13; x0 alone differs between chunks
+    names = [f"x{j}" for j in range(n)]
+    text = " + ".join([names[0], "!" + names[-1] + " * " + names[n // 2]])
+    assert main(["table", text, "--multi-letter", "--header",
+                 "--order", ",".join(names)]) == 0
+    table = table_from_expr(parse_expression(text, multi_letter=True), names)
+    want = ["# " + " ".join(names)]
+    want += [f"{i:0{n}b} {table.bits >> i & 1}" for i in range(1 << n)]
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_table_of_twenty_variables_is_written_in_chunks():
+    letters = "ABCDEFGHIJKLMNOPQRST"
+    sop = " + ".join(letters[i] + letters[(i + 7) % 20] + "'" + letters[(i + 3) % 20]
+                     for i in range(20))
+    out = _Count()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["table", sop]) == 0
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
+    assert out.size == (20 + 3) << 20
 
 
 def test_table_constant_needs_order(capsys):
@@ -373,6 +402,24 @@ def test_fsm_zero_input_declaration_is_malformed(tmp_path, capsys):
     assert "line 1: .i must declare at least one signal" in capsys.readouterr().err
 
 
+def test_fsm_input_declaration_over_the_limit_is_malformed(tmp_path, capsys):
+    kiss = tmp_path / "wide.kiss"
+    kiss.write_text(".i 40\n.o 1\n" + "1" * 40 + " S0 S0 1\n.e\n")
+    assert main(["fsm", str(kiss), "--profile", "n2p4m2"]) == 4
+    assert "line 1: .i 40 is more signals than the limit of 24" in capsys.readouterr().err
+
+
+def test_padded_output_names_do_not_collide(tmp_path, capsys):
+    eqns = tmp_path / "f1.eqn"
+    eqns.write_text("f1 = AB\n")
+    fuse = tmp_path / "f1.fuse"
+    assert main(["compile", str(eqns), "--profile", "n2p2m2", "-o", str(fuse)]) == 0
+    fm = parse_fusemap(fuse.read_text())
+    assert fm.output_names == ("f1", "_f1")
+    assert main(["verify", str(fuse), "--equations", str(eqns)]) == 0
+    assert capsys.readouterr().out.startswith("equivalent: 1 output(s)")
+
+
 def test_fsmsim_rejects_all(tmp_path, capsys):
     kiss = tmp_path / "toggle.kiss"
     kiss.write_text(TOGGLE_KISS)
@@ -604,6 +651,14 @@ def test_sim_all_chunks_match_explicit_vectors(tmp_path, capsys):
 
 class _Discard(io.TextIOBase):
     def write(self, text):
+        return len(text)
+
+
+class _Count(io.TextIOBase):
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
         return len(text)
 
 

@@ -71,6 +71,10 @@ def test_fsm_validation():
     t = Transition("1", "S0", "S1", "1")
     with pytest.raises(ValueError, match="at least one input"):
         Fsm(0, 1, ("S0",), "S0", ())
+    # lowering builds one 2^n_inputs-row mask per state
+    with pytest.raises(ValueError, match="25 inputs exceeds the limit of 24"):
+        Fsm(25, 1, ("S0",), "S0", ())
+    Fsm(24, 1, ("S0",), "S0", (Transition("1" * 24, "S0", "S0", "1"),))
     with pytest.raises(ValueError, match="duplicate state"):
         Fsm(1, 1, ("S0", "S0"), "S0", ())
     with pytest.raises(ValueError, match="reset"):
@@ -148,6 +152,8 @@ def test_write_kiss2_round_trip():
         (".i 1\n.o 1\n1 A B 1\n1 A B 0\n.e\n", "overlapping"),
         (".i 0\n.o 1\n1 S0 S1 1\n.e\n", "line 1: .i must declare at least one"),
         (".i 1\n.o 0\n1 S0 S1\n.e\n", "line 2: .o must declare at least one"),
+        (".i 25\n.o 1\n" + "1" * 25 + " A A 1\n.e\n",
+         "line 1: .i 25 is more signals than the limit of 24"),
     ],
 )
 def test_parse_kiss2_errors(text, message):
@@ -274,6 +280,41 @@ def test_fsm_to_covers_strict_rejects_unmatched():
         ),
     )
     fsm_to_covers(full, strict=True)  # fully specified: no error
+
+
+def test_strict_message_counts_every_pair_and_shows_the_first_five():
+    # S0 leaves 2 input rows unmatched, S1 none, S2 3 and S3 6: the examples
+    # run across states in declaration order, rows ascending within each
+    machine = Fsm(3, 1, ("S0", "S1", "S2", "S3"), "S0", (
+        Transition("1--", "S0", "S1", "1"),
+        Transition("01-", "S0", "S2", "0"),
+        Transition("---", "S1", "S2", "1"),
+        Transition("--1", "S2", "S3", "0"),
+        Transition("100", "S2", "S0", "1"),
+        Transition("111", "S3", "S0", "1"),
+        Transition("010", "S3", "S1", "0"),
+    ))
+    unmatched = [(state, bits) for state in machine.states
+                 for bits in (format(v, "03b") for v in range(8))
+                 if next_state_naive(machine, state, bits) is None]
+    assert len(unmatched) == 11
+    shown = ", ".join(f"({s}, {bits})" for s, bits in unmatched[:5])
+    with pytest.raises(ValueError) as exc:
+        fsm_to_covers(machine, strict=True)
+    assert str(exc.value) == f"11 unmatched state/input combinations, e.g. {shown}"
+    assert shown == "(S0, 000), (S0, 001), (S2, 000), (S2, 010), (S2, 110)"
+
+
+def test_lowering_a_wide_one_state_machine_is_linear():
+    # one state, 18 inputs: 2^17 unmatched rows, all at code 0 (no hold
+    # terms); code 1 is unused, so its 2^18 rows are don't-cares
+    machine = Fsm(18, 1, ("S0",), "S0", (Transition("1" + "-" * 17, "S0", "S0", "1"),))
+    start = time.perf_counter()
+    mcover, dc_rows = fsm_to_covers(machine)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+    assert mcover.term_pool == ("01" + "-" * 17,)
+    assert dc_rows == list(range(1 << 18, 1 << 19))
 
 
 def test_lowering_matches_brute_force_on_cube_machines():

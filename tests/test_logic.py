@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from plakit import (
@@ -76,6 +78,39 @@ def test_table_guards():
         TruthTable(("A", "A"), 0)
     with pytest.raises(ValueError):
         table_from_rows(("A",), [0, 1, 1])
+
+
+def _wide_table(n):
+    """A table over n variables whose rows differ from chunk to chunk."""
+    order = tuple(f"x{j}" for j in range(n))
+    text = " * ".join(order[:3]) + " + " + " * ".join(f"!{v}" for v in order[-4:])
+    return table_from_expr(parse_expression(text, multi_letter=True), order)
+
+
+def test_rows_at_twenty_variables_is_linear():
+    t = _wide_table(20)
+    start = time.perf_counter()
+    ones = sum(value for _, value in t.rows())
+    elapsed = time.perf_counter() - start
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, limit 3s"
+    assert ones == t.bits.bit_count()
+    rows = t.rows()
+    assert [next(rows) for _ in range(2)] == [("0" * 20, 1), ("0" * 19 + "1", 0)]
+
+
+def test_table_from_rows_at_twenty_variables_is_linear():
+    t = _wide_table(20)
+    outputs = [0] * (1 << 20)
+    for row in t.on_set():
+        outputs[row] = 1
+    start = time.perf_counter()
+    built = table_from_rows(t.order, outputs)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+    assert built == t
+    assert table_from_rows(("A", "B"), [True, False, False, True]).bits == 0b1001
+    with pytest.raises(ValueError, match="row 2: output must be 0 or 1, got 2"):
+        table_from_rows(("A", "B"), [0, 1, 2, 1])
 
 
 def test_complement_flips_every_row():
