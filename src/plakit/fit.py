@@ -23,7 +23,12 @@ read, never written. Everything after END is an error.
 
 The Berkeley PLA reader/writer handles the plain-SOP subset: .i/.o/.p,
 .ilb/.ob, cube lines with {0,1,-} inputs and {0,1} outputs, '#' comments,
-.e/.end. Output don't-cares and multi-plane types are rejected.
+.e/.end. Output don't-cares and multi-plane types are rejected. One
+scanner, `_scan_rows`, reads the grammar that .pla covers and KISS2
+machines share. It refuses an unknown directive, a bad or zero .i/.o
+count, a .i above the input limit, a row before .i/.o or without them,
+a row with the wrong field count or a bad cube or output field, and a
+.i/.o that changes after rows were read.
 """
 
 import warnings
@@ -182,10 +187,10 @@ def _nonblank_lines(text):
             yield line
 
 
-def _next_line(it, what):
+def _next_line(it, what, artifact="fuse map"):
     for line in it:
         return line
-    raise FormatError(f"truncated fuse map: expected {what}")
+    raise FormatError(f"truncated {artifact}: expected {what}")
 
 
 def _row_text(line, width, what):
@@ -289,49 +294,14 @@ def read_berkeley_pla(text, strict=False):
     lines warns, or raises under strict=True. Duplicate input cubes fold
     into one pool entry.
     """
-    n = m = None
-    declared_p = None
-    input_names = output_names = None
-    uses = []
-    for lineno, line in ex.content_lines(text):
-        if line.startswith("."):
-            parts = line.split()
-            key = parts[0]
-            if key == ".i":
-                n = _input_count(parts, lineno)
-            elif key == ".o":
-                m = _signal_count(parts, lineno)
-            elif key == ".p":
-                declared_p = _directive_count(parts, lineno)
-            elif key == ".ilb":
-                input_names = _labels(parts, f"line {lineno}: ")
-            elif key == ".ob":
-                output_names = _labels(parts, f"line {lineno}: ")
-            elif key in (".e", ".end"):
-                break
-            elif key == ".type":
-                if parts[1:] != ["f"]:
-                    raise FormatError(f"line {lineno}: only '.type f' is supported")
-            else:
-                raise FormatError(f"line {lineno}: unsupported directive {key!r}")
-            continue
-        if n is None or m is None:
-            raise FormatError(f"line {lineno}: cube before .i/.o declarations")
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(
-                f"line {lineno}: expected '<inputs> <outputs>', got {line!r}"
-            )
-        in_part, out_part = parts
-        _check_line(lineno, in_part, out_part, n, m)
-        uses.append((in_part, [o for o, c in enumerate(out_part) if c == "1"]))
-    if n is None or m is None:
-        raise FormatError("missing .i/.o declarations")
-    if declared_p is not None and declared_p != len(uses):
-        msg = f".p declares {declared_p} terms but {len(uses)} cube lines present"
+    n, m, rows, found = _scan_rows(text, "<inputs> <outputs>", "cube", _PLA_DIRECTIVES)
+    declared_p = found.get(".p")
+    if declared_p is not None and declared_p != len(rows):
+        msg = f".p declares {declared_p} terms but {len(rows)} cube lines present"
         if strict:
             raise FormatError(msg)
         warnings.warn(msg)
+    input_names, output_names = found.get(".ilb"), found.get(".ob")
     if input_names is not None and len(input_names) != n:
         raise FormatError(f".ilb lists {len(input_names)} names, .i says {n}")
     if output_names is not None and len(output_names) != m:
@@ -346,7 +316,64 @@ def read_berkeley_pla(text, strict=False):
         input_names = tuple(f"x{j}" for j in range(n))
     if output_names is None:
         output_names = tuple(f"f{o}" for o in range(m))
+    uses = [(cube, [o for o, c in enumerate(outs) if c == "1"]) for cube, outs in rows]
     return mn.MultiOutputCover.pooled(input_names, output_names, uses)
+
+
+def _pla_type(parts, lineno):
+    if parts[1:] != ["f"]:
+        raise FormatError(f"line {lineno}: only '.type f' is supported")
+
+
+_PLA_DIRECTIVES = {
+    ".ilb": lambda parts, lineno: _labels(parts, f"line {lineno}: "),
+    ".ob": lambda parts, lineno: _labels(parts, f"line {lineno}: "),
+    ".type": _pla_type,
+}
+
+
+def _scan_rows(text, shape, noun, directives):
+    """Read the dot-directive grammar that .pla covers and KISS2 machines
+    share; returns (n, m, rows, found).
+
+    Each row comes back as its list of `shape`'s fields, the first an
+    n-char input cube and the last m output bits. A directive other than
+    .i/.o/.p/.e/.end is read by `directives[key](parts, lineno)`, and
+    `found` maps each key read, .p included, to its last line's value.
+    """
+    readers = {".p": _directive_count, **directives}
+    counts = {".i": None, ".o": None}
+    n = m = None
+    width = shape.count(" ") + 1
+    rows = []
+    found = {}
+    for lineno, line in ex.content_lines(text):
+        parts = line.split()
+        if line[0] != ".":
+            if n is None or m is None:
+                raise FormatError(f"line {lineno}: {noun} before .i/.o declarations")
+            if len(parts) != width:
+                raise FormatError(f"line {lineno}: expected {shape!r}, got {line!r}")
+            _check_line(lineno, parts[0], parts[-1], n, m)
+            rows.append(parts)
+            continue
+        key = parts[0]
+        if key in counts:
+            count = _signal_count(parts, lineno)
+            if rows and count != counts[key]:
+                raise FormatError(f"line {lineno}: {key} {count} after rows "
+                                  f"read with {key} {counts[key]}")
+            counts[key] = count
+            n, m = counts.values()
+        elif key in (".e", ".end"):
+            break
+        elif key in readers:
+            found[key] = readers[key](parts, lineno)
+        else:
+            raise FormatError(f"line {lineno}: unsupported directive {key!r}")
+    if n is None or m is None:
+        raise FormatError("missing .i/.o declarations")
+    return n, m, rows, found
 
 
 def _directive_count(parts, lineno):
@@ -362,16 +389,11 @@ def _directive_count(parts, lineno):
 
 
 def _signal_count(parts, lineno):
+    """A .i or .o count; a .i count sizes every 2^n-row mask made from the file."""
     value = _directive_count(parts, lineno)
     if value == 0:
         raise FormatError(f"line {lineno}: {parts[0]} must declare at least one signal")
-    return value
-
-
-def _input_count(parts, lineno):
-    """A `.i` count, which sizes every 2^n-row mask made from the file."""
-    value = _signal_count(parts, lineno)
-    if value > logic.MAX_VARS:
+    if parts[0] == ".i" and value > logic.MAX_VARS:
         raise FormatError(f"line {lineno}: .i {value} is more signals than "
                           f"the limit of {logic.MAX_VARS} inputs")
     return value

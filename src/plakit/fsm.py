@@ -35,11 +35,7 @@ from itertools import islice
 from . import minimize as mn
 from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
-from .expr import content_lines
-from .fit import (
-    _check_line, _check_row, _directive_count, _input_count, _nonblank_lines,
-    _signal_count, fit,
-)
+from .fit import _check_row, _directive_count, _next_line, _nonblank_lines, _scan_rows, fit
 from .logic import (
     MAX_VARS, _product_mask, check_bits, cube_contains, cube_words, mask_rows
 )
@@ -117,69 +113,32 @@ def parse_kiss2(text):
     state (the first transition's current state) is the reset state.
     Declared .s/.p counts that disagree with the body are errors.
     """
-    n_in = n_out = None
-    declared_s = declared_p = None
-    reset = None
-    transitions = []
-    states = []
-    seen_states = set()
-
-    def note_state(name):
-        if name not in seen_states:
-            seen_states.add(name)
-            states.append(name)
-
-    for lineno, line in content_lines(text):
-        parts = line.split()
-        if line.startswith("."):
-            key = parts[0]
-            if key == ".i":
-                n_in = _input_count(parts, lineno)
-            elif key == ".o":
-                n_out = _signal_count(parts, lineno)
-            elif key == ".s":
-                declared_s = _directive_count(parts, lineno)
-            elif key == ".p":
-                declared_p = _directive_count(parts, lineno)
-            elif key == ".r":
-                if len(parts) != 2:
-                    raise FormatError(f"line {lineno}: .r takes one state name")
-                reset = parts[1]
-            elif key in (".e", ".end"):
-                break
-            else:
-                raise FormatError(f"line {lineno}: unsupported directive {key!r}")
-            continue
-        if n_in is None or n_out is None:
-            raise FormatError(f"line {lineno}: transition before .i/.o declarations")
-        if len(parts) != 4:
-            raise FormatError(
-                f"line {lineno}: expected '<inputs> <current> <next> <outputs>'"
-            )
-        cube, cur, nxt, outs = parts
-        _check_line(lineno, cube, outs, n_in, n_out)
-        note_state(cur)
-        note_state(nxt)
-        transitions.append(Transition(cube, cur, nxt, outs))
-
-    if n_in is None or n_out is None:
-        raise FormatError("missing .i/.o declarations")
-    if not transitions:
+    n_in, n_out, rows, found = _scan_rows(
+        text, "<inputs> <current> <next> <outputs>", "transition", _KISS2_DIRECTIVES
+    )
+    if not rows:
         raise FormatError("no transitions")
-    if reset is None:
-        reset = transitions[0].current
-    elif reset not in seen_states:
+    states = tuple(dict.fromkeys(s for _, cur, nxt, _ in rows for s in (cur, nxt)))
+    reset = found.get(".r", rows[0][1])
+    if reset not in states:
         raise FormatError(f".r names unknown state {reset!r}")
-    for declared, actual, what in (
-        (declared_s, len(states), "states"),
-        (declared_p, len(transitions), "transitions"),
-    ):
+    for key, actual, what in ((".s", len(states), "states"), (".p", len(rows), "transitions")):
+        declared = found.get(key)
         if declared is not None and declared != actual:
             raise FormatError(f"declared {declared} {what} but file has {actual}")
     try:
-        return Fsm(n_in, n_out, tuple(states), reset, tuple(transitions))
+        return Fsm(n_in, n_out, states, reset, tuple(Transition(*row) for row in rows))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _reset_name(parts, lineno):
+    if len(parts) != 2:
+        raise FormatError(f"line {lineno}: .r takes one state name")
+    return parts[1]
+
+
+_KISS2_DIRECTIVES = {".s": _directive_count, ".r": _reset_name}
 
 
 def write_kiss2(fsm):
@@ -270,41 +229,33 @@ def emit_encoding(enc):
 
 
 def parse_encoding(text):
-    lines = list(_nonblank_lines(text))
-    if not lines or lines[0].split() != ["PLAENC", "1"]:
+    it = _nonblank_lines(text)
+    if next(it, "").split() != ["PLAENC", "1"]:
         raise FormatError("not an encoding sidecar: missing 'PLAENC 1' header")
-    fields = {}
-    codes = []
-    pos = 1
+    counts = []
     for key in ("BITS", "INPUTS", "OUTPUTS"):
-        if pos >= len(lines):
-            raise FormatError(f"truncated encoding: expected {key}")
-        parts = lines[pos].split()
+        line = _next_line(it, key, "encoding")
+        parts = line.split()
         if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"expected '{key} <count>', got {lines[pos]!r}")
+            raise FormatError(f"expected '{key} <count>', got {line!r}")
         try:
-            fields[key] = int(parts[1])
+            counts.append(int(parts[1]))
         except ValueError:
             raise FormatError(f"bad {key} count {parts[1]!r}") from None
-        pos += 1
-    while pos < len(lines) and lines[pos] != "END":
-        parts = lines[pos].split()
+    codes = []
+    while (line := _next_line(it, "END", "encoding")) != "END":
+        parts = line.split()
         if len(parts) != 3 or parts[0] != "STATE":
-            raise FormatError(f"expected 'STATE <name> <code>', got {lines[pos]!r}")
+            raise FormatError(f"expected 'STATE <name> <code>', got {line!r}")
         try:
             codes.append((parts[1], int(parts[2])))
         except ValueError:
             raise FormatError(f"bad state code {parts[2]!r}") from None
-        pos += 1
-    if pos >= len(lines):
-        raise FormatError("truncated encoding: expected END")
-    if pos + 1 < len(lines):
-        raise FormatError(f"content after END: {lines[pos + 1]!r}")
+    for extra in it:
+        raise FormatError(f"content after END: {extra!r}")
     codes.sort(key=lambda nc: nc[1])
     try:
-        return StateEncoding(
-            fields["BITS"], fields["INPUTS"], fields["OUTPUTS"], tuple(codes)
-        )
+        return StateEncoding(*counts, tuple(codes))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

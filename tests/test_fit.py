@@ -316,11 +316,19 @@ def test_read_berkeley_ignores_content_after_e():
         (".i 99999999\n.o 1\n.e\n", ".i 99999999 is more signals"),
         (".i 25\n.o 1\n" + "1" * 25 + " 1\n.e\n",
          "line 1: .i 25 is more signals than the limit of 24"),
+        (".i 1\n.o 1\n1 1\n.i 2\n.e\n", "line 4: .i 2 after rows read with .i 1"),
+        (".i 1\n.o 1\n1 1\n.o 2\n.e\n", "line 4: .o 2 after rows read with .o 1"),
     ],
 )
 def test_read_berkeley_errors(text, message):
     with pytest.raises(FormatError, match=message):
         read_berkeley_pla(text)
+
+
+def test_read_berkeley_accepts_redeclared_counts():
+    # any count before the first row, and the same count after it
+    text = ".i 2\n.o 3\n.i 1\n.o 1\n1 1\n.i 1\n.o 1\n0 1\n.e\n"
+    assert read_berkeley_pla(text).term_pool == ("1", "0")
 
 
 def test_berkeley_round_trip_preserves_semantics():

@@ -154,6 +154,9 @@ def test_write_kiss2_round_trip():
         (".i 1\n.o 0\n1 S0 S1\n.e\n", "line 2: .o must declare at least one"),
         (".i 25\n.o 1\n" + "1" * 25 + " A A 1\n.e\n",
          "line 1: .i 25 is more signals than the limit of 24"),
+        (".i 1\n.o 1\n1 A B 1\n.o 2\n.e\n", "line 4: .o 2 after rows read with .o 1"),
+        (".i 1\n.o 1\n1 A\n.e\n",
+         "line 3: expected '<inputs> <current> <next> <outputs>', got '1 A'"),
     ],
 )
 def test_parse_kiss2_errors(text, message):
@@ -227,6 +230,7 @@ def test_encoding_sidecar_round_trip():
         (lambda t: t.replace("END\n", ""), "expected END"),
         (lambda t: t + "x\n", "content after END"),
         (lambda t: t.replace("STATE S0 0\n", ""), "code 0"),
+        (lambda t: t[: t.index("INPUTS")], "truncated encoding: expected INPUTS"),
     ],
 )
 def test_parse_encoding_errors(mutate, message):
