@@ -166,12 +166,9 @@ def emit_fusemap(state, input_names=None, output_names=None):
     if output_names is not None:
         lines.append("OB " + " ".join(output_names))
     lines.append("AND")
-    n = prof.n_inputs
-    row = bytearray(2 * n)  # column 2j: input j true, 2j+1: its complement
-    for req1, req0 in state.and_words:
-        row[0::2] = format(req1, f"0{n}b").encode()
-        row[1::2] = format(req0, f"0{n}b").encode()
-        lines.append(row.decode())
+    row_fmt = f"0{2 * prof.n_inputs}b"  # column 2j: input j true, 2j+1: its complement
+    rows = {w: format(logic.interleave(w), row_fmt) for w in set(state.and_words)}  # each once
+    lines += map(rows.__getitem__, state.and_words)
     lines.append("OR")
     lines += [format(w, f"0{prof.n_terms}b")[::-1] for w in state.or_words]
     if prof.has_output_xor:
@@ -345,6 +342,7 @@ def _scan_rows(text, shape, noun, directives):
     counts = {".i": None, ".o": None}
     n = m = None
     width = shape.count(" ") + 1
+    cube_chars, bit_chars = logic._CUBE_CHARS, logic._BIT_CHARS
     rows = []
     found = {}
     for lineno, line in ex.content_lines(text):
@@ -354,7 +352,13 @@ def _scan_rows(text, shape, noun, directives):
                 raise FormatError(f"line {lineno}: {noun} before .i/.o declarations")
             if len(parts) != width:
                 raise FormatError(f"line {lineno}: expected {shape!r}, got {line!r}")
-            _check_line(lineno, parts[0], parts[-1], n, m)
+            cube, outs = parts[0], parts[-1]
+            if not (len(cube) == n and len(outs) == m and cube_chars.issuperset(cube)
+                    and bit_chars.issuperset(outs)):
+                try:  # name what is wrong
+                    _check_row(cube, outs, n, m)
+                except ValueError as exc:
+                    raise FormatError(f"line {lineno}: {exc}") from None
             rows.append(parts)
             continue
         key = parts[0]
@@ -417,13 +421,6 @@ def _check_row(cube, outs, n, m):
             f"outputs {outs!r} is not {m} chars of 0/1 "
             "(output don't-cares are not supported)"
         ) from None
-
-
-def _check_line(lineno, cube, outs, n, m):
-    try:
-        _check_row(cube, outs, n, m)
-    except ValueError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def write_berkeley_pla(mcover):

@@ -4,9 +4,10 @@ A machine read from KISS2 is Mealy-style: each transition row carries an
 input cube, current state, next state, and output bits. The subset handled
 here requires at least one input and one output, binary outputs (no output
 don't-cares), and deterministic rows -- two rows for the same state whose
-input cubes overlap are rejected. Cubes and vectors are checked only by
-`logic.check_cube` and `logic.check_bits`; rows are compared as literal
-words and row masks.
+input cubes overlap are rejected. Cubes and vectors are checked only in
+`logic`: a machine's rows by one test over all of them, and by
+`check_cube` and `check_bits` only to name a fault; rows are compared as
+literal words and row masks.
 
 Synthesis uses the classic registered-PLA arrangement: state bits are fed
 back from the first outputs to the first inputs through an external
@@ -37,7 +38,7 @@ from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .fit import _check_row, _directive_count, _next_line, _nonblank_lines, _scan_rows, fit
 from .logic import (
-    MAX_VARS, _product_mask, check_bits, cube_contains, cube_words, mask_rows
+    MAX_VARS, _product_mask, _texts_ok, check_bits, cube_contains, cube_words, mask_rows
 )
 
 
@@ -75,10 +76,13 @@ class Fsm:
             raise ValueError(f"reset state {self.reset!r} is not declared")
         transitions = tuple(self.transitions)
         object.__setattr__(self, "transitions", transitions)
+        rows_ok = (_texts_ok([t.input_cube for t in transitions], self.n_inputs)
+                   and _texts_ok([t.outputs for t in transitions], self.n_outputs, "01"))
         seen = set()
         by_state = {}  # state -> (req1, req0, cube) per row
         for t in transitions:
-            _check_row(t.input_cube, t.outputs, self.n_inputs, self.n_outputs)
+            if not rows_ok:
+                _check_row(t.input_cube, t.outputs, self.n_inputs, self.n_outputs)
             for s in (t.current, t.next_state):
                 if s not in states:
                     raise ValueError(f"transition uses undeclared state {s!r}")
@@ -172,6 +176,8 @@ class StateEncoding:
         object.__setattr__(self, "codes", codes)
         if self.bits < 1:
             raise ValueError("encoding needs at least one state bit")
+        if self.bits > MAX_VARS:
+            raise ValueError(f"{self.bits} state bits exceeds the limit of {MAX_VARS}")
         if self.n_inputs < 1:
             raise ValueError("encoding needs at least one input")
         if self.n_outputs < 1:
@@ -180,7 +186,7 @@ class StateEncoding:
         if values != sorted(values) or len(set(values)) != len(values):
             raise ValueError("state codes must be unique and ascending")
         for name, c in codes:
-            if not 0 <= c < (1 << self.bits):
+            if c >> self.bits:  # -1 for a negative code
                 raise ValueError(f"code {c} for {name!r} needs more than {self.bits} bits")
         if not codes or codes[0][1] != 0:
             raise ValueError("code 0 (the reset state) must be assigned")

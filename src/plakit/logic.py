@@ -11,9 +11,11 @@ variable in order: '1' means the variable appears true, '0' complemented,
 '-' absent, as in the Berkeley PLA input plane. Inside, it is the
 (req1, req0) literal-word pair the device compiles AND rows into
 (`cube_words`, `cube_string`), and its rows are a row mask (`cube_mask`).
-A cover is an ordered list of cubes whose union (OR of products) is the
-function. An input vector is n binary digits. `check_cube` and
-`check_bits` are the one place either text format is checked.
+`interleave` sets the pair side by side: a fuse-map AND row, and a key
+that sorts pairs as their cube strings sort. A cover is an ordered list
+of cubes whose union (OR of products) is the function. An input vector
+is n binary digits. `check_cube`, `check_cubes` (one test for a whole
+list) and `check_bits` are the one place either text format is checked.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +31,10 @@ _BIT_CHARS = frozenset("01")
 _REQ1 = str.maketrans("01-", "010")  # cube -> word of its true literals
 _REQ0 = str.maketrans("01-", "100")  # cube -> word of its complemented literals
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 byte values -> binary digits
+# 8 bits spread to the even bits of 16: a variable's two interleaved bits
+_SPREAD = tuple(sum((x >> k & 1) << 2 * k for k in range(8)) for x in range(256))
+# a hex digit of an interleaved word is two variables' (req1, req0) bits
+_HEX_CUBES = {ord(f"{v:x}"): "-011"[v >> 2] + "-011"[v & 3] for v in range(16)}
 
 
 def _check_order(order):
@@ -150,6 +156,20 @@ def check_cube(cube, n):
     return cube
 
 
+def _texts_ok(texts, n, chars=_CUBE_CHARS):
+    """Is every text (a string) n characters from `chars`? One test for the whole list."""
+    return not set(map(len, texts)) - {n} and frozenset(chars).issuperset("".join(texts))
+
+
+def check_cubes(cubes, n):
+    """The cubes as a tuple; check_cube's ValueError for the first bad one."""
+    cubes = tuple(cubes)
+    if not _texts_ok(cubes, n):
+        for cube in cubes:
+            check_cube(cube, n)
+    return cubes
+
+
 def check_bits(bits, n):
     """An input vector (string or 0/1 sequence) as n binary digits, else ValueError."""
     if not isinstance(bits, str):
@@ -192,12 +212,19 @@ def cube_words(cube):
     return int(cube.translate(_REQ1), 2), int(cube.translate(_REQ0), 2)
 
 
+def interleave(words):
+    """Bit k of req1 at bit 2k+1 and of req0 at bit 2k, for words of at most
+    MAX_VARS bits: per variable 00 for '-', 01 for '0' and 10 for '1'."""
+    req1, req0 = words
+    return ((_SPREAD[req1 & 255] | _SPREAD[req1 >> 8 & 255] << 16
+             | _SPREAD[req1 >> 16] << 32) << 1
+            | _SPREAD[req0 & 255] | _SPREAD[req0 >> 8 & 255] << 16 | _SPREAD[req0 >> 16] << 32)
+
+
 def cube_string(n, req1, req0):
-    """The n-character cube of a (req1, req0) literal-word pair."""
-    return "".join(
-        "1" if req1 >> k & 1 else "0" if req0 >> k & 1 else "-"
-        for k in range(n - 1, -1, -1)
-    )
+    """The n-character cube of a (req1, req0) pair; a variable in both reads '1'."""
+    word = interleave((req1, req0)) << 2 * (n & 1)  # whole hex digits
+    return format(word, f"0{n + 1 >> 1}x").translate(_HEX_CUBES)[:n]
 
 
 def cube_mask(cube, n=None):
@@ -240,10 +267,7 @@ class Cover:
 
     def __post_init__(self):
         object.__setattr__(self, "order", _check_order(self.order))
-        cubes = tuple(self.cubes)
-        for cube in cubes:
-            check_cube(cube, len(self.order))
-        object.__setattr__(self, "cubes", cubes)
+        object.__setattr__(self, "cubes", check_cubes(self.cubes, len(self.order)))
 
     @property
     def n(self):
@@ -253,9 +277,17 @@ class Cover:
         return len(self.cubes)
 
     def to_table(self):
-        bits = 0
+        n, bits, minterms = self.n, 0, []
         for cube in self.cubes:  # checked when the cover was made
-            bits |= _product_mask(self.n, *cube_words(cube))
+            if "-" in cube:
+                bits |= _product_mask(n, *cube_words(cube))
+            else:
+                minterms.append(int(cube, 2))
+        if minterms:  # one binary-digit string, row r at digit 2^n-1-r
+            digits = bytearray(b"0" * (1 << n))
+            for row in minterms:
+                digits[~row] = 49  # "1"
+            bits |= int(digits, 2)
         return TruthTable(self.order, bits)
 
     def to_expr(self):

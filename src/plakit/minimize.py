@@ -20,7 +20,7 @@ always get the true minimum.
 Everything here is deterministic: primes are reported in a fixed sort
 order, ties in cover selection break lexicographically, and the same input
 always yields the same cover. Both orders come from one integer key per
-word pair (`_order_key`) that sorts pairs as their cube strings sort.
+word pair (`logic.interleave`) that sorts pairs as their cube strings sort.
 """
 
 import heapq
@@ -28,8 +28,8 @@ import logging
 from dataclasses import dataclass, field
 
 from .logic import (
-    Cover, TruthTable, _product_mask, _var_mask, check_cube, cube_string, cube_words,
-    mask_rows,
+    Cover, TruthTable, _product_mask, _var_mask, check_cubes, cube_string, cube_words,
+    interleave, mask_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -38,19 +38,6 @@ MINIMIZER_MAX_VARS = 16  # prime counts grow exponentially; past this use a diff
 PETRICK_MAX_PRIMES = 24
 PETRICK_MAX_MINTERMS = 64
 PETRICK_MAX_PRODUCTS = 512  # absorbed products kept after any chart row
-
-# 8 bits spread to the even bits of 16: a variable's two key bits
-_SPREAD = tuple(sum((x >> k & 1) << 2 * k for k in range(8)) for x in range(256))
-
-
-def _order_key(words):
-    """An integer that orders (req1, req0) pairs as their cube strings sort
-    ('-' < '0' < '1'): two bits per variable, 00 for '-', 01 for '0' and
-    10 for '1', the first variable highest. Words have at most 16 bits."""
-    req1, req0 = words
-    return ((_SPREAD[req1 & 255] | _SPREAD[req1 >> 8] << 16) << 1
-            | _SPREAD[req0 & 255] | _SPREAD[req0 >> 8] << 16)
-
 
 def _checked_mask(n, rows):
     """The row mask of row indices over n variables; ValueError unless n
@@ -126,7 +113,7 @@ def _primes(n, on, care):
                 anchors &= ~(grown | grown << w)
             if anchors:
                 words += [(r, present ^ r) for r in mask_rows(anchors)]
-        words.sort(key=_order_key)
+        words.sort(key=interleave)
         levels.append(words)
         level = wider
     return [pair for words in reversed(levels) for pair in words]
@@ -213,7 +200,7 @@ def _cover(n, words, on):
     selected = mask_rows(chosen)
     # the most new rows wins; on equal gain the lexicographically smallest
     # cube, then the last copy of it (any copy gives the same cover)
-    heap = [(-gain, _order_key(words[i]), -i) for i, m in enumerate(masks)
+    heap = [(-gain, interleave(words[i]), -i) for i, m in enumerate(masks)
             if (gain := (m & remaining).bit_count())]
     heapq.heapify(heap)
     while remaining:
@@ -243,10 +230,9 @@ def minimum_cover(primes, spec):
     emitted in prime-list order (greedy picks in pick order) so output is
     stable.
     """
-    primes = list(primes)
     n = spec.n
-    words = [cube_words(check_cube(cube, n)) for cube in primes]
-    selected = _cover(n, words, _checked_mask(n, spec.on_set))
+    primes = check_cubes(primes, n)
+    selected = _cover(n, list(map(cube_words, primes)), _checked_mask(n, spec.on_set))
     return Cover(spec.order, tuple(primes[i] for i in selected))
 
 
@@ -290,8 +276,7 @@ class MultiOutputCover:
         object.__setattr__(self, "term_pool", tuple(self.term_pool))
         outputs = tuple((name, tuple(sel)) for name, sel in self.outputs)
         object.__setattr__(self, "outputs", outputs)
-        for cube in self.term_pool:
-            check_cube(cube, len(self.order))
+        check_cubes(self.term_pool, len(self.order))
         names = [name for name, _ in outputs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate output name in {names}")

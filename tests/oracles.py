@@ -88,6 +88,13 @@ def cube_of_words(n, req1, req0):
                    for k in range(n - 1, -1, -1))
 
 
+def and_row_naive(n, req1, req0):
+    """A fuse-map AND row, one column at a time: column 2j is bit n-1-j of
+    req1 (input j true), column 2j+1 the same bit of req0 (its complement)."""
+    return "".join(str(word >> (n - 1 - col // 2) & 1)
+                   for col, word in enumerate([req1, req0] * n))
+
+
 def greedy_cover_naive(primes, on_rows):
     """The cover minimum_cover picks without Petrick: every prime that is the
     sole coverer of some on-set row, in list order, then greedy picks that

@@ -454,6 +454,26 @@ def test_fsmsim_nonpositive_encoding_count_is_malformed(tmp_path, capsys, line, 
     assert message in capsys.readouterr().err
 
 
+def test_fsmsim_refuses_a_huge_state_bit_count(tmp_path, capsys):
+    kiss = tmp_path / "toggle.kiss"
+    kiss.write_text(TOGGLE_KISS)
+    fuse = tmp_path / "toggle.fuse"
+    enc = tmp_path / "toggle.enc"
+    main(["fsm", str(kiss), "--profile", "n2p4m2",
+          "-o", str(fuse), "--encoding-out", str(enc)])
+    enc.write_text(enc.read_text().replace("BITS 1", "BITS 100000000000"))
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("1\n")
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                 "--vectors", str(vectors)]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "100000000000 state bits exceeds the limit of 24" in err
+    assert "Traceback" not in err
+
+
 def test_fsmsim_encoding_device_mismatch(tmp_path, maj_map_file, capsys):
     enc = tmp_path / "big.enc"
     enc.write_text(

@@ -1,4 +1,5 @@
 import importlib
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from plakit import (
     FormatError,
     MultiOutputCover,
     PlaProfile,
+    PlaState,
     canonical_sop,
     compile_equations,
     cover_eval,
@@ -24,7 +26,7 @@ from plakit import (
     table_from_expr,
     write_berkeley_pla,
 )
-from oracles import random_profile, random_state, seeded
+from oracles import and_row_naive, random_profile, random_state, seeded
 
 fit_mod = importlib.import_module("plakit.fit")
 
@@ -137,6 +139,21 @@ def test_emit_fusemap_name_validation():
         emit_fusemap(state, ("A",), None)
     with pytest.raises(ValueError):
         emit_fusemap(state, None, ("M", "N"))
+
+
+def test_emit_fusemap_and_rows_match_the_per_column_oracle():
+    rng = seeded(79)
+    for n in range(1, 25):
+        full = (1 << n) - 1
+        # the all-free pair, every literal true, every literal complemented,
+        # contradictory pairs, and a repeated row
+        pairs = [(0, 0), (full, 0), (0, full), (full, full), (full, 0)]
+        pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(20)]
+        state = PlaState(PlaProfile(n, len(pairs), 1), pairs, [1])
+        lines = emit_fusemap(state).splitlines()
+        rows = lines[lines.index("AND") + 1 : lines.index("OR")]
+        assert rows == [and_row_naive(n, req1, req0) for req1, req0 in pairs]
+        assert parse_fusemap("\n".join(lines)).state == state
 
 
 def test_parse_fusemap_golden():
@@ -318,11 +335,39 @@ def test_read_berkeley_ignores_content_after_e():
          "line 1: .i 25 is more signals than the limit of 24"),
         (".i 1\n.o 1\n1 1\n.i 2\n.e\n", "line 4: .i 2 after rows read with .i 1"),
         (".i 1\n.o 1\n1 1\n.o 2\n.e\n", "line 4: .o 2 after rows read with .o 1"),
+        # the first bad row is named, whatever comes after it
+        (".i 2\n.o 1\n11 1\n1x 1\n.e\n", "line 4: input cube '1x' is not 2 chars of 0/1/-"),
+        (".i 2\n.o 1\n11 1\n1_ 1\n.e\n", "line 4: input cube '1_' is not 2 chars"),
+        (".i 2\n.o 1\n11 1\n1-1 1\n.e\n", "line 4: input cube '1-1' is not 2 chars"),
+        (".i 2\n.o 1\n11 1\n1- 2\n1x 1\n.e\n", "line 4: outputs '2' is not 1 chars of 0/1"),
+        (".i 2\n.o 1\n11 1\n1- 11\n.e\n", "line 4: outputs '11' is not 1 chars"),
+        (".i 2\n.o 1\n1 -\n.e\n", "line 3: input cube '1' is not 2 chars"),  # cube first
+        (".i 2\n.o 1\n11 1\n1x 1\n.q\n.e\n", "line 4: input cube '1x'"),
+        (".i 2\n.o 1\n11 1\n.q\n1x 1\n.e\n", "line 4: unsupported directive '.q'"),
     ],
 )
 def test_read_berkeley_errors(text, message):
     with pytest.raises(FormatError, match=message):
         read_berkeley_pla(text)
+
+
+def test_large_minterm_pla_reads_tables_and_emits_in_bounded_time():
+    # 16 inputs, two outputs, about 49k on-set minterm rows
+    rng = seeded(83)
+    outs = [rng.getrandbits(2) for _ in range(1 << 16)]
+    text = ".i 16\n.o 2\n" + "".join(
+        f"{row:016b} {bits:02b}\n" for row, bits in enumerate(outs) if bits) + ".e\n"
+    start = time.perf_counter()
+    mc = read_berkeley_pla(text)
+    tables = [mc.cover_for(name).to_table() for name in mc.names]
+    state, report = fit(mc, PlaProfile(16, len(mc.term_pool), 2))
+    fuse = emit_fusemap(state, report.input_names, report.output_names)
+    elapsed = time.perf_counter() - start
+    assert len(mc.term_pool) == sum(1 for bits in outs if bits) > 48000
+    for o, table in enumerate(tables):  # row 0 is the last digit
+        assert table.bits == int("".join(str(bits >> (1 - o) & 1) for bits in outs[::-1]), 2)
+    assert fuse.count("\n") == len(mc.term_pool) + 10
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_read_berkeley_accepts_redeclared_counts():

@@ -97,6 +97,44 @@ def test_fsm_validation():
         )
 
 
+def _first_row_error(n_in, n_out, states, transitions):
+    """The error the per-row checks meet first, in transition order: cube,
+    outputs, undeclared state, duplicate."""
+    seen = set()
+    for t in transitions:
+        if len(t.input_cube) != n_in or set(t.input_cube) - set("01-"):
+            return f"input cube {t.input_cube!r} is not {n_in} chars of 0/1/-"
+        if len(t.outputs) != n_out or set(t.outputs) - set("01"):
+            return f"outputs {t.outputs!r} is not {n_out} chars of 0/1"
+        for s in (t.current, t.next_state):
+            if s not in states:
+                return f"transition uses undeclared state {s!r}"
+        if t in seen:
+            return "duplicate transition"
+        seen.add(t)
+    return None
+
+
+def test_fsm_row_errors_keep_their_order():
+    good = [Transition(c, "S0", "S1", "10") for c in ("00", "01", "1-")]
+    faults = [
+        Transition("0", "S0", "S0", "10"), Transition("0x", "S0", "S0", "10"),
+        Transition("00-", "S1", "S0", "10"), Transition("11", "S1", "S0", "1"),
+        Transition("11", "S1", "S0", "1-"), Transition("1x", "S1", "S0", "102"),
+        Transition("11", "S1", "S9", "10"), Transition("00", "S0", "S1", "10"),
+    ]
+    rng = seeded(97)
+    for _ in range(300):
+        rows = good + rng.sample(faults, rng.randint(1, 3))
+        rng.shuffle(rows)
+        want = _first_row_error(2, 2, ("S0", "S1"), rows)
+        if want is None:
+            continue
+        with pytest.raises(ValueError) as info:
+            Fsm(2, 2, ("S0", "S1"), "S0", tuple(rows))
+        assert str(info.value).startswith(want)
+
+
 def test_overlap_check_matches_shared_rows():
     rng = seeded(89)
     pairs = [(a, b) for k in (1, 2, 3) for a in all_cubes(k) for b in all_cubes(k)]
@@ -204,6 +242,13 @@ def test_encoding_validation():
         StateEncoding(1, 0, 1, (("S0", 0),))
     with pytest.raises(ValueError, match="at least one output"):
         StateEncoding(1, 1, -3, (("S0", 0),))
+    with pytest.raises(ValueError, match="25 state bits exceeds the limit of 24"):
+        StateEncoding(25, 1, 1, (("S0", 0),))
+    with pytest.raises(ValueError, match="code -1 for 'S1' needs more than 24 bits"):
+        StateEncoding(24, 1, 1, (("S1", -1), ("S0", 0)))
+    with pytest.raises(ValueError, match="code 16777216 for 'S1' needs more than 24 bits"):
+        StateEncoding(24, 1, 1, (("S0", 0), ("S1", 1 << 24)))
+    assert StateEncoding(24, 1, 1, (("S0", 0), ("S1", (1 << 24) - 1))).bits == 24
 
 
 def test_encoding_sidecar_round_trip():
@@ -231,6 +276,8 @@ def test_encoding_sidecar_round_trip():
         (lambda t: t + "x\n", "content after END"),
         (lambda t: t.replace("STATE S0 0\n", ""), "code 0"),
         (lambda t: t[: t.index("INPUTS")], "truncated encoding: expected INPUTS"),
+        (lambda t: t.replace("BITS 1", "BITS 100000000000"),
+         "100000000000 state bits exceeds the limit of 24"),
     ],
 )
 def test_parse_encoding_errors(mutate, message):

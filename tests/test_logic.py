@@ -22,9 +22,10 @@ from plakit import (
     table_from_rows,
 )
 from plakit.logic import (
-    _product_mask, cube_mask, cube_string, cube_words, mask_rows,
+    MAX_VARS, _product_mask, check_cube, check_cubes, cube_mask, cube_string, cube_words,
+    mask_rows,
 )
-from oracles import all_cubes, cube_rows_naive, seeded
+from oracles import all_cubes, cube_of_words, cube_rows_naive, seeded
 
 MAJORITY = "A'BC + AB'C + ABC' + ABC"
 MAJORITY_COLUMN = [0, 0, 0, 1, 0, 1, 1, 1]  # rows 000..111
@@ -206,6 +207,64 @@ def test_cube_words_round_trip():
             req1, req0 = cube_words(cube)
             assert not req1 & req0
             assert cube_string(n, req1, req0) == cube
+
+
+def test_cube_string_matches_the_per_variable_oracle():
+    for n in range(1, 7):
+        for cube in all_cubes(n):
+            req1, req0 = cube_words(cube)
+            assert cube_string(n, req1, req0) == cube_of_words(n, req1, req0) == cube
+    rng = seeded(61)
+    for n in range(1, MAX_VARS + 1):
+        full = (1 << n) - 1
+        pairs = [(0, 0), (full, 0), (0, full), (full, full)]  # contradictions too
+        pairs += [(rng.getrandbits(n), rng.getrandbits(n)) for _ in range(40)]
+        for req1, req0 in pairs:
+            assert cube_string(n, req1, req0) == cube_of_words(n, req1, req0)
+
+
+def _first_cube_error(cubes, n):
+    for cube in cubes:
+        try:
+            check_cube(cube, n)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad", ["10", "1-01", "1x0", "1 0", "1_0", "", "10-\n"])
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_check_cubes_names_the_first_bad_cube_as_check_cube_does(bad, where):
+    cubes = ["1-0", "011", "---", "100", "0-1"]
+    cubes[where] = bad
+    cubes.append("1y0")  # a later bad cube is never the one reported
+    with pytest.raises(ValueError) as info:
+        check_cubes(cubes, 3)
+    assert str(info.value) == _first_cube_error(cubes, 3)
+    with pytest.raises(ValueError) as info:
+        Cover(("A", "B", "C"), cubes)
+    assert str(info.value) == _first_cube_error(cubes, 3)
+
+
+def test_check_cubes_passes_good_lists():
+    assert check_cubes([], 3) == ()
+    assert check_cubes(iter(["1-0", "011"]), 3) == ("1-0", "011")
+    for n in (1, 5, MAX_VARS):
+        cubes = tuple(all_cubes(n)) if n < 6 else ("-" * n, "1" * n, "0" * n)
+        assert check_cubes(cubes, n) == cubes
+
+
+def test_cover_to_table_mixes_minterms_and_wide_cubes():
+    rng = seeded(71)
+    for n in range(1, 10):
+        order = tuple(f"x{j}" for j in range(n))
+        for _ in range(8):
+            cubes = [
+                "".join(rng.choice("01-" if wide else "01") for _ in range(n))
+                for wide in (rng.random() < 0.4 for _ in range(rng.randrange(12)))
+            ]
+            want = sum(1 << r for r in {r for c in cubes for r in cube_rows_naive(c)})
+            assert Cover(order, cubes).to_table().bits == want
 
 
 def test_cube_contains():

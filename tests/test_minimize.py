@@ -18,6 +18,7 @@ from plakit import (
     share_terms,
     table_from_expr,
 )
+from plakit.logic import MAX_VARS, interleave
 from oracles import (
     brute_min_cover_size,
     brute_primes,
@@ -155,7 +156,7 @@ def test_primes_match_tabulation_oracle():
 
 def test_order_key_sorts_word_pairs_like_cube_strings():
     rng = seeded(53)
-    for n in range(1, 17):
+    for n in range(1, MAX_VARS + 1):
         full = (1 << n) - 1
         pairs = [(0, 0), (full, 0), (0, full)]
         for density in (0.2, 0.5, 0.9):
@@ -165,10 +166,10 @@ def test_order_key_sorts_word_pairs_like_cube_strings():
                 pairs.append((req1, present ^ req1))
         pairs += rng.choices(pairs, k=20)  # repeated pairs, the all-'-' one too
         rng.shuffle(pairs)
-        by_key = sorted(pairs, key=mn._order_key)
+        by_key = sorted(pairs, key=interleave)
         assert ([cube_of_words(n, *pair) for pair in by_key]
                 == sorted(cube_of_words(n, *pair) for pair in pairs))
-        assert len(set(map(mn._order_key, pairs))) == len(set(pairs))
+        assert len(set(map(interleave, pairs))) == len(set(pairs))
 
 
 def test_minimize_equals_the_string_api():
@@ -366,3 +367,8 @@ def test_multi_output_cover_validation():
         MultiOutputCover(("A",), ("1",), (("f", (0,)), ("f", (0,))))
     with pytest.raises(ValueError, match="missing term"):
         MultiOutputCover(("A",), ("1",), (("f", (1,)),))
+    # the first bad pool cube is named, wherever it stands
+    for pool, bad in ((("1-", "0", "1x"), "'0'"), (("1-", "0x", "1"), "'0x'"),
+                      (("1-", "00", "-1-"), "'-1-'")):
+        with pytest.raises(ValueError, match=f"input cube {bad} is not 2 chars of 0/1/-"):
+            MultiOutputCover(("A", "B"), pool, (("f", (0,)),))
