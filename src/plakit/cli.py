@@ -309,7 +309,7 @@ def cmd_fsmsim(args):
         raise ValueError("fuse map and vectors cannot both come from stdin")
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
     enc = parse_encoding(_read_text(args.encoding, "encoding"))
-    image = ControllerImage(fm.state, enc)
+    image = ControllerImage(fm.state, enc, fm.input_names or (), fm.output_names or ())
     if _exhaustive(args.vectors, enc.n_inputs):
         raise ValueError("a state machine needs a vector sequence, not 'all'")
     vectors = _load_vectors(args.vectors, enc.n_inputs)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .logic import MAX_VARS, _product_mask, _var_mask, check_bits, lowest_row
+from .logic import MAX_VARS, _coverage, _literal_mask, _product_mask, check_bits, lowest_row
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -79,7 +79,8 @@ class PlaState:
         or_words = tuple(self.or_words)
         if len(or_words) != p.n_outputs:
             raise ValueError(f"or_plane has {len(or_words)} rows, expected {p.n_outputs}")
-        literals = [w for pair in and_words for w in pair]
+        # padding rows repeat one pair: each distinct word is checked once, in row order
+        literals = dict.fromkeys(w for pair in dict.fromkeys(and_words) for w in pair)
         for name, words, width in (("and_plane", literals, p.n_inputs),
                                    ("or_plane", or_words, p.n_terms),
                                    ("polarity", (self.pol_word,), p.n_outputs)):
@@ -243,14 +244,8 @@ class _Compiled:
     @cached_property
     def twice(self):
         """Rows of each output that two or more connected terms cover."""
-        masks = []
-        for row in self.or_rows:
-            once = twice = 0
-            for t, m in enumerate(self.terms):
-                if row >> t & 1:
-                    once, twice = once | m, twice | once & m
-            masks.append(twice)
-        return tuple(masks)
+        return tuple(_coverage(m for t, m in enumerate(self.terms) if row >> t & 1)[1]
+                     for row in self.or_rows)
 
     @cached_property
     def hidden(self):
@@ -261,13 +256,6 @@ class _Compiled:
                           for row, raw, twice in zip(self.or_rows, self.raw, self.twice)
                           if row >> t & 1), self.full)
             for t, m in enumerate(self.terms)
-        )
-
-    @cached_property
-    def columns(self):
-        """(rows where input j is 0, rows where it is 1) per input j."""
-        return tuple(
-            (self.full ^ _var_mask(self.n, j), _var_mask(self.n, j)) for j in range(self.n)
         )
 
 
@@ -336,7 +324,8 @@ def _and_diffs(image, t):
     req1, req0 = image.literals[t]
     contradictory = req1 & req0
     diffs = []
-    for j, (zeros, ones) in enumerate(image.columns):
+    for j in range(n):
+        zeros, ones = _literal_mask(n, j, 0), _literal_mask(n, j, 1)
         bit = 1 << (n - 1 - j)  # also the row distance between mirror rows
         if not req1 & bit:
             true = term & zeros

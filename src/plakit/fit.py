@@ -100,25 +100,15 @@ def fit(mcover, profile):
     n_vars = len(mcover.order)
     n_outs = len(mcover.outputs)
     n_terms = len(mcover.term_pool)
-    for axis, needed, available in (("inputs", n_vars, profile.n_inputs),
-                                    ("outputs", n_outs, profile.n_outputs),
-                                    ("terms", n_terms, profile.n_terms)):
-        if needed > available:
-            raise CapacityError(axis, needed, available)
+    _check_fits(profile, n_vars, n_outs, n_terms)
 
     pad = profile.n_inputs - n_vars  # unused inputs take the low bits
     and_words = [(req1 << pad, req0 << pad)
                  for req1, req0 in map(logic.cube_words, mcover.term_pool)]
     and_words += [(0, 0)] * (profile.n_terms - n_terms)
 
-    or_words = []
-    usage = [0] * n_terms
-    for _, sel in mcover.outputs:
-        word = 0
-        for t in sel:
-            word |= 1 << t
-            usage[t] += 1
-        or_words.append(word)
+    or_words = [sum(1 << t for t in sel) for _, sel in mcover.outputs]  # no term twice
+    shared = logic._coverage(or_words)[1]  # terms feeding two or more outputs
     or_words += [0] * (profile.n_outputs - n_outs)
 
     state = PlaState(profile, and_words, or_words)
@@ -130,11 +120,20 @@ def fit(mcover, profile):
         outputs_used=n_outs,
         outputs_available=profile.n_outputs,
         assignments=mcover.outputs,
-        shared_terms=tuple(t for t in range(n_terms) if usage[t] >= 2),
+        shared_terms=tuple(logic.mask_rows(shared)),
         input_names=pad_input_names(mcover.order, profile.n_inputs),
         output_names=_pad_names(mcover.names, profile.n_outputs, "f"),
     )
     return state, report
+
+
+def _check_fits(profile, n_vars, n_outs, n_terms):
+    """CapacityError for the first of inputs, outputs and terms the device lacks."""
+    for axis, needed, available in (("inputs", n_vars, profile.n_inputs),
+                                    ("outputs", n_outs, profile.n_outputs),
+                                    ("terms", n_terms, profile.n_terms)):
+        if needed > available:
+            raise CapacityError(axis, needed, available)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +452,8 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     output is minimized instead. A polarity-1 output stores the cover of
     the complement and sets the XOR bit, leaving the pin function equal to
     the equation -- the product-of-sums trick. `polarity` is a name->bit
-    mapping or a bit sequence in equation order.
+    mapping or a bit sequence in equation order. A design that does not
+    fit raises fit's CapacityError before any minterm cube is written.
     """
     equations = list(equations)
     if not equations:
@@ -475,21 +475,36 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
                     f"equation {name!r} uses variables not in order: {sorted(missing)}"
                 )
 
-    named_covers = []
-    for (name, e), pol in zip(equations, pol_bits):
-        if pol:
-            table = logic.table_from_expr(e, order).complement()
-            cover = mn.minimize(table) if minimize else logic.canonical_sop(table)
-        elif minimize:
-            cover = mn.minimize(logic.table_from_expr(e, order))
+    covers = []  # a Cover, or a TruthTable to cover with its minterms
+    for (_, e), pol in zip(equations, pol_bits):
+        if pol or minimize:
+            table = logic.table_from_expr(e, order)
+            cover = table.complement() if pol else table
+            if minimize:
+                cover = mn.minimize(cover)
         else:
             try:
                 cover = logic.cover_from_expr(e, order)
             except ValueError:
-                cover = logic.canonical_sop(logic.table_from_expr(e, order))
-        named_covers.append((name, cover))
+                cover = logic.table_from_expr(e, order)
+        covers.append(cover)
 
-    mcover = mn.share_terms(named_covers)
+    # count the pool before writing any minterm cube: the distinct cubes
+    # with a '-', then the distinct minterm rows
+    wide, written, rows = set(), set(), 0
+    for cover in covers:
+        if isinstance(cover, logic.TruthTable):
+            rows |= cover.bits
+        else:
+            for cube in cover.cubes:
+                (wide if "-" in cube else written).add(cube)
+    minterms = rows.bit_count() + sum(not rows >> int(cube, 2) & 1 for cube in written)
+    _check_fits(profile, len(order), len(covers), len(wide) + minterms)
+
+    mcover = mn.share_terms(
+        (name, logic.canonical_sop(c) if isinstance(c, logic.TruthTable) else c)
+        for name, c in zip(names, covers)
+    )
     state, report = fit(mcover, profile)
     if any(pol_bits):
         top = profile.n_outputs - 1

@@ -270,6 +270,13 @@ def parse_encoding(text):
 # Synthesis
 
 
+def _signal_names(b, k, q):
+    """(device inputs, device outputs) of a controller with b state bits,
+    k inputs and q outputs, state bits first."""
+    return ([f"s{j}" for j in range(b)] + [f"i{j}" for j in range(k)],
+            [f"ns{j}" for j in range(b)] + [f"o{j}" for j in range(q)])
+
+
 def fsm_to_covers(fsm, encoding=None, strict=False):
     """Lower a machine to next-state and output covers over (state bits, inputs).
 
@@ -282,10 +289,17 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     if encoding is None:
         encoding = default_encoding(fsm)
     b, k, q = encoding.bits, fsm.n_inputs, fsm.n_outputs
-    order = tuple(f"s{j}" for j in range(b)) + tuple(f"i{j}" for j in range(k))
-    out_names = [f"ns{j}" for j in range(b)] + [f"o{j}" for j in range(q)]
+    if (encoding.n_inputs, encoding.n_outputs) != (k, q):
+        raise ValueError(
+            f"encoding is for {encoding.n_inputs} inputs / {encoding.n_outputs} outputs "
+            f"but the machine has {k} / {q}"
+        )
+    order, out_names = _signal_names(b, k, q)
 
     code_strs = {name: format(code, f"0{b}b") for name, code in encoding.codes}
+    for state in fsm.states:
+        if state not in code_strs:
+            raise ValueError(f"encoding has no code for state {state!r}")
     free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)  # rows no transition covers
     uses = []  # (cube, output positions): next-state bits first, then outputs
     for t in fsm.transitions:
@@ -327,6 +341,8 @@ class ControllerImage:
 
     The device must have inputs for the state bits plus the machine's
     inputs, and outputs for the state bits plus the machine's outputs.
+    Labels, when given, must start with the names `fsm_to_covers` gives
+    those signals: s0.., i0.. for inputs and ns0.., o0.. for outputs.
     """
 
     state: object
@@ -343,6 +359,14 @@ class ControllerImage:
                 f"encoding wants {need_in} inputs / {need_out} outputs but the device "
                 f"has {prof.n_inputs} / {prof.n_outputs}"
             )
+        ins, outs = _signal_names(enc.bits, enc.n_inputs, enc.n_outputs)
+        for what, names, want in (("inputs", self.input_names, ins),
+                                  ("outputs", self.output_names, outs)):
+            if names and list(names[: len(want)]) != want:
+                raise ValueError(
+                    f"device {what} {' '.join(names[: len(want)])} are not the "
+                    f"controller's {' '.join(want)}"
+                )
 
 
 def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=None):

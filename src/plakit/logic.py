@@ -16,6 +16,9 @@ that sorts pairs as their cube strings sort. A cover is an ordered list
 of cubes whose union (OR of products) is the function. An input vector
 is n binary digits. `check_cube`, `check_cubes` (one test for a whole
 list) and `check_bits` are the one place either text format is checked.
+`_literal_mask` is the one builder of one-literal row masks, and
+`_coverage` the one covered-once/covered-twice fold: essential primes,
+fault visibility and shared terms all come from it.
 """
 
 from dataclasses import dataclass, field
@@ -46,20 +49,6 @@ def _check_order(order):
     if len(order) > MAX_VARS:
         raise ValueError(f"{len(order)} variables exceeds the limit of {MAX_VARS}")
     return order
-
-
-@lru_cache(maxsize=None)
-def _var_mask(n, j):
-    """Bitmask whose row-i bit equals the value of variable j on row i."""
-    k = n - 1 - j  # column weight: variable j toggles with period 2^(k+1)
-    chunk = 1 << k
-    mask = ((1 << chunk) - 1) << chunk  # one period: chunk zeros then chunk ones
-    width = 2 * chunk
-    total = 1 << n
-    while width < total:
-        mask |= mask << width
-        width *= 2
-    return mask
 
 
 @dataclass(frozen=True)
@@ -115,7 +104,7 @@ def table_from_expr(expr, order=None):
 
     def walk(e):
         if isinstance(e, ex.Var):
-            return _var_mask(n, index[e.name])
+            return _literal_mask(n, index[e.name], 1)
         if isinstance(e, ex.Const):
             return full if e.value else 0
         if isinstance(e, ex.Not):
@@ -193,6 +182,24 @@ def _product_mask(n, req1, req0):
         free ^= bit
         rows |= rows << bit
     return rows << req1
+
+
+@lru_cache(maxsize=None)
+def _literal_mask(n, j, value):
+    """Rows where variable j of n reads `value`: the one-literal product's
+    rows, or their complement. Each is built on first use, so a table
+    never holds the complements."""
+    if value:
+        return _product_mask(n, 1 << (n - 1 - j), 0)
+    return _literal_mask(n, j, 1) ^ (1 << (1 << n)) - 1
+
+
+def _coverage(masks):
+    """(rows at least one of the masks covers, rows two or more cover)."""
+    once = twice = 0
+    for m in masks:
+        once, twice = once | m, twice | once & m
+    return once, twice
 
 
 def mask_rows(mask):

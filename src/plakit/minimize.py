@@ -28,8 +28,8 @@ import logging
 from dataclasses import dataclass, field
 
 from .logic import (
-    Cover, TruthTable, _product_mask, _var_mask, check_cubes, cube_string, cube_words,
-    interleave, mask_rows,
+    Cover, TruthTable, _coverage, _literal_mask, _product_mask, check_cubes, cube_string,
+    cube_words, interleave, mask_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ def _primes(n, on, care):
         # its one prime is the all-'-' cube, and the walk would visit every word
         return [(0, 0)]
     full = (1 << n) - 1
-    low = {1 << k: rows ^ _var_mask(n, n - 1 - k) for k in range(n)}  # bit k clear
+    low = {1 << k: _literal_mask(n, n - 1 - k, 0) for k in range(n)}  # bit k clear
     level = {0: care}  # absent-literal word -> anchor mask
     levels = []
     while level:
@@ -172,9 +172,7 @@ def _cover(n, words, on):
     `on` row mask: essentials in list order, then Petrick's choice in list
     order or greedy picks in pick order."""
     masks = [_product_mask(n, req1, req0) & on for req1, req0 in words]
-    once = twice = 0
-    for m in masks:
-        once, twice = once | m, twice | once & m
+    once, twice = _coverage(masks)
     if on & ~once:
         raise ValueError(f"primes do not cover required rows {mask_rows(on & ~once)}")
 
@@ -284,6 +282,8 @@ class MultiOutputCover:
             for i in sel:
                 if not 0 <= i < len(self.term_pool):
                     raise ValueError(f"output {name!r} references missing term {i}")
+            if len(set(sel)) != len(sel):
+                raise ValueError(f"output {name!r} lists a term twice: {sel}")
 
     @classmethod
     def pooled(cls, order, names, uses):

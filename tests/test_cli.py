@@ -113,6 +113,15 @@ def test_table_constant_needs_order(capsys):
     assert "order" in capsys.readouterr().err
 
 
+def test_synth_constant_equations_need_order(tmp_path, capsys):
+    eq = tmp_path / "k.eqn"
+    eq.write_text("K = 1\n")
+    assert main(["synth", str(eq)]) == 2
+    assert "constant equations: give the variables with --order" in capsys.readouterr().err
+    assert main(["synth", str(eq), "--order", "A"]) == 0
+    assert ".p 2\n.ilb A\n.ob K\n0 1\n1 1\n" in capsys.readouterr().out
+
+
 def test_synth_canonical_and_minimized(tmp_path, capsys):
     eq = tmp_path / "f.eqn"
     eq.write_text("F = ABC + A'BC + AB'C'\n")
@@ -278,6 +287,8 @@ def test_sim_fusemap_from_stdin(maj_map_file, capsys, monkeypatch):
 def test_sim_two_stdin_sources_rejected(capsys):
     assert main(["sim", "-", "--vectors", "-"]) == 2
     assert "stdin" in capsys.readouterr().err
+    assert main(["fsmsim", "-", "--encoding", "unread.enc", "--vectors", "-"]) == 2
+    assert "fuse map and vectors cannot both come from stdin" in capsys.readouterr().err
 
 
 def test_verify_equivalent(maj_map_file, maj_eq_file, capsys):
@@ -356,6 +367,16 @@ def test_verify_too_many_equations(tmp_path, maj_map_file, capsys):
     assert "2 equations but the device has 1" in capsys.readouterr().err
 
 
+def test_verify_refuses_variables_the_device_lacks(tmp_path, maj_map_file, capsys):
+    eq = tmp_path / "m.eqn"
+    eq.write_text("M = AD\n")
+    assert main(["verify", maj_map_file, "--equations", str(eq)]) == 2
+    assert "equation 'M' uses variables not on the device: ['D']" in capsys.readouterr().err
+    assert main(["verify", maj_map_file, "--equations", str(eq),
+                 "--var-order", "A,B,C,D"]) == 2
+    assert "4 variables but the device has 3 inputs" in capsys.readouterr().err
+
+
 def test_diagram(maj_map_file, capsys):
     assert main(["diagram", maj_map_file]) == 0
     out = capsys.readouterr().out
@@ -386,6 +407,10 @@ def test_fsm_pipeline(tmp_path, capsys):
     assert main(["fsmsim", str(fuse), "--encoding", str(enc),
                  "--vectors", str(vectors)]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 0 1", "1 1 0", "2 0 1"]
+    assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                 "--vectors", str(vectors), "--header"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["# cycle state out", "0 0 1",
+                                                    "1 1 0", "2 0 1"]
 
 
 def test_fsm_strict_exit(tmp_path, capsys):
@@ -482,6 +507,23 @@ def test_fsmsim_encoding_device_mismatch(tmp_path, maj_map_file, capsys):
     assert main(["fsmsim", maj_map_file, "--encoding", str(enc),
                  "--vectors", "-"]) == 2
     assert "encoding wants 4 inputs" in capsys.readouterr().err
+
+
+def test_fsmsim_refuses_a_combinational_fuse_map(tmp_path, capsys):
+    eqns = tmp_path / "fg.eqn"
+    eqns.write_text("F = AB + C\nG = A'C\n")
+    fuse = tmp_path / "fg.fuse"
+    assert main(["compile", str(eqns), "--profile", "n3p4m2", "-o", str(fuse)]) == 0
+    enc = tmp_path / "one.enc"
+    enc.write_text("PLAENC 1\nBITS 1\nINPUTS 2\nOUTPUTS 1\nSTATE S0 0\nEND\n")
+    vectors = tmp_path / "v.txt"
+    vectors.write_text("10\n")
+    capsys.readouterr()
+    assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                 "--vectors", str(vectors)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "device inputs A B C are not the controller's s0 i0 i1" in captured.err
 
 
 def test_fault_single_and_gate(maj_map_file, capsys):

@@ -52,6 +52,9 @@ def test_state_validation():
         PlaState(prof, ((0, 0), (0, 0)), (0,), 0)  # two rows for one term
     with pytest.raises(ValueError, match="and_plane"):
         PlaState(prof, ((0,),), (0,), 0)
+    # words are checked once each, and the first bad one in row order is named
+    with pytest.raises(ValueError, match="and_plane holds 8, not a 2-bit word"):
+        PlaState(PlaProfile(2, 4, 1), ((0, 0), (0, 8), (0, 0), (4, 8)), (0,), 0)
     with pytest.raises(ValueError, match="or_plane"):
         PlaState(prof, ((0, 0),), (0b10,), 0)  # a second term column
     with pytest.raises(ValueError, match="or_plane"):

@@ -225,6 +225,19 @@ def test_and_or_need_two_children():
         Or(Var("A"))
 
 
+def test_nodes_and_walkers_refuse_non_expr():
+    with pytest.raises(ValueError, match="constant must be 0 or 1, got 2"):
+        Const(2)
+    with pytest.raises(TypeError, match="Not child must be an Expr"):
+        Not("A")
+    with pytest.raises(TypeError, match="And operand must be an Expr, got 'B'"):
+        And(Var("A"), "B")
+    with pytest.raises(TypeError, match="not an Expr: 'A'"):
+        evaluate("A", {"A": 1})
+    with pytest.raises(TypeError, match="not an Expr: 'A'"):
+        format_expression("A")
+
+
 def test_nested_same_kind_flattens():
     assert And(And(Var("A"), Var("B")), Var("C")) == And(Var("A"), Var("B"), Var("C"))
     assert Or(Var("A"), Or(Var("B"), Var("C"))) == Or(Var("A"), Var("B"), Var("C"))

@@ -13,6 +13,7 @@ from plakit import (
     canonical_sop,
     compile_equations,
     cover_eval,
+    cover_from_expr,
     emit_fusemap,
     eval_pla,
     fit,
@@ -491,3 +492,72 @@ def test_compile_shares_terms_across_outputs():
     f1 = table_from_expr(parse_expression("AB + C"), ("A", "B", "C", "D"))
     f2 = table_from_expr(parse_expression("AB + D"), ("A", "B", "C", "D"))
     assert output_masks(state) == (f1.bits, f2.bits)
+
+
+def _random_equation(rng, names):
+    """An SOP equation, some of its products minterms, or an AND of two
+    sums, which compiles through its table."""
+    def product():
+        return "".join(v + rng.choice(("", "'")) for v in names if rng.random() < 0.6) or "1"
+
+    def sop():
+        return " + ".join(product() for _ in range(rng.randint(1, 3)))
+
+    return sop() if rng.random() < 0.5 else f"({sop()})({sop()})"
+
+
+def _pool_size(equations, order, pol):
+    """The pool the compile path builds, counted from its cube strings."""
+    covers = []
+    for (name, e), p in zip(equations, pol):
+        if p:
+            cover = canonical_sop(table_from_expr(e, order).complement())
+        else:
+            try:
+                cover = cover_from_expr(e, order)
+            except ValueError:
+                cover = canonical_sop(table_from_expr(e, order))
+        covers.append((name, cover))
+    return len(share_terms(covers).term_pool)
+
+
+def test_compile_counts_the_pool_before_writing_minterm_cubes(monkeypatch):
+    rng = seeded(131)
+    order = ("A", "B", "C", "D")
+
+    def no_pool(*_):
+        raise AssertionError("the pool was built")
+
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        text = "".join(f"F{o} = {_random_equation(rng, order)}\n" for o in range(m))
+        eqs = parse_equations(text)
+        pol = [rng.randint(0, 1) for _ in range(m)]
+        needed = _pool_size(eqs, order, pol)
+        prof = PlaProfile(4, max(1, needed), m, has_output_xor=True)
+        _, report = compile_equations(eqs, prof, polarity=pol, order=order)
+        assert report.terms_used == needed, text
+        if needed >= 2:
+            with monkeypatch.context() as patch:
+                patch.setattr(fit_mod.mn, "share_terms", no_pool)
+                with pytest.raises(CapacityError) as exc:
+                    compile_equations(eqs, PlaProfile(4, needed - 1, m, has_output_xor=True),
+                                      polarity=pol, order=order)
+            assert (exc.value.axis, exc.value.needed) == ("terms", needed), text
+
+
+def test_compile_refuses_a_wide_minterm_design_in_bounded_time():
+    order = [f"v{j}" for j in range(20)]
+    eqs = parse_equations("F = (v0 + v1) * (v2 + v3)\n", multi_letter=True)
+    for polarity in (None, [1]):
+        prof = PlaProfile(20, 64, 1, has_output_xor=polarity is not None)
+        start = time.perf_counter()
+        with pytest.raises(CapacityError) as exc:
+            compile_equations(eqs, prof, polarity=polarity, order=order)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, f"took {elapsed:.2f}s, limit 0.5s"
+        needed = 9 << 16 if polarity is None else 7 << 16  # 9 or 7 of each 16 rows
+        assert (exc.value.axis, exc.value.needed, exc.value.available) == ("terms", needed, 64)
+    # inputs and outputs are checked before terms, as fit checks them
+    with pytest.raises(CapacityError, match="needs 20 inputs but device provides 19"):
+        compile_equations(eqs, PlaProfile(19, 64, 1), order=order)

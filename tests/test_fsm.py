@@ -71,6 +71,8 @@ def test_fsm_validation():
     t = Transition("1", "S0", "S1", "1")
     with pytest.raises(ValueError, match="at least one input"):
         Fsm(0, 1, ("S0",), "S0", ())
+    with pytest.raises(ValueError, match="at least one output"):
+        Fsm(1, 0, ("S0",), "S0", ())
     # lowering builds one 2^n_inputs-row mask per state
     with pytest.raises(ValueError, match="25 inputs exceeds the limit of 24"):
         Fsm(25, 1, ("S0",), "S0", ())
@@ -538,6 +540,49 @@ def test_controller_image_must_fit_its_device():
                       (StateEncoding(1, 2, 1, codes), "3 inputs / 2 outputs")):
         with pytest.raises(ValueError, match=f"encoding wants {need}"):
             simulate_controller(ControllerImage(image.state, enc), ["1", "1", "1"])
+
+
+TWO_INPUT_KISS = """\
+.i 2
+.o 1
+1- A B 1
+0- A A 0
+-1 B A 1
+-0 B B 1
+.e
+"""
+
+
+def test_lowering_refuses_an_encoding_for_another_machine():
+    machine = parse_kiss2(TWO_INPUT_KISS)
+    for enc, message in (
+        (StateEncoding(1, 1, 1, (("A", 0), ("B", 1))),
+         "encoding is for 1 inputs / 1 outputs but the machine has 2 / 1"),
+        (StateEncoding(1, 2, 2, (("A", 0), ("B", 1))),
+         "encoding is for 2 inputs / 2 outputs but the machine has 2 / 1"),
+        (StateEncoding(1, 2, 1, (("A", 0), ("C", 1))), "encoding has no code for state 'B'"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            fsm_to_covers(machine, enc)
+        with pytest.raises(ValueError, match=message):
+            synthesize_controller(machine, PlaProfile(3, 8, 2), encoding=enc)
+    image, _ = synthesize_controller(machine, PlaProfile(3, 8, 2),
+                                     encoding=StateEncoding(1, 2, 1, (("A", 0), ("B", 1))))
+    seq = ["00", "10", "01", "01"]
+    assert ([o for _, o in simulate_controller(image, seq)]
+            == [o for _, o in simulate_fsm(machine, seq)] == ["0", "1", "1", "0"])
+
+
+def test_controller_image_checks_its_labels():
+    image, _ = synthesize_controller(toggle(), PlaProfile(3, 4, 3))
+    assert image.input_names == ("s0", "i0", "x2")
+    assert image.output_names == ("ns0", "o0", "f2")
+    ControllerImage(image.state, image.encoding)  # unlabeled: sizes only
+    ControllerImage(image.state, image.encoding, image.input_names, image.output_names)
+    with pytest.raises(ValueError, match="device inputs A B are not the controller's s0 i0"):
+        ControllerImage(image.state, image.encoding, ("A", "B", "C"))
+    with pytest.raises(ValueError, match="device outputs o0 ns0 are not the controller's ns0 o0"):
+        ControllerImage(image.state, image.encoding, (), ("o0", "ns0", "f2"))
 
 
 def _repeating_stimulus(rng, k, length):

@@ -6,7 +6,9 @@ from plakit import (
     Const,
     Cover,
     Not,
+    Or,
     TruthTable,
+    Var,
     canonical_pos,
     canonical_sop,
     counterexample,
@@ -79,6 +81,20 @@ def test_table_guards():
         TruthTable(("A", "A"), 0)
     with pytest.raises(ValueError):
         table_from_rows(("A",), [0, 1, 1])
+    with pytest.raises(ValueError, match="row 1: output must be 0 or 1, got 2"):
+        table_from_rows(("A",), [0, 2])
+    with pytest.raises(ValueError, match="variable order must not be empty"):
+        TruthTable((), 0)
+    for bits in (-1, 4):
+        with pytest.raises(ValueError, match="table bits out of range"):
+            TruthTable(("A",), bits)
+    with pytest.raises(ValueError, match="row 2 out of range"):
+        TruthTable(("A",), 1).value(2)
+    with pytest.raises(ValueError, match="no variables; pass an explicit order"):
+        table_from_expr(Const(1))
+    assert table_from_expr(Const(1), ("A",)).bits == 0b11
+    with pytest.raises(TypeError, match="not an Expr: 'AB'"):
+        table_from_expr("AB", ("A", "B"))
 
 
 def _wide_table(n):
@@ -353,6 +369,15 @@ def test_equivalent_order_mismatch():
     b = TruthTable(("B", "A"), 0)
     with pytest.raises(ValueError, match="orders differ"):
         equivalent(a, b)
+    with pytest.raises(TypeError, match="expected TruthTable, Cover, or Expr, got 'AB'"):
+        counterexample(a, "AB")
+
+
+def test_cover_to_expr_of_constant_covers():
+    order = ("A", "B")
+    assert Cover(order, ()).to_expr() == Const(0)
+    assert Cover(order, ("--",)).to_expr() == Const(1)
+    assert Cover(order, ("1-", "--")).to_expr() == Or(Var("A"), Const(1))
 
 
 def test_cover_validation():

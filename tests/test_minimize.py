@@ -367,6 +367,10 @@ def test_multi_output_cover_validation():
         MultiOutputCover(("A",), ("1",), (("f", (0,)), ("f", (0,))))
     with pytest.raises(ValueError, match="missing term"):
         MultiOutputCover(("A",), ("1",), (("f", (1,)),))
+    # one output lists each term once; two outputs may share it
+    with pytest.raises(ValueError, match=r"output 'f' lists a term twice: \(0, 0\)"):
+        MultiOutputCover(("A", "B"), ("1-", "01"), (("f", (0, 0)), ("g", (1,))))
+    MultiOutputCover(("A", "B"), ("1-", "01"), (("f", (0,)), ("g", (0, 1))))
     # the first bad pool cube is named, wherever it stands
     for pool, bad in ((("1-", "0", "1x"), "'0'"), (("1-", "0x", "1"), "'0x'"),
                       (("1-", "00", "-1-"), "'-1-'")):
