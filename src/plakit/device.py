@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .logic import MAX_VARS, _coverage, _literal_mask, _product_mask, check_bits, lowest_row
+from .logic import (MAX_VARS, _coverage, _literal_mask, _product_mask, check_bits,
+                    lowest_row, minterm_cube)
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -290,11 +291,7 @@ class Fault:
             raise ValueError(f"stuck must be one of {STUCK_MODES}, got {self.stuck!r}")
 
     def __str__(self):
-        return _fault_label(self.plane, self.row, self.col, self.stuck)
-
-
-def _fault_label(plane, row, col, stuck):
-    return f"{plane}[{row},{col}] stuck-{stuck}"
+        return f"{self.plane}[{self.row},{self.col}] stuck-{self.stuck}"
 
 
 def inject_fault(state, fault):
@@ -372,23 +369,37 @@ def find_test_vector(state, fault):
 
 
 def fault_sweep(state):
-    """(text of the fault, find_test_vector's verdict) for every fault of
-    enumerate_faults(state.profile), in that order, from one walk of the
-    image row by row. A fault stuck at the programmed value needs no work."""
+    """The `fault --all` transcript: (lines, detected). Fault f of
+    enumerate_faults(state.profile) reads f"{f}: {verdict or 'undetectable'}",
+    with find_test_vector's verdict; each string of `lines` holds one
+    crosspoint's two faults, written in one walk of the image row by row.
+    `detected` counts the faults with a test vector: the one of each
+    crosspoint whose stuck value differs from the programmed one, when it
+    changes some output."""
     image = state.compiled
     n = image.n
-    verdicts = []
-    for plane, rows, row_diffs in (("and", state.and_words, _and_diffs),
-                                   ("or", state.or_words, _or_diffs)):
+    lines, detected = [], 0
+    vectors = {}  # lowest differing row -> its input string
+    for plane, rows, cols, row_diffs in (
+            ("and", state.and_words, 2 * n, _and_diffs),
+            ("or", state.or_words, state.profile.n_terms, _or_diffs)):
+        tails = [(f"{c}] stuck-connected: ", f"{c}] stuck-disconnected: ")
+                 for c in range(cols)]
         for r in range(len(rows)):
-            for c, (bit, diff) in enumerate(zip(_row_bits(state, plane, r),
-                                                row_diffs(image, r))):
-                vector = lowest_row(diff, n)
-                verdicts += (
-                    (_fault_label(plane, r, c, "connected"), None if bit else vector),
-                    (_fault_label(plane, r, c, "disconnected"), vector if bit else None),
-                )
-    return verdicts
+            head = f"{plane}[{r},"
+            for (on, off), bit, diff in zip(tails, _row_bits(state, plane, r),
+                                            row_diffs(image, r)):
+                if not diff:
+                    lines.append(f"{head}{on}undetectable\n{head}{off}undetectable\n")
+                    continue
+                row = (diff & -diff).bit_length() - 1
+                vector = vectors.get(row) or vectors.setdefault(row, minterm_cube(row, n))
+                detected += 1
+                if bit:
+                    lines.append(f"{head}{on}undetectable\n{head}{off}{vector}\n")
+                else:
+                    lines.append(f"{head}{on}{vector}\n{head}{off}undetectable\n")
+    return lines, detected
 
 
 # ---------------------------------------------------------------------------

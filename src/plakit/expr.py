@@ -168,65 +168,57 @@ class _Parser:
         self.tokens = _tokenize(text, multi_letter)
         self.pos = 0
         self.multi_letter = multi_letter
+        self.leaves = {}  # one Var per name: nodes are frozen and compare by value
 
     def error(self, message, index):
         return ParseError(message, _byte_offset(self.text, index))
 
-    @property
-    def cur(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def parse_or(self):
         terms = [self.parse_and()]
-        while self.cur[0] == _PLUS:
-            self.advance()
+        while self.tokens[self.pos][0] == _PLUS:
+            self.pos += 1
             terms.append(self.parse_and())
         return terms[0] if len(terms) == 1 else Or(*terms)
 
     def parse_and(self):
         factors = [self.parse_factor()]
         while True:
-            kind, _, index = self.cur
+            kind, _, index = self.tokens[self.pos]
             if kind == _STAR:
-                self.advance()
-                factors.append(self.parse_factor())
-            elif kind in _FACTOR_START:
-                if self.multi_letter:
-                    raise self.error(
-                        "missing AND operator (multi-letter mode requires '*')", index
-                    )
-                factors.append(self.parse_factor())
-            else:
+                self.pos += 1
+            elif kind not in _FACTOR_START:
                 break
+            elif self.multi_letter:
+                raise self.error(
+                    "missing AND operator (multi-letter mode requires '*')", index
+                )
+            factors.append(self.parse_factor())
         return factors[0] if len(factors) == 1 else And(*factors)
 
     def parse_factor(self):
-        if self.cur[0] == _BANG:
-            self.advance()
+        tokens = self.tokens
+        if tokens[self.pos][0] == _BANG:
+            self.pos += 1
             return _negate(self.parse_factor())
         expr = self.parse_primary()
-        while self.cur[0] == _PRIME:
-            self.advance()
+        while tokens[self.pos][0] == _PRIME:
+            self.pos += 1
             expr = _negate(expr)
         return expr
 
     def parse_primary(self):
-        kind, text, index = self.advance()
+        kind, text, index = self.tokens[self.pos]
+        self.pos += 1
         if kind == _NAME:
-            return Var(text)
+            return self.leaves.get(text) or self.leaves.setdefault(text, Var(text))
         if kind == _CONST:
             return Const(int(text))
         if kind == _LPAREN:
             expr = self.parse_or()
-            kind, _, index = self.cur
+            kind, _, index = self.tokens[self.pos]
             if kind != _RPAREN:
                 raise self.error("unbalanced parentheses: expected ')'", index)
-            self.advance()
+            self.pos += 1
             return expr
         if kind == _RPAREN:
             raise self.error("unbalanced parentheses: unexpected ')'", index)
@@ -248,7 +240,7 @@ def parse_expression(text, multi_letter=False):
         raise ParseError("empty expression", 0)
     parser = _Parser(text, multi_letter)
     expr = parser.parse_or()
-    kind, tok, index = parser.cur
+    kind, tok, index = parser.tokens[parser.pos]
     if kind != _END:
         raise parser.error(f"unexpected trailing token {tok!r}", index)
     return expr

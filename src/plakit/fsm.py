@@ -300,6 +300,9 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     for state in fsm.states:
         if state not in code_strs:
             raise ValueError(f"encoding has no code for state {state!r}")
+    if encoding.reset != fsm.reset:  # the register starts at code 0
+        raise ValueError(f"encoding gives code 0 to {encoding.reset!r}, "
+                         f"but the machine resets to {fsm.reset!r}")
     free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)  # rows no transition covers
     uses = []  # (cube, output positions): next-state bits first, then outputs
     for t in fsm.transitions:

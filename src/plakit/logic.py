@@ -95,9 +95,6 @@ def table_from_expr(expr, order=None):
         if not order:  # a constant has no rows to number; callers give an order
             raise ValueError("expression has no variables; pass an explicit order")
     order = _check_order(order)
-    missing = set(ex.variables(expr)) - set(order)
-    if missing:
-        raise ValueError(f"order is missing variables: {sorted(missing)}")
     n = len(order)
     index = {name: j for j, name in enumerate(order)}
     full = (1 << (1 << n)) - 1
@@ -115,7 +112,12 @@ def table_from_expr(expr, order=None):
             return reduce(or_, map(walk, e.children), 0)
         raise TypeError(f"not an Expr: {e!r}")
 
-    return TruthTable(order, walk(expr))
+    try:
+        bits = walk(expr)
+    except KeyError:  # a name not in `order`: report every such name
+        missing = set(ex.variables(expr)) - set(order)
+        raise ValueError(f"order is missing variables: {sorted(missing)}") from None
+    return TruthTable(order, bits)
 
 
 def table_from_rows(order, outputs):

@@ -12,6 +12,7 @@ import pytest
 import plakit
 from plakit import (
     Cover,
+    Fault,
     Fsm,
     PlaProfile,
     Transition,
@@ -367,6 +368,16 @@ def test_verify_too_many_equations(tmp_path, maj_map_file, capsys):
     assert "2 equations but the device has 1" in capsys.readouterr().err
 
 
+def test_compile_refuses_variables_outside_its_order(tmp_path, capsys):
+    # the check runs before any table is built, on the SOP and table paths alike
+    eq = tmp_path / "m.eqn"
+    eq.write_text("M = AD + (B + C)'\n")
+    for extra in ([], ["--minimize"]):
+        assert main(["compile", str(eq), "--profile", "n3p8m1", "--order", "A,B", *extra]) == 2
+        assert (capsys.readouterr().err
+                == "error: equation 'M' uses variables not in order: ['C', 'D']\n")
+
+
 def test_verify_refuses_variables_the_device_lacks(tmp_path, maj_map_file, capsys):
     eq = tmp_path / "m.eqn"
     eq.write_text("M = AD\n")
@@ -664,6 +675,26 @@ def _planted_state(rng, n, tech, xor):
     return state_from_planes(prof, and_plane, or_plane, state.polarity)
 
 
+def _fault_all(tmp_path, capsys, state, *flags):
+    """Run `fault --all` on the image, check every line against find_test_vector
+    and the brute-force oracle, and return (exit code, faults detected)."""
+    fuse = tmp_path / "image.fuse"
+    fuse.write_text(emit_fusemap(state))
+    code = main(["fault", str(fuse), "--all", *flags])
+    lines = capsys.readouterr().out.splitlines()
+    faults = enumerate_faults(state.profile)
+    assert len(lines) == len(faults) + 1
+    detected = 0
+    for line, fault in zip(lines, faults):
+        want = lowest_differing_row_naive(state, fault)
+        assert find_test_vector(state, fault) == want, fault
+        assert line == f"{fault}: {find_test_vector(state, fault) or 'undetectable'}"
+        detected += want is not None
+    pct = 100.0 * detected / len(faults)
+    assert lines[-1] == f"coverage: {detected}/{len(faults)} detected ({pct:.1f}%)"
+    return code, detected
+
+
 def test_fault_all_matches_find_test_vector_and_oracle(tmp_path, capsys):
     rng = seeded(61)
     cases = [(n, tech, xor) for n in range(1, 10)
@@ -671,20 +702,28 @@ def test_fault_all_matches_find_test_vector_and_oracle(tmp_path, capsys):
     cases.append((16, "antifuse", True))
     for n, tech, xor in cases:
         state = _planted_state(rng, n, tech, xor)
-        fuse = tmp_path / "image.fuse"
-        fuse.write_text(emit_fusemap(state))
-        assert main(["fault", str(fuse), "--all"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        faults = enumerate_faults(state.profile)
-        assert len(lines) == len(faults) + 1
-        detected = 0
-        for line, fault in zip(lines, faults):
-            want = lowest_differing_row_naive(state, fault)
-            assert find_test_vector(state, fault) == want, fault
-            assert line == f"{fault}: {want or 'undetectable'}"
-            detected += want is not None
-        pct = 100.0 * detected / len(faults)
-        assert lines[-1] == f"coverage: {detected}/{len(faults)} detected ({pct:.1f}%)"
+        assert _fault_all(tmp_path, capsys, state)[0] == 0
+
+
+def test_fault_all_on_blank_devices(tmp_path, capsys):
+    # A blank fuse array ties every term to x and x' of every input, so from
+    # two inputs up no single crosspoint changes an output. A blank antifuse
+    # array's terms are the constant 1 and feed nothing: only connecting one
+    # to an output shows, at row 0.
+    for n in (1, 2, 3, 6):
+        for tech in ("fuse", "antifuse"):
+            for xor in (False, True):
+                prof = PlaProfile(n, 3, 2, tech, xor)
+                state = blank_device(prof)
+                assert _fault_all(tmp_path, capsys, state)[0] == 0
+                code, detected = _fault_all(tmp_path, capsys, state, "--require-full-coverage")
+                assert code == 1
+                if tech == "antifuse":
+                    assert detected == prof.n_outputs * prof.n_terms
+                    assert {find_test_vector(state, Fault("or", o, t, "connected"))
+                            for o in range(2) for t in range(3)} == {"0" * n}
+                elif n > 1:  # so the last line reads coverage: 0/N detected (0.0%)
+                    assert detected == 0
 
 
 def test_sim_all_chunks_match_explicit_vectors(tmp_path, capsys):

@@ -573,6 +573,19 @@ def test_lowering_refuses_an_encoding_for_another_machine():
             == [o for _, o in simulate_fsm(machine, seq)] == ["0", "1", "1", "0"])
 
 
+def test_lowering_refuses_an_encoding_whose_code_0_is_not_the_reset():
+    # the register starts at code 0: run from S1, the toggle machine would
+    # give 0 1 0 on 1 1 1 where the machine gives 1 0 1
+    machine = toggle()
+    enc = StateEncoding(1, 1, 1, (("S1", 0), ("S0", 1)))
+    message = "encoding gives code 0 to 'S1', but the machine resets to 'S0'"
+    with pytest.raises(ValueError, match=message):
+        fsm_to_covers(machine, enc)
+    with pytest.raises(ValueError, match=message):
+        synthesize_controller(machine, PlaProfile(2, 4, 2), encoding=enc)
+    assert [o for _, o in simulate_fsm(machine, ["1", "1", "1"])] == ["1", "0", "1"]
+
+
 def test_controller_image_checks_its_labels():
     image, _ = synthesize_controller(toggle(), PlaProfile(3, 4, 3))
     assert image.input_names == ("s0", "i0", "x2")

@@ -97,6 +97,19 @@ def test_table_guards():
         table_from_expr("AB", ("A", "B"))
 
 
+def test_table_from_expr_names_every_missing_variable():
+    # the table walk stops at the first name outside the order; the message
+    # still lists every missing name, sorted
+    for text, order, names in (
+        ("D + AB' + !C", ("A",), ["B", "C", "D"]),
+        ("A + (B + D)'", ("A", "B"), ["D"]),  # under a Not
+        ("A + (BCD)", ("A", "C"), ["B", "D"]),  # inside a parenthesized And
+    ):
+        with pytest.raises(ValueError) as info:
+            table_from_expr(parse_expression(text), order)
+        assert str(info.value) == f"order is missing variables: {names}"
+
+
 def _wide_table(n):
     """A table over n variables whose rows differ from chunk to chunk."""
     order = tuple(f"x{j}" for j in range(n))
