@@ -57,10 +57,8 @@ def parse_profile(spec):
     """Profile syntax: nXpYmZ[:fuse|:antifuse][:xor], e.g. n4p8m2:antifuse:xor."""
     head, *flags = spec.split(":")
     m = _PROFILE_RE.fullmatch(head)
-    if not m:
-        raise ValueError(
-            f"bad profile {spec!r}: expected nXpYmZ[:fuse|:antifuse][:xor]"
-        )
+    if not m or len(set(flags)) < len(flags) or {"fuse", "antifuse"} <= set(flags):
+        raise ValueError(f"bad profile {spec!r}: expected nXpYmZ[:fuse|:antifuse][:xor]")
     tech = "fuse"
     xor = False
     for flag in flags:

@@ -161,9 +161,9 @@ def emit_fusemap(state, input_names=None, output_names=None):
         f"DIM {prof.n_inputs} {prof.n_terms} {prof.n_outputs}",
     ]
     if input_names is not None:
-        lines.append("ILB " + " ".join(input_names))
+        lines.append("ILB " + logic._label_line(input_names))
     if output_names is not None:
-        lines.append("OB " + " ".join(output_names))
+        lines.append("OB " + logic._label_line(output_names))
     lines.append("AND")
     row_fmt = f"0{2 * prof.n_inputs}b"  # column 2j: input j true, 2j+1: its complement
     rows = {w: format(logic.interleave(w), row_fmt) for w in set(state.and_words)}  # each once
@@ -428,8 +428,8 @@ def write_berkeley_pla(mcover):
         f".i {n}",
         f".o {len(mcover.outputs)}",
         f".p {len(mcover.term_pool)}",
-        ".ilb " + " ".join(mcover.order),
-        ".ob " + " ".join(mcover.names),
+        ".ilb " + logic._label_line(mcover.order, comments=True),
+        ".ob " + logic._label_line(mcover.names, comments=True),
     ]
     sel_sets = [set(sel) for _, sel in mcover.outputs]
     for t, cube in enumerate(mcover.term_pool):

@@ -38,7 +38,8 @@ from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .fit import _check_row, _directive_count, _next_line, _nonblank_lines, _scan_rows, fit
 from .logic import (
-    MAX_VARS, _product_mask, _texts_ok, check_bits, cube_contains, cube_words, mask_rows
+    MAX_VARS, _label_line, _product_mask, _texts_ok, check_bits, cube_contains, cube_words,
+    mask_rows,
 )
 
 
@@ -146,6 +147,7 @@ _KISS2_DIRECTIVES = {".s": _directive_count, ".r": _reset_name}
 
 
 def write_kiss2(fsm):
+    _label_line(fsm.states, comments=True)
     lines = [
         f".i {fsm.n_inputs}",
         f".o {fsm.n_outputs}",
@@ -229,6 +231,7 @@ def emit_encoding(enc):
         f"INPUTS {enc.n_inputs}",
         f"OUTPUTS {enc.n_outputs}",
     ]
+    _label_line([name for name, _ in enc.codes])
     lines.extend(f"STATE {name} {code}" for name, code in enc.codes)
     lines.append("END")
     return "\n".join(lines) + "\n"

@@ -161,6 +161,17 @@ def check_cubes(cubes, n):
     return cubes
 
 
+def _label_line(labels, comments=False):
+    """The labels joined by spaces, unless a reader would split or drop one:
+    ValueError for an empty label, one holding whitespace, or with
+    `comments` one holding '#'."""
+    line = " ".join(labels)
+    if line.split() != list(labels) or comments and "#" in line:
+        bad = next(s for s in labels if s.split() != [s] or comments and "#" in s)
+        raise ValueError(f"label {bad!r} would not read back as itself")
+    return line
+
+
 def check_bits(bits, n):
     """An input vector (string or 0/1 sequence) as n binary digits, else ValueError."""
     if not isinstance(bits, str):
@@ -230,10 +241,14 @@ def interleave(words):
             | _SPREAD[req0 & 255] | _SPREAD[req0 >> 8 & 255] << 16 | _SPREAD[req0 >> 16] << 32)
 
 
+def _key_cube(n, key):
+    """The n-character cube of an `interleave` key, read as whole hex digits."""
+    return format(key << 2 * (n & 1), f"0{n + 1 >> 1}x").translate(_HEX_CUBES)[:n]
+
+
 def cube_string(n, req1, req0):
     """The n-character cube of a (req1, req0) pair; a variable in both reads '1'."""
-    word = interleave((req1, req0)) << 2 * (n & 1)  # whole hex digits
-    return format(word, f"0{n + 1 >> 1}x").translate(_HEX_CUBES)[:n]
+    return _key_cube(n, interleave((req1, req0)))
 
 
 def cube_mask(cube, n=None):

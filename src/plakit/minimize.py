@@ -1,21 +1,23 @@
 """Two-level minimization: prime implicants and minimum covers.
 
-Cubes are '01-' strings only at the API. Inside, a prime is its
-(req1, req0) literal-word pair from the first anchor mask to the chosen
-cover, and `minimize` formats only the selected primes, once. Primes come
-from the on-set plus don't-care set as one row mask, never from minterm
-lists: for each word D of absent literals, an anchor mask M[D] holds the
-rows r (with r & D == 0) whose D-cube lies inside the function.
-M[D|w] is M[D] & M[D] >> w over the rows with bit w clear, and only
-nonzero anchor masks are visited, level by level. An anchor that no
-one-bit-wider cube contains is a prime. Cover selection works on one
-on-set row mask per prime: it extracts essential primes first, then
-finishes with Petrick's method (exact) when the residual chart is small
-enough and its absorbed products stay within PETRICK_MAX_PRODUCTS, or a
-lazy greedy set cover otherwise: a prime's gain only falls as rows get
-covered, so gains kept in a heap are upper bounds and only the top is
-rescored. Small problems -- anything a datasheet example would show --
-always get the true minimum.
+Cubes are '01-' strings only at the API. Inside, a prime is a
+(key, req1, req0) triple from the first anchor mask to the chosen cover,
+its `interleave` key built once; `minimize` formats only the selected
+primes, once, from their keys. Primes come from the on-set plus don't-care
+set as one row mask, never from minterm lists: for each word D of absent
+literals, an anchor mask M[D] holds the rows r (with r & D == 0) whose
+D-cube lies inside the function. M[D|w] is M[D] & M[D] >> w over the rows
+with bit w clear, and only nonzero anchor masks are visited, level by
+level. An anchor is prime unless a one-bit-wider cube holds it: each M[E]
+takes M[E] | M[E] << w out of M[E ^ w] for every bit w of E. A prime's
+on-set row mask is its present-literal word's cube from row 0, built once
+per word, shifted up to row req1. Cover selection extracts essential
+primes first, then finishes with Petrick's method (exact) when the
+residual chart is small enough and its absorbed products stay within
+PETRICK_MAX_PRODUCTS, or a lazy greedy set cover otherwise: a prime's gain
+only falls as rows get covered, so gains kept in a heap are upper bounds
+and only the top is rescored. Small problems -- anything a datasheet
+example would show -- always get the true minimum.
 
 Everything here is deterministic: primes are reported in a fixed sort
 order, ties in cover selection break lexicographically, and the same input
@@ -28,8 +30,8 @@ import logging
 from dataclasses import dataclass, field
 
 from .logic import (
-    Cover, TruthTable, _coverage, _literal_mask, _product_mask, check_cubes, cube_string,
-    cube_words, interleave, mask_rows,
+    Cover, TruthTable, _check_order, _coverage, _key_cube, _literal_mask, _product_mask,
+    check_cubes, cube_words, interleave, mask_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -42,8 +44,6 @@ PETRICK_MAX_PRODUCTS = 512  # absorbed products kept after any chart row
 def _checked_mask(n, rows):
     """The row mask of row indices over n variables; ValueError unless n
     suits the minimizer and every index is one of the 2^n rows."""
-    if n == 0:
-        raise ValueError("variable order must not be empty")
     if n > MINIMIZER_MAX_VARS:
         raise ValueError(
             f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}"
@@ -66,7 +66,7 @@ class MinimizeSpec:
     dc_set: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
+        object.__setattr__(self, "order", _check_order(self.order))
         object.__setattr__(self, "on_set", frozenset(self.on_set))
         object.__setattr__(self, "dc_set", frozenset(self.dc_set))
         _checked_mask(len(self.order), self.on_set | self.dc_set)
@@ -80,14 +80,14 @@ class MinimizeSpec:
 
 
 def _primes(n, on, care):
-    """Prime implicants of the `care` row mask as (req1, req0) pairs, widest
-    first, then in cube-string order; none when the `on` mask is empty."""
+    """Prime implicants of the `care` row mask as (key, req1, req0) triples,
+    key = interleave((req1, req0)), widest first and then by key (cube-string
+    order); none when the `on` mask is empty."""
     if not on:
         return []
-    rows = (1 << (1 << n)) - 1
-    if care == rows:
+    if care == (1 << (1 << n)) - 1:
         # its one prime is the all-'-' cube, and the walk would visit every word
-        return [(0, 0)]
+        return [(0, 0, 0)]
     full = (1 << n) - 1
     low = {1 << k: _literal_mask(n, n - 1 - k, 0) for k in range(n)}  # bit k clear
     level = {0: care}  # absent-literal word -> anchor mask
@@ -103,20 +103,20 @@ def _primes(n, on, care):
                 if grown:
                     wider[absent | w] = grown
                 w <<= 1
-        words = []
-        for absent, anchors in level.items():
-            present = spare = full ^ absent
+        # an anchor inside a one-bit-wider cube is no prime: each wider cube
+        # takes its rows out of every word it grows from that still has any
+        for absent, anchors in wider.items():
+            spare = absent
             while spare:
                 w = spare & -spare
                 spare ^= w
-                grown = wider.get(absent | w, 0)
-                anchors &= ~(grown | grown << w)
-            if anchors:
-                words += [(r, present ^ r) for r in mask_rows(anchors)]
-        words.sort(key=interleave)
-        levels.append(words)
+                if level[absent ^ w]:
+                    level[absent ^ w] &= ~(anchors | anchors << w)
+        levels.append(sorted([(interleave((r, present ^ r)), r, present ^ r)
+                              for absent, anchors in level.items() if anchors
+                              for present in (full ^ absent,) for r in mask_rows(anchors)]))
         level = wider
-    return [pair for words in reversed(levels) for pair in words]
+    return [prime for primes in reversed(levels) for prime in primes]
 
 
 def prime_implicants(spec):
@@ -128,7 +128,7 @@ def prime_implicants(spec):
     n = spec.n
     on = _checked_mask(n, spec.on_set)
     care = on | _checked_mask(n, spec.dc_set)
-    return [cube_string(n, *pair) for pair in _primes(n, on, care)]
+    return [_key_cube(n, key) for key, _, _ in _primes(n, on, care)]
 
 
 def _petrick(masks, remaining):
@@ -167,25 +167,29 @@ def _petrick(masks, remaining):
     return min(products, key=lambda mask: (mask.bit_count(), mask_rows(mask)))
 
 
-def _cover(n, words, on):
-    """Indices of the primes (as (req1, req0) pairs) chosen to cover the
-    `on` row mask: essentials in list order, then Petrick's choice in list
-    order or greedy picks in pick order."""
-    masks = [_product_mask(n, req1, req0) & on for req1, req0 in words]
+def _cover(n, primes, on):
+    """Indices of the `_primes` triples chosen to cover the `on` row mask:
+    essentials in list order, then Petrick's choice in list order or greedy
+    picks in pick order. One base row mask per present-literal word."""
+    base, masks = {}, []  # base: present-literal word -> its cube's rows from row 0
+    for _, req1, req0 in primes:
+        if (rows := base.get(req1 | req0)) is None:
+            rows = base[req1 | req0] = _product_mask(n, 0, req1 | req0)
+        masks.append(rows << req1 & on)
     once, twice = _coverage(masks)
     if on & ~once:
         raise ValueError(f"primes do not cover required rows {mask_rows(on & ~once)}")
 
-    # essential primes: sole coverers of some row; the rest lies in `twice`
-    chosen, remaining = 0, twice
+    # essential primes: sole coverers of some row (in once ^ twice); the rest lies in `twice`
+    chosen, remaining, sole = 0, twice, once ^ twice
     for i, m in enumerate(masks):
-        if m & ~twice:
+        if m & sole:
             chosen |= 1 << i
             remaining &= ~m
 
     if not remaining:
         return mask_rows(chosen)
-    counts = len(words), remaining.bit_count()
+    counts = len(primes), remaining.bit_count()
     if counts[0] > PETRICK_MAX_PRIMES or counts[1] > PETRICK_MAX_MINTERMS:
         why = f"exceed thresholds {PETRICK_MAX_PRIMES}/{PETRICK_MAX_MINTERMS}"
     elif (exact := _petrick(masks, remaining)) is None:
@@ -198,7 +202,7 @@ def _cover(n, words, on):
     selected = mask_rows(chosen)
     # the most new rows wins; on equal gain the lexicographically smallest
     # cube, then the last copy of it (any copy gives the same cover)
-    heap = [(-gain, interleave(words[i]), -i) for i, m in enumerate(masks)
+    heap = [(-gain, primes[i][0], -i) for i, m in enumerate(masks)
             if (gain := (m & remaining).bit_count())]
     heapq.heapify(heap)
     while remaining:
@@ -230,7 +234,8 @@ def minimum_cover(primes, spec):
     """
     n = spec.n
     primes = check_cubes(primes, n)
-    selected = _cover(n, list(map(cube_words, primes)), _checked_mask(n, spec.on_set))
+    triples = [(interleave(w), *w) for w in map(cube_words, primes)]
+    selected = _cover(n, triples, _checked_mask(n, spec.on_set))
     return Cover(spec.order, tuple(primes[i] for i in selected))
 
 
@@ -247,9 +252,8 @@ def minimize(table_or_cover, dc=None):
     n = table.n
     dc_mask = _checked_mask(n, dc or ())
     on = table.bits & ~dc_mask
-    words = _primes(n, on, table.bits | dc_mask)
-    selected = _cover(n, words, on)
-    return Cover(table.order, tuple(cube_string(n, *words[i]) for i in selected))
+    primes = _primes(n, on, table.bits | dc_mask)
+    return Cover(table.order, tuple(_key_cube(n, primes[i][0]) for i in _cover(n, primes, on)))
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ def test_parse_profile():
         parse_profile("3x8x2")
     with pytest.raises(ValueError):
         parse_profile("n3p8m2:otp")
+    assert parse_profile("n3p4m1:xor:antifuse") == PlaProfile(3, 4, 1, "antifuse", True)
+    # a flag given twice, or both technologies, would let the last one win
+    for spec in ("n3p4m1:fuse:antifuse", "n3p4m1:antifuse:fuse:xor", "n3p4m1:xor:xor",
+                 "n3p4m1:fuse:fuse"):
+        with pytest.raises(ValueError, match="bad profile"):
+            parse_profile(spec)
 
 
 def test_table_majority(capsys):

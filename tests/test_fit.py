@@ -142,6 +142,20 @@ def test_emit_fusemap_name_validation():
         emit_fusemap(state, None, ("M", "N"))
 
 
+def test_emit_fusemap_refuses_labels_its_reader_would_change():
+    state, _ = fit(majority_mcover(), PlaProfile(3, 4, 1))
+    labels = ("A", "B#", "C")  # the fuse-map reader keeps '#'
+    assert parse_fusemap(emit_fusemap(state, labels, ("M",))).input_names == labels
+    state, report = compile_equations(
+        parse_equations("F = A B"), PlaProfile(3, 2, 1), order=("A", "B", "my var")
+    )
+    for names in (report.input_names, ("A", "B", ""), ("A", "B", "C\tD")):
+        with pytest.raises(ValueError, match="would not read back"):
+            emit_fusemap(state, names, report.output_names)
+    with pytest.raises(ValueError, match="'F G'"):
+        emit_fusemap(state, ("A", "B", "C"), ("F G",))
+
+
 def test_emit_fusemap_and_rows_match_the_per_column_oracle():
     rng = seeded(79)
     for n in range(1, 25):
@@ -394,6 +408,16 @@ def test_berkeley_round_trip_preserves_semantics():
             assert back.cover_for(name).to_table() == mc.cover_for(name).to_table()
         # writing the reread cover is byte-stable
         assert write_berkeley_pla(back) == write_berkeley_pla(mc)
+
+
+def test_write_berkeley_pla_refuses_labels_its_reader_would_change():
+    mc = share_terms([("F_1", Cover(("A", "B_2"), ("1-",)))])
+    assert read_berkeley_pla(write_berkeley_pla(mc)).names == ("F_1",)
+    for order, name in ((("A", "B#"), "F"), (("A", "B"), "F#1"), (("A", "B"), "F 1"),
+                        (("A", ""), "F")):
+        mc = share_terms([(name, Cover(order, ("1-",)))])
+        with pytest.raises(ValueError, match="would not read back"):
+            write_berkeley_pla(mc)
 
 
 G4 = "A'B + AB'CD + BC' + ABD + B'C'D'"

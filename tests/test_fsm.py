@@ -253,6 +253,31 @@ def test_encoding_validation():
     assert StateEncoding(24, 1, 1, (("S0", 0), ("S1", (1 << 24) - 1))).bits == 24
 
 
+def _renamed(fsm, old, new):
+    swap = {old: new}.get
+    return Fsm(fsm.n_inputs, fsm.n_outputs, tuple(swap(s, s) for s in fsm.states),
+               swap(fsm.reset, fsm.reset),
+               tuple(Transition(t.input_cube, swap(t.current, t.current),
+                                swap(t.next_state, t.next_state), t.outputs)
+                     for t in fsm.transitions))
+
+
+def test_write_kiss2_refuses_state_names_its_reader_would_change():
+    fsm = _renamed(toggle(), "S1", "S.1")
+    assert parse_kiss2(write_kiss2(fsm)) == fsm
+    for name in ("S 0", "S#0", "", "S\n0"):
+        with pytest.raises(ValueError, match="would not read back"):
+            write_kiss2(_renamed(toggle(), "S0", name))
+
+
+def test_emit_encoding_refuses_state_names_its_reader_would_change():
+    enc = default_encoding(_renamed(toggle(), "S1", "S#1"))  # PLAENC keeps '#'
+    assert parse_encoding(emit_encoding(enc)) == enc
+    for name in ("S 0", "", "S\t0"):
+        with pytest.raises(ValueError, match="would not read back"):
+            emit_encoding(default_encoding(_renamed(toggle(), "S0", name)))
+
+
 def test_encoding_sidecar_round_trip():
     enc = default_encoding(toggle())
     text = emit_encoding(enc)

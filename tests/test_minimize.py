@@ -325,6 +325,41 @@ def test_spec_validation():
         MinimizeSpec(tuple(f"v{i}" for i in range(17)), frozenset({0}))
 
 
+def test_spec_checks_its_order_like_truth_table():
+    with pytest.raises(ValueError, match="duplicate variable in order"):
+        MinimizeSpec(("A", "A"), {1})
+    with pytest.raises(ValueError, match="must not be empty"):
+        MinimizeSpec((), {0})
+
+
+def test_every_small_function_matches_the_brute_force_oracles(caplog):
+    """Each on/dc/off assignment at n = 1, 2, 3: the primes, an exact cover
+    of the on-set within on ∪ dc, and its size wherever Petrick ran. This
+    takes in all-dc functions, empty on-sets and levels with no wider cube."""
+    caplog.set_level(logging.INFO, logger="plakit.minimize")
+    for n in (1, 2, 3):
+        order = tuple("ABC"[:n])
+        oracle = {}  # on ∪ dc -> its primes; 3^(2^n) functions share 2^(2^n) of them
+        for code in range(3 ** (1 << n)):
+            on, dc, rest = set(), set(), code
+            for row in range(1 << n):
+                rest, kind = divmod(rest, 3)
+                (on, dc, set())[kind].add(row)
+            spec = MinimizeSpec(order, on, dc)
+            primes = prime_implicants(spec)
+            care = frozenset(on | dc)
+            if care not in oracle:
+                oracle[care] = brute_primes(care, n)
+            assert primes == (oracle[care] if on else [])
+            caplog.clear()
+            cover = minimize(TruthTable(order, sum(1 << r for r in on)), dc)
+            hit = {r for cube in cover.cubes for r in cube_rows_naive(cube)}
+            assert on <= hit <= on | dc
+            assert cover == minimum_cover(primes, spec)
+            if "greedy cover" not in caplog.text:
+                assert len(cover.cubes) == brute_min_cover_size(primes, on, n)
+
+
 def test_share_terms_pools_common_products():
     order = ("A", "B", "C", "D")
     f1 = Cover(order, ("11--", "--1-"))  # AB + C
