@@ -61,10 +61,18 @@ class PlaState:
     The planes are stored as words. AND row t is a (req1, req0) pair: bit
     n-1-j of req1 connects input j true (column 2j), the same bit of req0
     its complement (column 2j+1). Bit t of OR row o connects term t to
-    output o. Bit m-1-o of pol_word is output o's polarity. The cached
-    properties below are built on first read and kept outside the
-    dataclass fields, so equality, hashing and replace() see the words
-    alone. and_plane, or_plane and polarity show the image as 0/1 ints.
+    output o. Bit m-1-o of pol_word is output o's polarity. The same holds
+    for every word the image reads or returns: input j is bit n-1-j of an
+    input word, so int(bits, 2) is the word of an input string and row r
+    of a 2^n-row mask is input word r; term t is bit t of a term word;
+    output o is bit m-1-o of an output word.
+
+    The cached properties below are built on first read and kept outside
+    the dataclass fields, so equality, hashing and replace() see the words
+    alone, and every edit makes a new instance, so none goes stale.
+    and_plane, or_plane and polarity show the image as 0/1 ints; the
+    private ones are the integer views that evaluation and the fault
+    sweep read.
     """
 
     profile: PlaProfile
@@ -94,12 +102,6 @@ class PlaState:
         object.__setattr__(self, "or_words", or_words)
 
     @cached_property
-    def compiled(self):
-        """The image's integer form (_Compiled), built on first use. Every
-        edit makes a new instance, so it never goes stale."""
-        return _Compiled(self)
-
-    @cached_property
     def and_plane(self):
         """p rows x 2n columns of 0/1."""
         return tuple(tuple(_row_bits(self, "and", t)) for t in range(self.profile.n_terms))
@@ -113,6 +115,77 @@ class PlaState:
     def polarity(self):
         """m bits of 0/1."""
         return tuple(self.pol_word >> s & 1 for s in range(self.profile.n_outputs - 1, -1, -1))
+
+    @cached_property
+    def _full(self):
+        return (1 << (1 << self.profile.n_inputs)) - 1
+
+    @cached_property
+    def _slices(self):
+        """_slices[s][v]: the word of terms left alive when bits 8s..8s+7 of
+        the input word read v. Built by doubling, one input bit at a time,
+        from the terms each bit value kills."""
+        n = self.profile.n_inputs
+        dead = [[0, 0] for _ in range(n)]  # [when 0, when 1] per bit
+        for t, lits in enumerate(self.and_words):
+            for value, req in enumerate(lits):  # req1 dies on 0, req0 on 1
+                while req:
+                    low = req & -req
+                    dead[low.bit_length() - 1][value] |= 1 << t
+                    req ^= low
+        every = (1 << len(self.and_words)) - 1
+        tables = []
+        for lo in range(0, n, 8):
+            table = [every]
+            for dead0, dead1 in dead[lo : lo + 8]:
+                table = [e & ~dead0 for e in table] + [e & ~dead1 for e in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    def _eval(self, x):
+        """Output word for input word x: one lookup per 8-bit slice, then
+        one test per OR row."""
+        alive = -1
+        for table in self._slices:
+            alive &= table[x & 0xFF]
+            x >>= 8
+        word = 0
+        for row in self.or_words:
+            word = word << 1 | (alive & row != 0)
+        return word ^ self.pol_word
+
+    @cached_property
+    def _terms(self):
+        return tuple(_product_mask(self.profile.n_inputs, *lits) for lits in self.and_words)
+
+    @cached_property
+    def _raw(self):
+        """Output masks before the polarity XOR."""
+        return tuple(
+            reduce(or_, (m for t, m in enumerate(self._terms) if row >> t & 1), 0)
+            for row in self.or_words
+        )
+
+    @cached_property
+    def _masks(self):
+        return tuple(m ^ self._full if pol else m for m, pol in zip(self._raw, self.polarity))
+
+    @cached_property
+    def _twice(self):
+        """Rows of each output that two or more connected terms cover."""
+        return tuple(_coverage(m for t, m in enumerate(self._terms) if row >> t & 1)[1]
+                     for row in self.or_words)
+
+    @cached_property
+    def _hidden(self):
+        """_hidden[t]: rows where each output that term t feeds is 1 through
+        another term, so no change to term t shows there."""
+        return tuple(
+            reduce(and_, (raw & ~m | twice & m
+                          for row, raw, twice in zip(self.or_words, self._raw, self._twice)
+                          if row >> t & 1), self._full)
+            for t, m in enumerate(self._terms)
+        )
 
 
 def blank_device(profile):
@@ -175,100 +248,15 @@ def set_polarity(state, index, bit):
 # Evaluation
 
 
-class _Compiled:
-    """Integer form of one image.
-
-    Input j is bit n-1-j of an input word, so int(bits, 2) is the word of
-    an input string and row r of a 2^n-row mask is input word r. Term t is
-    bit t of an OR row and of a term word. Output o is bit m-1-o of an
-    output word.
-    """
-
-    def __init__(self, state):
-        self.n = state.profile.n_inputs
-        self.full = (1 << (1 << self.n)) - 1
-        self.flip = state.pol_word
-        self.literals = state.and_words  # (req1, req0) per term
-        self.or_rows = state.or_words
-
-    @cached_property
-    def slices(self):
-        """slices[s][v]: the word of terms left alive when bits 8s..8s+7 of
-        the input word read v. Built by doubling, one input bit at a time,
-        from the terms each bit value kills."""
-        dead = [[0, 0] for _ in range(self.n)]  # [when 0, when 1] per bit
-        for t, lits in enumerate(self.literals):
-            for value, req in enumerate(lits):  # req1 dies on 0, req0 on 1
-                while req:
-                    low = req & -req
-                    dead[low.bit_length() - 1][value] |= 1 << t
-                    req ^= low
-        every = (1 << len(self.literals)) - 1
-        tables = []
-        for lo in range(0, self.n, 8):
-            table = [every]
-            for dead0, dead1 in dead[lo : lo + 8]:
-                table = [e & ~dead0 for e in table] + [e & ~dead1 for e in table]
-            tables.append(tuple(table))
-        return tuple(tables)
-
-    def eval(self, x):
-        """Output word for input word x: one lookup per 8-bit slice, then
-        one test per OR row."""
-        alive = -1
-        for table in self.slices:
-            alive &= table[x & 0xFF]
-            x >>= 8
-        word = 0
-        for row in self.or_rows:
-            word = word << 1 | (alive & row != 0)
-        return word ^ self.flip
-
-    @cached_property
-    def terms(self):
-        return tuple(_product_mask(self.n, *lits) for lits in self.literals)
-
-    @cached_property
-    def raw(self):
-        """Output masks before the polarity XOR."""
-        return tuple(
-            reduce(or_, (m for t, m in enumerate(self.terms) if row >> t & 1), 0)
-            for row in self.or_rows
-        )
-
-    @cached_property
-    def outputs(self):
-        top = len(self.raw) - 1
-        return tuple(m ^ self.full if self.flip >> (top - o) & 1 else m
-                     for o, m in enumerate(self.raw))
-
-    @cached_property
-    def twice(self):
-        """Rows of each output that two or more connected terms cover."""
-        return tuple(_coverage(m for t, m in enumerate(self.terms) if row >> t & 1)[1]
-                     for row in self.or_rows)
-
-    @cached_property
-    def hidden(self):
-        """hidden[t]: rows where each output that term t feeds is 1 through
-        another term, so no change to term t shows there."""
-        return tuple(
-            reduce(and_, (raw & ~m | twice & m
-                          for row, raw, twice in zip(self.or_rows, self.raw, self.twice)
-                          if row >> t & 1), self.full)
-            for t, m in enumerate(self.terms)
-        )
-
-
 def eval_pla(state, bits):
     """Evaluate one input vector; returns the m-character output string."""
-    word = state.compiled.eval(int(check_bits(bits, state.profile.n_inputs), 2))
+    word = state._eval(int(check_bits(bits, state.profile.n_inputs), 2))
     return format(word, f"0{state.profile.n_outputs}b")
 
 
 def output_masks(state):
     """Bit-parallel exhaustive evaluation: one 2^n-bit mask per output."""
-    return state.compiled.outputs
+    return state._masks
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +296,17 @@ def enumerate_faults(profile):
             for row in range(rows) for col in range(cols) for stuck in STUCK_MODES]
 
 
-def _and_diffs(image, t):
+def _and_diffs(state, t):
     """diffs[c]: the rows where flipping AND crosspoint (t, c) changes an output.
 
     A literal that joins the term removes the rows where it reads 0; one that
     leaves adds the mirror image of the term across its input, unless the
     term is contradictory (constant 0), whose rows must be rebuilt."""
-    n, term = image.n, image.terms[t]
-    visible = image.full ^ image.hidden[t]
+    n, term = state.profile.n_inputs, state._terms[t]
+    visible = state._full ^ state._hidden[t]
     if not visible:
         return [0] * (2 * n)
-    req1, req0 = image.literals[t]
+    req1, req0 = state.and_words[t]
     contradictory = req1 & req0
     diffs = []
     for j in range(n):
@@ -340,15 +328,15 @@ def _and_diffs(image, t):
     return diffs
 
 
-def _or_diffs(image, o):
+def _or_diffs(state, o):
     """diffs[t]: the rows where flipping OR crosspoint (o, t) changes output o.
 
     Connecting term t adds its rows the output lacks; disconnecting it loses
     the rows no other connected term covers."""
-    row = image.or_rows[o]
-    gained = image.full ^ image.raw[o]
-    lost = image.full ^ image.twice[o]
-    return [m & (lost if row >> t & 1 else gained) for t, m in enumerate(image.terms)]
+    row = state.or_words[o]
+    gained = state._full ^ state._raw[o]
+    lost = state._full ^ state._twice[o]
+    return [m & (lost if row >> t & 1 else gained) for t, m in enumerate(state._terms)]
 
 
 def find_test_vector(state, fault):
@@ -363,9 +351,8 @@ def find_test_vector(state, fault):
     row, col = fault.row, fault.col
     if _crosspoint(state, fault.plane, row, col) == stuck:
         return None
-    image = state.compiled
-    diffs = _and_diffs(image, row) if fault.plane == "and" else _or_diffs(image, row)
-    return lowest_row(diffs[col], image.n)
+    diffs = _and_diffs(state, row) if fault.plane == "and" else _or_diffs(state, row)
+    return lowest_row(diffs[col], state.profile.n_inputs)
 
 
 def fault_sweep(state):
@@ -376,8 +363,7 @@ def fault_sweep(state):
     `detected` counts the faults with a test vector: the one of each
     crosspoint whose stuck value differs from the programmed one, when it
     changes some output."""
-    image = state.compiled
-    n = image.n
+    n = state.profile.n_inputs
     lines, detected = [], 0
     vectors = {}  # lowest differing row -> its input string
     for plane, rows, cols, row_diffs in (
@@ -388,7 +374,7 @@ def fault_sweep(state):
         for r in range(len(rows)):
             head = f"{plane}[{r},"
             for (on, off), bit, diff in zip(tails, _row_bits(state, plane, r),
-                                            row_diffs(image, r)):
+                                            row_diffs(state, r)):
                 if not diff:
                     lines.append(f"{head}{on}undetectable\n{head}{off}undetectable\n")
                     continue

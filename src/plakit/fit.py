@@ -302,18 +302,16 @@ def read_berkeley_pla(text, strict=False):
         raise FormatError(f".ilb lists {len(input_names)} names, .i says {n}")
     if output_names is not None and len(output_names) != m:
         raise FormatError(f".ob lists {len(output_names)} names, .o says {m}")
-    # Default names come from the declared counts alone. A cube or label line
-    # spends a character per signal, so a count beyond the file's length is
-    # backed by neither, and building its names would be unbounded work.
-    for key, count in ((".i", n), (".o", m)):
-        if count > len(text):
-            raise FormatError(f"{key} {count} is more signals than the file describes")
+    # Default names come from the declared counts alone. .i is capped at its
+    # line; a cube or label line spends a character per output, so an .o
+    # beyond the file's length is backed by neither, and naming it is unbounded.
+    if m > len(text):
+        raise FormatError(f".o {m} is more signals than the file describes")
     if input_names is None:
         input_names = tuple(f"x{j}" for j in range(n))
     if output_names is None:
         output_names = tuple(f"f{o}" for o in range(m))
-    uses = [(cube, [o for o, c in enumerate(outs) if c == "1"]) for cube, outs in rows]
-    return mn.MultiOutputCover.pooled(input_names, output_names, uses)
+    return mn.MultiOutputCover.pooled(input_names, output_names, rows)
 
 
 def _pla_type(parts, lineno):

@@ -285,9 +285,11 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
 
     Returns (MultiOutputCover, dc_rows). Variable order is s0..s{b-1} then
     i0..i{k-1}, big-endian, so row index = state_code * 2^k + input_value.
-    Each transition becomes one cube; each unmatched (state, input) pair
-    becomes a hold-state minterm (none are needed for code 0). dc_rows are
-    the rows of unused state codes.
+    The cover is pooled from .pla rows whose output bits are the next code,
+    then the outputs. Each transition is one row, its cube; each unmatched
+    (state, input) pair is a hold-state minterm row whose bits are its own
+    code and q zeros (none are needed for code 0). A row whose bits are all
+    0 is left out. dc_rows are the rows of unused state codes.
     """
     if encoding is None:
         encoding = default_encoding(fsm)
@@ -307,15 +309,12 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         raise ValueError(f"encoding gives code 0 to {encoding.reset!r}, "
                          f"but the machine resets to {fsm.reset!r}")
     free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)  # rows no transition covers
-    uses = []  # (cube, output positions): next-state bits first, then outputs
+    rows = []  # (cube, output bits): next-state bits first, then outputs
     for t in fsm.transitions:
         free[t.current] &= ~_product_mask(k, *cube_words(t.input_cube))
-        cube = code_strs[t.current] + t.input_cube
-        next_str = code_strs[t.next_state]
-        targets = [j for j in range(b) if next_str[j] == "1"]
-        targets += [b + j for j in range(q) if t.outputs[j] == "1"]
-        if targets:
-            uses.append((cube, targets))
+        outs = code_strs[t.next_state] + t.outputs
+        if "1" in outs:
+            rows.append((code_strs[t.current] + t.input_cube, outs))
 
     row_fmt = f"0{k}b"
     if strict and any(free.values()):
@@ -327,10 +326,9 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         )
     for state in fsm.states:
         code_str = code_strs[state]
-        hold_targets = [j for j in range(b) if code_str[j] == "1"]
-        if hold_targets:
-            uses += [(code_str + format(row, row_fmt), hold_targets)
-                     for row in mask_rows(free[state])]
+        if "1" in code_str:
+            hold = code_str + "0" * q
+            rows += [(code_str + format(row, row_fmt), hold) for row in mask_rows(free[state])]
 
     dc_rows = []
     used = {c for _, c in encoding.codes}
@@ -338,7 +336,7 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         if code not in used:
             dc_rows.extend(range(code << k, (code + 1) << k))
 
-    return mn.MultiOutputCover.pooled(order, out_names, uses), dc_rows
+    return mn.MultiOutputCover.pooled(order, out_names, rows), dc_rows
 
 
 @dataclass(frozen=True)
@@ -435,7 +433,7 @@ def simulate_controller(image, input_seq):
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
     prof = image.state.profile
-    device = image.state.compiled
+    evaluate = image.state._eval
     pad = prof.n_inputs - b - k  # unused inputs read 0
     next_at = prof.n_outputs - b  # the next code is the word's top b bits
     outs_at, outs_mask = next_at - q, (1 << q) - 1
@@ -447,7 +445,7 @@ def simulate_controller(image, input_seq):
             bits = check_bits(bits, k)
         step = steps.get((code, bits))
         if step is None:
-            word = device.eval(((code << k) | int(check_bits(bits, k), 2)) << pad)
+            word = evaluate(((code << k) | int(check_bits(bits, k), 2)) << pad)
             step = steps[code, bits] = ((format(code, f"0{b}b"),
                                          format(word >> outs_at & outs_mask, f"0{q}b")),
                                         word >> next_at)

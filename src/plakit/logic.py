@@ -162,13 +162,15 @@ def check_cubes(cubes, n):
 
 
 def _label_line(labels, comments=False):
-    """The labels joined by spaces, unless a reader would split or drop one:
-    ValueError for an empty label, one holding whitespace, or with
-    `comments` one holding '#'."""
+    """The labels joined by spaces, unless a reader would split, drop or
+    refuse one: ValueError for an empty label, one holding whitespace, a
+    repeated one, or with `comments` one holding '#'."""
     line = " ".join(labels)
     if line.split() != list(labels) or comments and "#" in line:
         bad = next(s for s in labels if s.split() != [s] or comments and "#" in s)
         raise ValueError(f"label {bad!r} would not read back as itself")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"labels repeat a name: {line}")
     return line
 
 

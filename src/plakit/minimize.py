@@ -275,6 +275,8 @@ class MultiOutputCover:
 
     def __post_init__(self):
         object.__setattr__(self, "order", tuple(self.order))
+        if not self.order or len(set(self.order)) < len(self.order):  # too wide: fit refuses
+            _check_order(self.order)
         object.__setattr__(self, "term_pool", tuple(self.term_pool))
         outputs = tuple((name, tuple(sel)) for name, sel in self.outputs)
         object.__setattr__(self, "outputs", outputs)
@@ -290,16 +292,18 @@ class MultiOutputCover:
                 raise ValueError(f"output {name!r} lists a term twice: {sel}")
 
     @classmethod
-    def pooled(cls, order, names, uses):
-        """Build from (cube, output positions) uses, in order: a cube enters
-        the pool at its first use, and each output lists its terms once, in
-        first-use order."""
+    def pooled(cls, order, names, rows):
+        """Build from .pla rows (cube, output bits), in order: bit o of a row
+        is "1" when output o uses its cube. A cube enters the pool at its
+        first row, even one whose bits are all "0", and each output lists
+        its terms once, in first-use order."""
         pool = {}
         selections = [{} for _ in names]
-        for cube, outputs in uses:
+        for cube, outs in rows:
             t = pool.setdefault(cube, len(pool))
-            for o in outputs:
-                selections[o][t] = None
+            for sel, bit in zip(selections, outs):
+                if bit == "1":
+                    sel[t] = None
         return cls(order, tuple(pool), tuple(zip(names, map(tuple, selections))))
 
     @property
@@ -329,8 +333,10 @@ def share_terms(named_covers):
             raise ValueError(
                 f"output {name!r} uses order {cover.order}, expected {order}"
             )
+    m = len(named_covers)
+    hot = ["0" * o + "1" + "0" * (m - 1 - o) for o in range(m)]
     return MultiOutputCover.pooled(
         order,
         [name for name, _ in named_covers],
-        ((cube, (o,)) for o, (_, c) in enumerate(named_covers) for cube in c.cubes),
+        ((cube, hot[o]) for o, (_, c) in enumerate(named_covers) for cube in c.cubes),
     )

@@ -10,7 +10,8 @@ from collections import Counter
 from itertools import combinations, product
 
 from plakit import (
-    Fsm, PlaProfile, PlaState, Transition, eval_pla, inject_fault, output_masks,
+    Fsm, MultiOutputCover, PlaProfile, PlaState, Transition, eval_pla, inject_fault,
+    output_masks,
 )
 
 
@@ -138,6 +139,26 @@ def brute_min_cover_size(primes, on_rows, n):
             if hit >= on_rows:
                 return k
     raise AssertionError("primes do not cover the on-set")
+
+
+def pooled_naive(order, names, rows):
+    """MultiOutputCover.pooled from position lists: each (cube, output bits)
+    row becomes the list of outputs it feeds; a cube's pool index is where
+    its first row stands among the distinct cubes, and each output lists a
+    term at its first row that feeds the output."""
+    positions = [(cube, [o for o, c in enumerate(outs) if c == "1"]) for cube, outs in rows]
+    pool = []
+    for cube, _ in positions:
+        if cube not in pool:
+            pool.append(cube)
+    outputs = []
+    for o, name in enumerate(names):
+        sel = []
+        for cube, feeds in positions:
+            if o in feeds and pool.index(cube) not in sel:
+                sel.append(pool.index(cube))
+        outputs.append((name, tuple(sel)))
+    return MultiOutputCover(order, tuple(pool), tuple(outputs))
 
 
 def eval_pla_naive(state, bits):

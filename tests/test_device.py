@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from plakit import (
@@ -14,6 +16,7 @@ from plakit import (
     set_crosspoint,
     set_polarity,
 )
+from plakit.device import fault_sweep
 from oracles import (
     eval_pla_naive, random_profile, random_state, seeded, state_from_planes,
 )
@@ -321,22 +324,36 @@ def test_fault_sweep_matches_exhaustive_difference():
 
 
 def test_edited_image_evaluates_its_own_planes():
+    # the views are cached on the image outside its fields: building them
+    # all leaves it equal to a fresh image of the same words, and every
+    # edit is a new image that builds its own
     rng = seeded(47)
     for _ in range(20):
         prof = random_profile(rng)
         prof = PlaProfile(prof.n_inputs, prof.n_terms, prof.n_outputs,
                           prof.switch_tech, has_output_xor=True)
+        n, p = prof.n_inputs, prof.n_terms
         state = random_state(rng, prof)
-        output_masks(state)  # fill the parent's cache first
-        eval_pla(state, "0" * prof.n_inputs)
-        edits = [set_polarity(state, 0, 1 - state.polarity[0])]
+        masks = output_masks(state)  # fill the parent's cache first
+        eval_pla(state, "0" * n)
+        sweep = fault_sweep(state)
+        fresh = PlaState(prof, state.and_words, state.or_words, state.pol_word)
+        assert state == fresh and hash(state) == hash(fresh)
+        assert output_masks(fresh) == masks and fault_sweep(fresh) == sweep
+        t, c, o = rng.randrange(p), rng.randrange(2 * n), rng.randrange(prof.n_outputs)
+        edits = [set_polarity(state, 0, 1 - state.polarity[0]),
+                 set_crosspoint(state, "and", t, c, 1 - state.and_plane[t][c]),
+                 set_crosspoint(state, "or", o, t, 1 - state.or_plane[o][t]),
+                 replace(state, and_words=state.and_words[1:] + state.and_words[:1]),
+                 replace(state, or_words=state.or_words[::-1], pol_word=0)]
         for fault in rng.sample(enumerate_faults(prof), 4):
             edits.append(inject_fault(state, fault))
         for new in edits:
             fresh = state_from_planes(prof, new.and_plane, new.or_plane, new.polarity)
             assert new == fresh and hash(new) == hash(fresh)
             assert output_masks(new) == output_masks(fresh)
-            for bits in all_inputs(prof.n_inputs):
+            assert fault_sweep(new) == fault_sweep(fresh)
+            for bits in all_inputs(n):
                 assert eval_pla(new, bits) == eval_pla_naive(new, bits)
 
 

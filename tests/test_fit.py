@@ -154,6 +154,9 @@ def test_emit_fusemap_refuses_labels_its_reader_would_change():
             emit_fusemap(state, names, report.output_names)
     with pytest.raises(ValueError, match="'F G'"):
         emit_fusemap(state, ("A", "B", "C"), ("F G",))
+    # the reader refuses a repeated ILB name, so the writer does too
+    with pytest.raises(ValueError, match="labels repeat a name: A B A"):
+        emit_fusemap(state, ("A", "B", "A"), ("F",))
 
 
 def test_emit_fusemap_and_rows_match_the_per_column_oracle():
@@ -302,6 +305,10 @@ def test_read_berkeley_defaults_and_comments():
     assert mc.order == ("x0", "x1")
     assert mc.names == ("f0",)
     assert mc.term_pool == ("11",)
+    # a header-only file at the widest .i reads as a constant-0 cover
+    mc = read_berkeley_pla(".i 24\n.o 1\n.e\n")
+    assert mc.order == tuple(f"x{j}" for j in range(24))
+    assert mc.term_pool == () and mc.outputs == (("f0", ()),)
 
 
 def test_read_berkeley_folds_duplicate_cubes():

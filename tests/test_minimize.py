@@ -5,12 +5,15 @@ import time
 import pytest
 
 from plakit import (
+    CapacityError,
     Cover,
     MinimizeSpec,
     MultiOutputCover,
+    PlaProfile,
     TruthTable,
     cover_eval,
     equivalent,
+    fit,
     minimize,
     minimum_cover,
     parse_expression,
@@ -20,11 +23,13 @@ from plakit import (
 )
 from plakit.logic import MAX_VARS, interleave
 from oracles import (
+    all_cubes,
     brute_min_cover_size,
     brute_primes,
     cube_of_words,
     cube_rows_naive,
     greedy_cover_naive,
+    pooled_naive,
     qm_primes,
     seeded,
 )
@@ -389,6 +394,33 @@ def test_share_terms_never_grows_the_pool():
             assert mc.cover_for(name).to_table() == cover.to_table()
 
 
+def test_pooled_matches_position_lists():
+    # an all-zero row still pools its cube; a later row with bits set
+    # gives the cube to an output at its pool index
+    mc = MultiOutputCover.pooled(("A",), ("f", "g"),
+                                 [("1", "00"), ("0", "11"), ("1", "01"), ("0", "11")])
+    assert mc.term_pool == ("1", "0")
+    assert mc.outputs == (("f", (1,)), ("g", (1, 0)))
+    rng = seeded(83)
+    for m in range(1, 9):
+        names = tuple(f"f{o}" for o in range(m))
+        for _ in range(30):
+            n = rng.randint(1, 3)
+            order = tuple(f"v{j}" for j in range(n))
+            cubes = rng.sample(all_cubes(n), min(3 ** n, rng.randint(1, 5)))
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                # few cubes, so one cube comes back with other outputs
+                row = (rng.choice(cubes), "".join(rng.choice("0001") for _ in range(m)))
+                rows.append(row)
+                if rng.random() < 0.2:
+                    rows.append(row)
+                if rng.random() < 0.2:
+                    rows.append((rng.choice(cubes), "0" * m))
+            assert (MultiOutputCover.pooled(order, names, rows)
+                    == pooled_naive(order, names, rows)), rows
+
+
 def test_share_terms_validation():
     order = ("A", "B")
     with pytest.raises(ValueError):
@@ -411,3 +443,15 @@ def test_multi_output_cover_validation():
                       (("1-", "00", "-1-"), "'-1-'")):
         with pytest.raises(ValueError, match=f"input cube {bad} is not 2 chars of 0/1/-"):
             MultiOutputCover(("A", "B"), pool, (("f", (0,)),))
+    # the order is refused as Cover's is when empty or repeated; one wider
+    # than MAX_VARS is left for fit to refuse as a capacity
+    with pytest.raises(ValueError, match=r"duplicate variable in order: \('A', 'A'\)"):
+        MultiOutputCover(("A", "A"), ("1-",), (("F", (0,)),))
+    with pytest.raises(ValueError, match="duplicate variable in order"):
+        MultiOutputCover(("A",) * (MAX_VARS + 1), (), (("F", ()),))
+    with pytest.raises(ValueError, match="variable order must not be empty"):
+        MultiOutputCover((), (), (("F", ()),))
+    wide = MultiOutputCover(tuple(f"v{j}" for j in range(MAX_VARS + 1)),
+                            ("-" * (MAX_VARS + 1),), (("F", (0,)),))
+    with pytest.raises(CapacityError, match="design needs 25 inputs but device provides 24"):
+        fit(wide, PlaProfile(MAX_VARS, 1, 1))
