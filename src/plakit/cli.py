@@ -19,14 +19,14 @@ from . import __version__
 from .device import (
     Fault,
     PlaProfile,
-    eval_pla,
+    eval_pla,  # noqa: F401 (bench/tests reads cli.eval_pla)
     fault_sweep,
     find_test_vector,
     output_masks,
     render_crosspoint_diagram,
 )
 from .errors import CapacityError, FormatError
-from .expr import content_lines, parse_equations, parse_expression, variables
+from .expr import check_names, content_lines, parse_equations, parse_expression, variables
 from .fit import (
     compile_equations,
     emit_fusemap,
@@ -144,11 +144,12 @@ def cmd_synth(args):
     if not order:
         raise ValueError("constant equations: give the variables with --order")
 
-    covers = []
-    for name, e in named:
-        table = table_from_expr(e, order)
-        cover = minimize(table) if args.minimize else canonical_sop(table)
-        covers.append((name, cover))
+    make = minimize if args.minimize else canonical_sop
+    try:
+        covers = [(name, make(table_from_expr(e, order))) for name, e in named]
+    except ValueError:
+        check_names(named, order, "not in order")
+        raise
     _write_text(args.output, write_berkeley_pla(share_terms(covers)))
     return 0
 
@@ -180,7 +181,8 @@ def cmd_sim(args):
         chunks = _exhaustive_lines(output_masks(fm.state), n)
     else:
         vectors = _load_vectors(args.vectors, n)
-        chunks = (f"{v} {eval_pla(fm.state, v)}\n" for v in vectors)
+        evaluate, width = fm.state._eval, f"0{fm.state.profile.n_outputs}b"
+        chunks = (f"{v} {evaluate(int(v, 2)):{width}}\n" for v in vectors)
     if args.header:
         ins = fm.input_names or tuple(f"x{j}" for j in range(n))
         outs = fm.output_names or tuple(
@@ -242,16 +244,17 @@ def cmd_verify(args):
             f"{len(base)} variables but the device has {profile.n_inputs} inputs"
         )
     order = pad_input_names(base, profile.n_inputs)
-    for name, e in equations:
-        missing = set(variables(e)) - set(order)
-        if missing:
-            raise ValueError(
-                f"equation {name!r} uses variables not on the device: {sorted(missing)}"
-            )
+    # every table is built before any output is named or compared, so a
+    # name outside the order wins over an unknown output or a mismatch
+    try:
+        tables = [table_from_expr(e, order) for _, e in equations]
+    except ValueError:
+        check_names(equations, order, "not on the device")
+        raise
 
     masks = output_masks(fm.state)
     out_names = fm.output_names
-    for i, (name, e) in enumerate(equations):
+    for i, ((name, _), expected) in enumerate(zip(equations, tables)):
         if not out_names:
             idx = i
         elif name in out_names:
@@ -261,7 +264,6 @@ def cmd_verify(args):
                 f"equation {name!r} names no output of the fuse map "
                 f"(OB: {' '.join(out_names)})"
             )
-        expected = table_from_expr(e, order)
         bits = lowest_row(masks[idx] ^ expected.bits, profile.n_inputs)
         if bits is not None:
             got = (masks[idx] >> int(bits, 2)) & 1
@@ -378,7 +380,7 @@ def build_parser():
     p = sub.add_parser("synth", help="equations file to a Berkeley .pla cover")
     p.add_argument("equations")
     p.add_argument("--minimize", action="store_true",
-                   help="minimal covers instead of canonical minterm covers")
+                   help="prime covers, exact within the Petrick bounds and greedy beyond")
     p.add_argument("--order", help="comma-separated variable order")
     p.add_argument("--multi-letter", action="store_true")
     p.add_argument("-o", "--output")

@@ -71,8 +71,8 @@ class PlaState:
     the dataclass fields, so equality, hashing and replace() see the words
     alone, and every edit makes a new instance, so none goes stale.
     and_plane, or_plane and polarity show the image as 0/1 ints; the
-    private ones are the integer views that evaluation and the fault
-    sweep read.
+    private ones are integer views: _keep reads the AND plane by column
+    for evaluation, and the term and output masks serve the fault sweep.
     """
 
     profile: PlaProfile
@@ -121,34 +121,26 @@ class PlaState:
         return (1 << (1 << self.profile.n_inputs)) - 1
 
     @cached_property
-    def _slices(self):
-        """_slices[s][v]: the word of terms left alive when bits 8s..8s+7 of
-        the input word read v. Built by doubling, one input bit at a time,
-        from the terms each bit value kills."""
-        n = self.profile.n_inputs
-        dead = [[0, 0] for _ in range(n)]  # [when 0, when 1] per bit
+    def _keep(self):
+        """_keep[s]: (the terms alive when bit s of the input word reads 0, when
+        it reads 1) -- every term off that input's true, then complement, column."""
+        every = (1 << len(self.and_words)) - 1
+        keep = [[every, every] for _ in range(self.profile.n_inputs)]
         for t, lits in enumerate(self.and_words):
             for value, req in enumerate(lits):  # req1 dies on 0, req0 on 1
                 while req:
                     low = req & -req
-                    dead[low.bit_length() - 1][value] |= 1 << t
+                    keep[low.bit_length() - 1][value] ^= 1 << t
                     req ^= low
-        every = (1 << len(self.and_words)) - 1
-        tables = []
-        for lo in range(0, n, 8):
-            table = [every]
-            for dead0, dead1 in dead[lo : lo + 8]:
-                table = [e & ~dead0 for e in table] + [e & ~dead1 for e in table]
-            tables.append(tuple(table))
-        return tuple(tables)
+        return tuple(map(tuple, keep))
 
     def _eval(self, x):
-        """Output word for input word x: one lookup per 8-bit slice, then
-        one test per OR row."""
+        """Output word for input word x: one AND per input bit, then one
+        test per OR row."""
         alive = -1
-        for table in self._slices:
-            alive &= table[x & 0xFF]
-            x >>= 8
+        for keep in self._keep:
+            alive &= keep[x & 1]
+            x >>= 1
         word = 0
         for row in self.or_words:
             word = word << 1 | (alive & row != 0)

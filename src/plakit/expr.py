@@ -296,6 +296,15 @@ def variables(*exprs):
     return tuple(order)
 
 
+def check_names(equations, order, where):
+    """Raise "equation 'F' uses variables {where}: [...]" for the first (name, Expr)
+    equation with a variable outside `order`; callers run it once a build has failed."""
+    for name, e in equations:
+        missing = set(variables(e)).difference(order)
+        if missing:
+            raise ValueError(f"equation {name!r} uses variables {where}: {sorted(missing)}")
+
+
 # ---------------------------------------------------------------------------
 # Printing
 

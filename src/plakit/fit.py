@@ -462,30 +462,26 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     if any(pol_bits) and not profile.has_output_xor:
         raise ValueError("polarity requested but profile has no output XOR")
 
-    if order is None:
-        order = ex.variables(*(e for _, e in equations)) or ("x0",)
-    else:
-        order = tuple(order)
-        for name, e in equations:
-            missing = set(ex.variables(e)) - set(order)
-            if missing:
-                raise ValueError(
-                    f"equation {name!r} uses variables not in order: {sorted(missing)}"
-                )
+    order = tuple(order) if order is not None else (
+        ex.variables(*(e for _, e in equations)) or ("x0",))
 
     covers = []  # a Cover, or a TruthTable to cover with its minterms
-    for (_, e), pol in zip(equations, pol_bits):
-        if pol or minimize:
-            table = logic.table_from_expr(e, order)
-            cover = table.complement() if pol else table
-            if minimize:
-                cover = mn.minimize(cover)
-        else:
-            try:
-                cover = logic.cover_from_expr(e, order)
-            except ValueError:
-                cover = logic.table_from_expr(e, order)
-        covers.append(cover)
+    try:
+        for (_, e), pol in zip(equations, pol_bits):
+            if pol or minimize:
+                table = logic.table_from_expr(e, order)
+                cover = table.complement() if pol else table
+                if minimize:
+                    cover = mn.minimize(cover)
+            else:
+                try:
+                    cover = logic.cover_from_expr(e, order)
+                except ValueError:
+                    cover = logic.table_from_expr(e, order)
+            covers.append(cover)
+    except ValueError:
+        ex.check_names(equations, order, "not in order")
+        raise
 
     # count the pool before writing any minterm cube: the distinct cubes
     # with a '-', then the distinct minterm rows

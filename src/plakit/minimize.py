@@ -285,9 +285,9 @@ class MultiOutputCover:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate output name in {names}")
         for name, sel in outputs:
-            for i in sel:
-                if not 0 <= i < len(self.term_pool):
-                    raise ValueError(f"output {name!r} references missing term {i}")
+            if sel and not 0 <= min(sel) <= max(sel) < len(self.term_pool):
+                bad = next(i for i in sel if not 0 <= i < len(self.term_pool))
+                raise ValueError(f"output {name!r} references missing term {bad}")
             if len(set(sel)) != len(sel):
                 raise ValueError(f"output {name!r} lists a term twice: {sel}")
 

@@ -30,7 +30,8 @@ from plakit import (
     table_from_expr,
 )
 from plakit.cli import _CHUNK_BITS, main, parse_profile
-from oracles import lowest_differing_row_naive, random_state, seeded, state_from_planes
+from oracles import (eval_pla_naive, lowest_differing_row_naive, random_state, seeded,
+                     state_from_planes)
 
 MAJ_EQNS = "M = AB + AC + BC\n"
 TOGGLE_KISS = ".i 1\n.o 1\n.r S0\n1 S0 S1 1\n1 S1 S0 0\n.e\n"
@@ -375,7 +376,7 @@ def test_verify_too_many_equations(tmp_path, maj_map_file, capsys):
 
 
 def test_compile_refuses_variables_outside_its_order(tmp_path, capsys):
-    # the check runs before any table is built, on the SOP and table paths alike
+    # every missing name is listed, on the SOP and table paths alike
     eq = tmp_path / "m.eqn"
     eq.write_text("M = AD + (B + C)'\n")
     for extra in ([], ["--minimize"]):
@@ -392,6 +393,91 @@ def test_verify_refuses_variables_the_device_lacks(tmp_path, maj_map_file, capsy
     assert main(["verify", maj_map_file, "--equations", str(eq),
                  "--var-order", "A,B,C,D"]) == 2
     assert "4 variables but the device has 3 inputs" in capsys.readouterr().err
+
+
+def test_outside_names_win_over_a_repeated_order(tmp_path, capsys):
+    # compile and synth name the first equation, in file order, with a name
+    # outside the order, even when the order itself is refused too
+    eq = tmp_path / "fg.eqn"
+    for argv in (["compile", str(eq), "--profile", "n3p8m3"], ["synth", str(eq)],
+                 ["synth", str(eq), "--minimize"]):
+        eq.write_text("F = AB\nG = AC + D\nH = E\n")
+        for order in ("A,B", "A,A,B"):
+            assert main(argv + ["--order", order]) == 2
+            assert capsys.readouterr() == (
+                "", "error: equation 'G' uses variables not in order: ['C', 'D']\n")
+        eq.write_text("F = AB\n")
+        assert main(argv + ["--order", "A,A,B"]) == 2
+        assert "duplicate variable in order" in capsys.readouterr().err
+
+
+def test_verify_builds_every_table_before_naming_outputs(tmp_path, capsys):
+    eq = tmp_path / "two.eqn"
+    eq.write_text("F = AB\nG = A + B\n")
+    fuse = tmp_path / "two.fuse"
+    assert main(["compile", str(eq), "--profile", "n2p4m2", "-o", str(fuse)]) == 0
+    cases = (
+        # an equation naming no OB output, after one that verifies
+        ("F = AB\nH = A\n", "error: equation 'H' names no output of the fuse map (OB: F G)\n"),
+        # a name the device lacks wins over an earlier unknown output...
+        ("H = A\nF = AC\n", "error: equation 'F' uses variables not on the device: ['C']\n"),
+        # ...and over an earlier mismatch
+        ("F = A\nG = C\n", "error: equation 'G' uses variables not on the device: ['C']\n"),
+    )
+    for text, err in cases:
+        eq.write_text(text)
+        assert main(["verify", str(fuse), "--equations", str(eq)]) == 2
+        assert capsys.readouterr() == ("", err)
+    # an unknown output after a mismatch is never reached
+    eq.write_text("F = A\nH = B\n")
+    assert main(["verify", str(fuse), "--equations", str(eq)]) == 1
+    assert capsys.readouterr().out.startswith("MISMATCH F: input ")
+
+
+def test_valid_compile_and_verify_never_walk_for_names(tmp_path, capsys, monkeypatch):
+    # the missing-name walk runs only once a build has failed
+    calls, variables = [], plakit.expr.variables
+
+    def counted(*exprs):
+        calls.append(exprs)
+        return variables(*exprs)
+
+    monkeypatch.setattr(plakit.expr, "variables", counted)
+    monkeypatch.setattr(plakit.cli, "variables", counted)
+    eq = tmp_path / "fg.eqn"
+    eq.write_text("F = AB + A'C\nG = B'C + A\n")
+    fuse = tmp_path / "fg.fuse"
+    for extra in ([], ["--minimize"], ["--polarity", "G"]):
+        assert main(["compile", str(eq), "--profile", "n3p8m2:xor", "--order", "A,B,C",
+                     "-o", str(fuse), *extra]) == 0
+        assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    assert calls == []
+    capsys.readouterr()
+    # the counter does see the walks: a failed build, and verify on an unlabelled map
+    eq.write_text("F = AD\n")
+    assert main(["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"]) == 2
+    assert calls
+    calls.clear()
+    fuse.write_text("".join(l for l in fuse.read_text().splitlines(True)
+                            if not l.startswith("ILB")))
+    eq.write_text("F = AB + A'C\n")
+    assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    assert calls
+    capsys.readouterr()
+
+
+def test_sim_vector_file_matches_the_oracle_on_a_wide_part(tmp_path, capsys):
+    rng = seeded(79)
+    prof = PlaProfile(24, 40, 3, "antifuse", has_output_xor=True)
+    state = random_state(rng, prof, 0.04)
+    fuse = tmp_path / "wide.fuse"
+    fuse.write_text(emit_fusemap(state))
+    vectors = ["0" * 24, "1" * 24] + [format(rng.getrandbits(24), "024b") for _ in range(60)]
+    path = tmp_path / "v.txt"
+    path.write_text("\n".join(vectors) + "\n")
+    assert main(["sim", str(fuse), "--vectors", str(path)]) == 0
+    expected = "".join(f"{v} {eval_pla_naive(state, v)}\n" for v in vectors)
+    assert capsys.readouterr().out == expected
 
 
 def test_diagram(maj_map_file, capsys):

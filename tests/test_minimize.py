@@ -438,6 +438,16 @@ def test_multi_output_cover_validation():
     with pytest.raises(ValueError, match=r"output 'f' lists a term twice: \(0, 0\)"):
         MultiOutputCover(("A", "B"), ("1-", "01"), (("f", (0, 0)), ("g", (1,))))
     MultiOutputCover(("A", "B"), ("1-", "01"), (("f", (0,)), ("g", (0, 1))))
+    # each selection is bounds-checked as a whole; the message names its first
+    # bad index, and a range fault wins over a repeat in the same selection
+    pool, ok = ("1-", "01", "00"), ("f", (2, 0))
+    for sel, message in (((1, -1, 0), "output 'g' references missing term -1"),
+                         ((0, 3, -2), "output 'g' references missing term 3"),
+                         ((1, 1, 7), "output 'g' references missing term 7"),
+                         ((2, 1, 2), r"output 'g' lists a term twice: \(2, 1, 2\)")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MultiOutputCover(("A", "B"), pool, (ok, ("g", sel)))
+    MultiOutputCover(("A", "B"), pool, (ok, ("g", ()), ("h", (0, 1, 2))))
     # the first bad pool cube is named, wherever it stands
     for pool, bad in ((("1-", "0", "1x"), "'0'"), (("1-", "0x", "1"), "'0x'"),
                       (("1-", "00", "-1-"), "'-1-'")):
