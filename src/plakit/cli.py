@@ -12,7 +12,8 @@ malformed artifact (equations, fuse map, .pla, KISS2, encoding, vectors).
 import argparse
 import re
 import sys
-from functools import cache
+from functools import cache, reduce
+from operator import or_
 from pathlib import Path
 
 from . import __version__
@@ -26,9 +27,17 @@ from .device import (
     render_crosspoint_diagram,
 )
 from .errors import CapacityError, FormatError
-from .expr import check_names, content_lines, parse_equations, parse_expression, variables
+from .expr import (
+    check_names,
+    content_lines,
+    parse_equations,
+    parse_expression,
+    read_sop,
+    variables,
+)
 from .fit import (
     compile_equations,
+    compile_sop,
     emit_fusemap,
     pad_input_names,
     parse_fusemap,
@@ -43,9 +52,11 @@ from .fsm import (
     synthesize_controller,
 )
 from .logic import (
+    _product_mask,
     canonical_sop,
     check_bits,
     lowest_row,
+    sop_words,
     table_from_expr,
 )
 from .minimize import minimize, share_terms
@@ -155,17 +166,22 @@ def cmd_synth(args):
 
 
 def cmd_compile(args):
-    equations = parse_equations(
-        _read_text(args.equations, "equations"), multi_letter=args.multi_letter
-    )
+    text = _read_text(args.equations, "equations")
+    # the term-for-term path reads a sum-of-products file straight to words
+    sop = None if args.minimize or args.polarity else read_sop(text, args.multi_letter)
+    equations = None if sop else parse_equations(text, multi_letter=args.multi_letter)
     profile = parse_profile(args.profile)
-    polarity = None
-    if args.polarity:
-        polarity = {name: 1 for name in _split_names(args.polarity)}
     order = _split_names(args.order) if args.order else None
-    state, report = compile_equations(
-        equations, profile, minimize=args.minimize, polarity=polarity, order=order
-    )
+    compiled = sop and compile_sop(sop, profile, order)
+    if not compiled:  # not a sum of products, or a name the parser's path reports
+        polarity = None
+        if args.polarity:
+            polarity = {name: 1 for name in _split_names(args.polarity)}
+        compiled = compile_equations(
+            equations or parse_equations(text, multi_letter=args.multi_letter), profile,
+            minimize=args.minimize, polarity=polarity, order=order,
+        )
+    state, report = compiled
     _write_text(args.output, emit_fusemap(state, report.input_names, report.output_names))
     if args.report:
         sys.stderr.write(report.summary())
@@ -228,29 +244,36 @@ def _exhaustive_lines(masks, n):
 
 def cmd_verify(args):
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
-    equations = parse_equations(
-        _read_text(args.equations, "equations"), multi_letter=args.multi_letter
-    )
+    text = _read_text(args.equations, "equations")
+    sop = read_sop(text, args.multi_letter)
+    equations = sop[0] if sop else parse_equations(text, multi_letter=args.multi_letter)
     profile = fm.state.profile
     if len(equations) > profile.n_outputs:
         raise ValueError(
             f"{len(equations)} equations but the device has {profile.n_outputs} outputs"
         )
 
-    base = (_split_names(args.var_order) if args.var_order
-            else fm.input_names or variables(*(e for _, e in equations)))
+    base = (_split_names(args.var_order) if args.var_order else fm.input_names
+            or (sop[1] if sop else variables(*(e for _, e in equations))))
     if len(base) > profile.n_inputs:
         raise ValueError(
             f"{len(base)} variables but the device has {profile.n_inputs} inputs"
         )
     order = pad_input_names(base, profile.n_inputs)
-    # every table is built before any output is named or compared, so a
-    # name outside the order wins over an unknown output or a mismatch
-    try:
-        tables = [table_from_expr(e, order) for _, e in equations]
-    except ValueError:
-        check_names(equations, order, "not on the device")
-        raise
+    words = sop and sop_words(sop, order)
+    if words:  # a sum of products: OR each product's rows
+        n = profile.n_inputs
+        tables = [reduce(or_, (_product_mask(n, *w) for w in ws), 0) for ws in words]
+    else:
+        if sop:  # a name outside the order, or a refused order: the parser's path reports it
+            equations = parse_equations(text, multi_letter=args.multi_letter)
+        # every table is built before any output is named or compared, so a
+        # name outside the order wins over an unknown output or a mismatch
+        try:
+            tables = [table_from_expr(e, order).bits for _, e in equations]
+        except ValueError:
+            check_names(equations, order, "not on the device")
+            raise
 
     masks = output_masks(fm.state)
     out_names = fm.output_names
@@ -264,7 +287,7 @@ def cmd_verify(args):
                 f"equation {name!r} names no output of the fuse map "
                 f"(OB: {' '.join(out_names)})"
             )
-        bits = lowest_row(masks[idx] ^ expected.bits, profile.n_inputs)
+        bits = lowest_row(masks[idx] ^ expected, profile.n_inputs)
         if bits is not None:
             got = (masks[idx] >> int(bits, 2)) & 1
             print(

@@ -368,9 +368,9 @@ def content_lines(text):
             yield lineno, line
 
 
-def parse_equations(text, multi_letter=False):
-    """Read an equation file into an ordered list of (name, Expr) pairs."""
-    equations = []
+def _equation_lines(text):
+    """(line number, name, body) of each equation line, in order; FormatError
+    for a line without '=', a bad equation name or a repeated one."""
     seen = set()
     for lineno, line in content_lines(text):
         if "=" not in line:
@@ -384,9 +384,77 @@ def parse_equations(text, multi_letter=False):
         if name in seen:
             raise FormatError(f"line {lineno}: duplicate equation name {name!r}")
         seen.add(name)
+        yield lineno, name, body
+
+
+def parse_equations(text, multi_letter=False):
+    """Read an equation file into an ordered list of (name, Expr) pairs."""
+    equations = []
+    for lineno, name, body in _equation_lines(text):
         try:
             expr = parse_expression(body, multi_letter=multi_letter)
         except ParseError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         equations.append((name, expr))
     return equations
+
+
+def read_sop(text, multi_letter=False):
+    """An equation file whose every body is a sum of products of literals,
+    read from its tokens with no Expr tree: (equations, variables), where
+    each equation is (name, products), a product is a list of (variable,
+    value) literals in the order written, and `variables` lists the names
+    in first-appearance order. None for an empty file and for any other
+    body (parentheses, constants, a missing operand, juxtaposition in
+    multi-letter mode), and for every file parse_equations refuses: the
+    caller parses those, so each error comes from the one grammar."""
+    equations = []
+    try:
+        for _, name, body in _equation_lines(text):
+            products = _sop_products(_tokenize(body, multi_letter), multi_letter)
+            if products is None:
+                return None
+            equations.append((name, products))
+    except FormatError:  # ParseError included
+        return None
+    if not equations:
+        return None
+    return equations, tuple(dict.fromkeys(
+        v for _, products in equations for product in products for v, _ in product))
+
+
+def _sop_products(tokens, multi_letter):
+    """The products of a token list that reads as products joined by '+',
+    each a run of factors joined by '*' (or, in single-letter mode, set
+    side by side) and each factor '!'* NAME "'"*, as _Parser reads them;
+    None for any other list. A literal's value is 1 when it carries an
+    even number of '!' and "'" marks."""
+    products, product = [], []
+    i, kind = 0, tokens[0][0]
+    while True:
+        value = 1
+        while kind == _BANG:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
+        if kind != _NAME:
+            return None
+        name = tokens[i][1]
+        i += 1
+        kind = tokens[i][0]
+        while kind == _PRIME:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
+        product.append((name, value))
+        if kind == _STAR or kind == _PLUS:
+            if kind == _PLUS:
+                products.append(product)
+                product = []
+            i += 1
+            kind = tokens[i][0]
+        elif kind == _END:
+            products.append(product)
+            return products
+        elif multi_letter or kind != _NAME and kind != _BANG:
+            return None  # juxtaposition needs '*' here, or not a literal

@@ -467,6 +467,7 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
 
     covers = []  # a Cover, or a TruthTable to cover with its minterms
     try:
+        order = logic._check_order(order)
         for (_, e), pol in zip(equations, pol_bits):
             if pol or minimize:
                 table = logic.table_from_expr(e, order)
@@ -474,17 +475,38 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
                 if minimize:
                     cover = mn.minimize(cover)
             else:
-                try:
-                    cover = logic.cover_from_expr(e, order)
-                except ValueError:
+                cover = logic._sop_cover(e, order)
+                if not isinstance(cover, logic.Cover):
                     cover = logic.table_from_expr(e, order)
             covers.append(cover)
     except ValueError:
         ex.check_names(equations, order, "not in order")
         raise
+    return _fit_covers(names, covers, order, profile, pol_bits)
 
-    # count the pool before writing any minterm cube: the distinct cubes
-    # with a '-', then the distinct minterm rows
+
+def compile_sop(sop, profile, order=None):
+    """compile_equations(parse_equations(text), profile, order=order) for a
+    text that expr.read_sop read into `sop`, built from its literal words
+    with no Expr tree: each product is one AND row, and a product holding
+    X and X' is dropped. None when a variable is outside the order or the
+    order is refused; compiling the parsed equations reports those."""
+    equations, variables = sop
+    order = variables if order is None else tuple(order)
+    words = logic.sop_words(sop, order)
+    if words is None:
+        return None
+    n = len(order)
+    covers = [logic.Cover(order, tuple(logic.cube_string(n, *w) for w in ws))
+              for ws in words]
+    return _fit_covers([name for name, _ in equations], covers, order, profile)
+
+
+def _fit_covers(names, covers, order, profile, pol_bits=()):
+    """Fit each named output's Cover, or TruthTable to cover with its
+    minterms, over `order`, with polarity bit 1 for an inverted output.
+    The pool is counted before any minterm cube is written: the distinct
+    cubes with a '-', then the distinct minterm rows."""
     wide, written, rows = set(), set(), 0
     for cover in covers:
         if isinstance(cover, logic.TruthTable):

@@ -379,36 +379,83 @@ def cover_from_expr(expr, order):
     Raises ValueError when the expression is not in SOP shape.
     """
     order = _check_order(order)
-    index = {name: j for j, name in enumerate(order)}
-    terms = expr.children if isinstance(expr, ex.Or) else [expr]
-    cubes = (_term_to_cube(term, index, len(order)) for term in terms)
-    return Cover(order, tuple(cube for cube in cubes if cube is not None))
+    cover = _sop_cover(expr, order)
+    if isinstance(cover, Cover):
+        return cover
+    term, stop = cover
+    if isinstance(stop, str):
+        raise ValueError(f"variable {stop!r} not in order")
+    raise ValueError(
+        f"not a sum-of-products expression: {ex.format_expression(term)!r} "
+        "is not a product of literals"
+    )
 
 
-def _term_to_cube(term, index, n):
-    factors = term.children if isinstance(term, ex.And) else [term]
-    words = [0, 0]  # req0, req1
-    for f in factors:
+def _sop_cover(expr, order):
+    """cover_from_expr's Cover over a checked order, or the (term, stop)
+    pair of the first term _term_words stopped at. It formats no message,
+    so a caller that falls back to the truth table pays for none."""
+    n = len(order)
+    bits = {name: 1 << (n - 1 - j) for j, name in enumerate(order)}
+    cubes = []
+    for term in expr.children if isinstance(expr, ex.Or) else (expr,):
+        words = _term_words(term, bits)
+        if isinstance(words, tuple):
+            cubes.append(cube_string(n, *words))
+        elif words is not None:
+            return term, words
+    return Cover(order, tuple(cubes))
+
+
+def _term_words(term, bits):
+    """(req1, req0) of one product of literals and constants, read left to
+    right: None once the product is 0 (a constant 0, or X and X'), so no
+    factor after that is read. A factor before it that is not a literal
+    over `bits` stops the product: the result is then the variable's name
+    when only the name is wrong, else the factor."""
+    literals = []
+    for f in term.children if isinstance(term, ex.And) else (term,):
         if isinstance(f, ex.Const):
-            if f.value == 0:
-                return None  # whole product is 0
-            continue
-        if isinstance(f, ex.Var):
-            name, want = f.name, 1
-        elif isinstance(f, ex.Not) and isinstance(f.child, ex.Var):
-            name, want = f.child.name, 0
+            if f.value:
+                continue
+            return None
+        var = f.child if isinstance(f, ex.Not) else f
+        if not isinstance(var, ex.Var):
+            stop = f
+        elif var.name not in bits:
+            stop = var.name
         else:
-            raise ValueError(
-                f"not a sum-of-products expression: {ex.format_expression(term)!r} "
-                "is not a product of literals"
-            )
-        if name not in index:
-            raise ValueError(f"variable {name!r} not in order")
-        bit = 1 << (n - 1 - index[name])
-        if words[1 - want] & bit:
-            return None  # X and X' in one product
-        words[want] |= bit
-    return cube_string(n, words[1], words[0])
+            literals.append((var.name, int(var is f)))
+            continue
+        return None if _literal_words(literals, bits) is None else stop
+    return _literal_words(literals, bits)
+
+
+def _literal_words(literals, bits):
+    """(req1, req0) of a product of (name, value) literals, `bits` mapping
+    each name to its variable's bit; None when it holds X and X'."""
+    req = [0, 0]  # req0, req1
+    for name, value in literals:
+        req[value] |= bits[name]
+    return None if req[0] & req[1] else (req[1], req[0])
+
+
+def sop_words(sop, order):
+    """The (req1, req0) words of each equation's products, per equation,
+    for `sop` = expr.read_sop's (equations, variables) over `order`, with
+    every product that holds X and X' dropped. None when a variable is
+    outside the order or the order is refused: the Expr path reports those."""
+    equations, variables = sop
+    if not set(order).issuperset(variables):
+        return None
+    try:
+        order = _check_order(order)
+    except ValueError:
+        return None
+    n = len(order)
+    bits = {name: 1 << (n - 1 - j) for j, name in enumerate(order)}
+    return [[w for w in (_literal_words(p, bits) for p in products) if w]
+            for _, products in equations]
 
 
 # ---------------------------------------------------------------------------

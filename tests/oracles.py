@@ -5,14 +5,19 @@ don't be clever -- so the library's bit-parallel code is checked against
 an independent path.
 """
 
+import contextlib
+import io
 import random
 from collections import Counter
 from itertools import combinations, product
 
 from plakit import (
-    Fsm, MultiOutputCover, PlaProfile, PlaState, Transition, eval_pla, inject_fault,
-    output_masks,
+    CapacityError, FormatError, Fsm, MultiOutputCover, PlaProfile, PlaState, Transition,
+    compile_equations, emit_fusemap, eval_pla, inject_fault, output_masks, pad_input_names,
+    parse_equations, parse_fusemap, table_from_expr, variables,
 )
+from plakit.cli import parse_profile
+from plakit.expr import check_names
 
 
 def all_cubes(n):
@@ -354,3 +359,84 @@ def random_input_sequence(rng, width, length):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+# ---------------------------------------------------------------------------
+# `plakit compile` and `plakit verify` on the Expr tree path: every equation
+# file parsed to (name, Expr) pairs, covers from compile_equations, tables
+# from table_from_expr. Each returns what plakit.cli.main would report.
+
+
+def _cli_outcome(command):
+    """(exit code, stdout, stderr) of a command body, errors mapped to exit
+    codes as plakit.cli.main maps them."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = command()
+    except CapacityError as exc:
+        return 3, out.getvalue(), f"error: {exc}\n"
+    except FormatError as exc:
+        return 4, out.getvalue(), f"error: {exc}\n"
+    except ValueError as exc:
+        return 2, out.getvalue(), f"error: {exc}\n"
+    return code, out.getvalue(), ""
+
+
+def compile_via_expr(text, profile, order=None, multi_letter=False):
+    """`plakit compile` without --minimize or --polarity: (exit code, fuse
+    map text or None, stderr)."""
+    fuse = []
+
+    def command():
+        equations = parse_equations(text, multi_letter=multi_letter)
+        state, report = compile_equations(equations, parse_profile(profile), order=order)
+        fuse.append(emit_fusemap(state, report.input_names, report.output_names))
+        return 0
+
+    code, _, err = _cli_outcome(command)
+    return code, fuse[0] if fuse else None, err
+
+
+def verify_via_expr(fuse, text, var_order=None, multi_letter=False):
+    """`plakit verify`: (exit code, stdout, stderr). The order is
+    `var_order`, else the map's ILB, else first appearance in the file."""
+
+    def command():
+        fm = parse_fusemap(fuse)
+        equations = parse_equations(text, multi_letter=multi_letter)
+        profile = fm.state.profile
+        if len(equations) > profile.n_outputs:
+            raise ValueError(
+                f"{len(equations)} equations but the device has {profile.n_outputs} outputs")
+        base = var_order or fm.input_names or variables(*(e for _, e in equations))
+        if len(base) > profile.n_inputs:
+            raise ValueError(
+                f"{len(base)} variables but the device has {profile.n_inputs} inputs")
+        order = pad_input_names(base, profile.n_inputs)
+        try:
+            tables = [table_from_expr(e, order).bits for _, e in equations]
+        except ValueError:
+            check_names(equations, order, "not on the device")
+            raise
+        masks = output_masks(fm.state)
+        for i, ((name, _), expected) in enumerate(zip(equations, tables)):
+            if not fm.output_names:
+                idx = i
+            elif name in fm.output_names:
+                idx = fm.output_names.index(name)
+            else:
+                raise ValueError(f"equation {name!r} names no output of the fuse map "
+                                 f"(OB: {' '.join(fm.output_names)})")
+            diff = masks[idx] ^ expected
+            for row in range(1 << profile.n_inputs):  # the lowest differing row
+                if diff >> row & 1:
+                    bits = format(row, f"0{profile.n_inputs}b")
+                    got = masks[idx] >> row & 1
+                    print(f"MISMATCH {name}: input {bits} device={got} expected={1 - got}")
+                    return 1
+        print(f"equivalent: {len(equations)} output(s) verified over "
+              f"{1 << profile.n_inputs} input vectors")
+        return 0
+
+    return _cli_outcome(command)

@@ -453,14 +453,16 @@ def test_valid_compile_and_verify_never_walk_for_names(tmp_path, capsys, monkeyp
         assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
     assert calls == []
     capsys.readouterr()
-    # the counter does see the walks: a failed build, and verify on an unlabelled map
+    # the counter does see the walks: a failed build, and verify on an
+    # unlabelled map of a body that is not a sum of products (a sum of
+    # products takes its first-appearance order from the token walk)
     eq.write_text("F = AD\n")
     assert main(["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"]) == 2
     assert calls
     calls.clear()
     fuse.write_text("".join(l for l in fuse.read_text().splitlines(True)
                             if not l.startswith("ILB")))
-    eq.write_text("F = AB + A'C\n")
+    eq.write_text("F = (AB) + A'C\n")
     assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
     assert calls
     capsys.readouterr()

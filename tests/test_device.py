@@ -144,8 +144,9 @@ def test_eval_matches_naive_oracle_on_random_devices():
 
 
 def test_eval_matches_naive_oracle_across_slice_boundaries():
-    # eval reads the input word 8 bits at a time: widths sit on each side
-    # of a slice edge, and term counts pass 64
+    # eval ANDs one keep word per input bit (PlaState._keep, the terms off
+    # that input's true or complement column): widths run from 1 to 24
+    # inputs, and term counts pass 64, so keep words span several machine words
     rng = seeded(71)
     for n in (1, 7, 8, 9, 16, 17, 24):
         for n_terms in (2, 9, 65, 80):

@@ -495,7 +495,8 @@ def test_controller_matches_symbolic_interpreter():
 
 def test_controller_matches_symbolic_on_a_three_slice_part():
     # 3 state bits and 12 inputs on a 20-input part sit at input-word bits
-    # 5..19, across all three 8-bit slices the evaluator reads
+    # 5..19, so the evaluator's per-input keep words (PlaState._keep) for
+    # the used inputs and for the 5 unused low ones all take part
     rng = seeded(73)
     k, q = 12, 4
     states = [f"Q{i}" for i in range(6)]
