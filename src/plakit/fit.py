@@ -32,7 +32,7 @@ a row with the wrong field count or a bad cube or output field, and a
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import expr as ex
 from . import logic
@@ -92,37 +92,60 @@ def _pad_names(names, width, stem):
 def fit(mcover, profile):
     """Map a MultiOutputCover onto a device; returns (PlaState, FitReport).
 
-    Pool cube i becomes AND row i: literal '1' on variable j connects
-    column 2j, '0' connects 2j+1, '-' connects nothing. Unused rows and
-    columns are left fully disconnected. Raises CapacityError with exact
-    needed/available counts when any axis does not fit.
+    Pool cube i becomes AND row i, so a .pla keeps its row order: literal
+    '1' on variable j connects column 2j, '0' connects 2j+1, '-' nothing.
+    Unused rows and columns are left disconnected. Raises CapacityError
+    with exact needed/available counts when any axis does not fit.
     """
-    n_vars = len(mcover.order)
-    n_outs = len(mcover.outputs)
-    n_terms = len(mcover.term_pool)
+    return _fit_pool(mcover.names, mcover.order, list(map(logic.cube_words, mcover.term_pool)),
+                     [sel for _, sel in mcover.outputs], profile)
+
+
+def _fit_words(names, order, outputs, profile, pol_bits=()):
+    """fit for each named output's products over `order`: a list of
+    (req1, req0) words, or a TruthTable whose row r is the minterm word
+    (r, full ^ r). Words pool as share_terms pools cubes: each distinct pair
+    and each output's rows once, in first-use order. Polarity bit 1 inverts
+    an output. The pool is counted before any table row's word is written."""
+    full = (1 << len(order)) - 1
+    rows = logic._coverage(out.bits for out in outputs if isinstance(out, logic.TruthTable))[0]
+    if rows:
+        words = {w for out in outputs if not isinstance(out, logic.TruthTable) for w in out}
+        _check_fits(profile, len(order), len(outputs), rows.bit_count() + sum(
+            w[0] | w[1] != full or not rows >> w[0] & 1 for w in words))
+    pool = {}
+    selections = [dict.fromkeys([pool.setdefault(w, len(pool)) for w in (
+        [(r, full ^ r) for r in logic.mask_rows(out.bits)]
+        if isinstance(out, logic.TruthTable) else out)]) for out in outputs]
+    return _fit_pool(names, order, list(pool), selections, profile, pol_bits)
+
+
+def _fit_pool(names, order, pool, selections, profile, pol_bits=()):
+    """(PlaState, FitReport) of pool pair i as AND row i and output o as the
+    OR of rows selections[o]; CapacityError, then ValueError for a repeated name."""
+    n_vars, n_outs, n_terms = len(order), len(names), len(pool)
     _check_fits(profile, n_vars, n_outs, n_terms)
+    if len(set(names)) != n_outs:
+        raise ValueError(f"duplicate output name in {list(names)}")
 
     pad = profile.n_inputs - n_vars  # unused inputs take the low bits
-    and_words = [(req1 << pad, req0 << pad)
-                 for req1, req0 in map(logic.cube_words, mcover.term_pool)]
+    and_words = [(req1 << pad, req0 << pad) for req1, req0 in pool]
     and_words += [(0, 0)] * (profile.n_terms - n_terms)
 
-    or_words = [sum(1 << t for t in sel) for _, sel in mcover.outputs]  # no term twice
+    or_words = [sum(1 << t for t in sel) for sel in selections]  # no term twice
     shared = logic._coverage(or_words)[1]  # terms feeding two or more outputs
     or_words += [0] * (profile.n_outputs - n_outs)
 
-    state = PlaState(profile, and_words, or_words)
+    pol_word = sum(b << (profile.n_outputs - 1 - o) for o, b in enumerate(pol_bits))
+    state = PlaState(profile, and_words, or_words, pol_word)
     report = FitReport(
-        inputs_used=n_vars,
-        inputs_available=profile.n_inputs,
-        terms_used=n_terms,
-        terms_available=profile.n_terms,
-        outputs_used=n_outs,
-        outputs_available=profile.n_outputs,
-        assignments=mcover.outputs,
+        inputs_used=n_vars, inputs_available=profile.n_inputs,
+        terms_used=n_terms, terms_available=profile.n_terms,
+        outputs_used=n_outs, outputs_available=profile.n_outputs,
+        assignments=tuple(zip(names, map(tuple, selections))),
         shared_terms=tuple(logic.mask_rows(shared)),
-        input_names=pad_input_names(mcover.order, profile.n_inputs),
-        output_names=_pad_names(mcover.names, profile.n_outputs, "f"),
+        input_names=pad_input_names(order, profile.n_inputs),
+        output_names=_pad_names(names, profile.n_outputs, "f"),
     )
     return state, report
 
@@ -450,8 +473,9 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     output is minimized instead. A polarity-1 output stores the cover of
     the complement and sets the XOR bit, leaving the pin function equal to
     the equation -- the product-of-sums trick. `polarity` is a name->bit
-    mapping or a bit sequence in equation order. A design that does not
-    fit raises fit's CapacityError before any minterm cube is written.
+    mapping or a bit sequence in equation order. Products reach the device
+    as (req1, req0) words; a design that does not fit raises fit's
+    CapacityError before any minterm word is written.
     """
     equations = list(equations)
     if not equations:
@@ -465,67 +489,38 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     order = tuple(order) if order is not None else (
         ex.variables(*(e for _, e in equations)) or ("x0",))
 
-    covers = []  # a Cover, or a TruthTable to cover with its minterms
+    outputs = []  # (req1, req0) words, or a TruthTable to cover with its minterms
     try:
         order = logic._check_order(order)
         for (_, e), pol in zip(equations, pol_bits):
             if pol or minimize:
                 table = logic.table_from_expr(e, order)
-                cover = table.complement() if pol else table
+                out = table.complement() if pol else table
                 if minimize:
-                    cover = mn.minimize(cover)
+                    out = [p[1:] for p in mn._chosen_primes(out)]
             else:
-                cover = logic._sop_cover(e, order)
-                if not isinstance(cover, logic.Cover):
-                    cover = logic.table_from_expr(e, order)
-            covers.append(cover)
+                out = logic._sop_words(e, order)
+                if isinstance(out, tuple):  # not a sum of products
+                    out = logic.table_from_expr(e, order)
+            outputs.append(out)
     except ValueError:
         ex.check_names(equations, order, "not in order")
         raise
-    return _fit_covers(names, covers, order, profile, pol_bits)
+    return _fit_words(names, order, outputs, profile, pol_bits)
 
 
 def compile_sop(sop, profile, order=None):
     """compile_equations(parse_equations(text), profile, order=order) for a
-    text that expr.read_sop read into `sop`, built from its literal words
-    with no Expr tree: each product is one AND row, and a product holding
-    X and X' is dropped. None when a variable is outside the order or the
-    order is refused; compiling the parsed equations reports those."""
+    text that expr.read_sop read into `sop`, fitted from its literal words
+    with no Expr tree or cube string: each product is one AND row, and a
+    product holding X and X' is dropped. None when a variable is outside the
+    order or the order is refused; compiling the parsed equations reports those."""
     equations, variables = sop
     order = variables if order is None else tuple(order)
     words = logic.sop_words(sop, order)
     if words is None:
         return None
-    n = len(order)
-    covers = [logic.Cover(order, tuple(logic.cube_string(n, *w) for w in ws))
-              for ws in words]
-    return _fit_covers([name for name, _ in equations], covers, order, profile)
-
-
-def _fit_covers(names, covers, order, profile, pol_bits=()):
-    """Fit each named output's Cover, or TruthTable to cover with its
-    minterms, over `order`, with polarity bit 1 for an inverted output.
-    The pool is counted before any minterm cube is written: the distinct
-    cubes with a '-', then the distinct minterm rows."""
-    wide, written, rows = set(), set(), 0
-    for cover in covers:
-        if isinstance(cover, logic.TruthTable):
-            rows |= cover.bits
-        else:
-            for cube in cover.cubes:
-                (wide if "-" in cube else written).add(cube)
-    minterms = rows.bit_count() + sum(not rows >> int(cube, 2) & 1 for cube in written)
-    _check_fits(profile, len(order), len(covers), len(wide) + minterms)
-
-    mcover = mn.share_terms(
-        (name, logic.canonical_sop(c) if isinstance(c, logic.TruthTable) else c)
-        for name, c in zip(names, covers)
-    )
-    state, report = fit(mcover, profile)
-    if any(pol_bits):
-        top = profile.n_outputs - 1
-        state = replace(state, pol_word=sum(b << (top - o) for o, b in enumerate(pol_bits)))
-    return state, report
+    return _fit_words([name for name, _ in equations], order, words, profile)
 
 
 def _polarity_bits(polarity, names):

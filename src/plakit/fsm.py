@@ -36,10 +36,12 @@ from itertools import islice
 from . import minimize as mn
 from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
-from .fit import _check_row, _directive_count, _next_line, _nonblank_lines, _scan_rows, fit
+from .fit import (
+    _check_row, _directive_count, _fit_words, _next_line, _nonblank_lines, _scan_rows, fit,
+)
 from .logic import (
-    MAX_VARS, _label_line, _product_mask, _texts_ok, check_bits, cube_contains, cube_words,
-    mask_rows,
+    MAX_VARS, Cover, _label_line, _product_mask, _texts_ok, check_bits, cube_contains,
+    cube_words, mask_rows,
 )
 
 
@@ -291,6 +293,12 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     code and q zeros (none are needed for code 0). A row whose bits are all
     0 is left out. dc_rows are the rows of unused state codes.
     """
+    order, out_names, rows, dc_rows = _lower(fsm, encoding, strict)
+    return mn.MultiOutputCover.pooled(order, out_names, rows), dc_rows
+
+
+def _lower(fsm, encoding, strict):
+    """fsm_to_covers' (order, output names, .pla rows, dc_rows), unpooled."""
     if encoding is None:
         encoding = default_encoding(fsm)
     b, k, q = encoding.bits, fsm.n_inputs, fsm.n_outputs
@@ -336,7 +344,7 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
         if code not in used:
             dc_rows.extend(range(code << k, (code + 1) << k))
 
-    return mn.MultiOutputCover.pooled(order, out_names, rows), dc_rows
+    return order, out_names, rows, dc_rows
 
 
 @dataclass(frozen=True)
@@ -377,17 +385,19 @@ def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=N
     """Program a device as the machine's next-state/output logic.
 
     Returns (ControllerImage, FitReport). With minimize=True each output
-    function is minimized against the unused-code don't-cares before
-    fitting; otherwise cubes mirror the transition rows.
+    function is minimized against the unused-code don't-cares and its
+    chosen primes are fitted as words; otherwise fit places fsm_to_covers' pool.
     """
     if encoding is None:
         encoding = default_encoding(fsm)
-    mcover, dc_rows = fsm_to_covers(fsm, encoding, strict=strict)
-    if minimize:
-        mcover = mn.share_terms(
-            (name, mn.minimize(mcover.cover_for(name), dc_rows)) for name in mcover.names
-        )
-    state, report = fit(mcover, profile)
+    if minimize:  # each output's primes from its rows' cubes, fitted as words
+        order, out_names, rows, dc_rows = _lower(fsm, encoding, strict)
+        words = [[p[1:] for p in mn._chosen_primes(
+            Cover(order, [cube for cube, outs in rows if outs[o] == "1"]), dc_rows)]
+            for o in range(len(out_names))]
+        state, report = _fit_words(out_names, order, words, profile)
+    else:
+        state, report = fit(fsm_to_covers(fsm, encoding, strict=strict)[0], profile)
     image = ControllerImage(
         state, encoding, report.input_names, report.output_names
     )

@@ -379,10 +379,10 @@ def cover_from_expr(expr, order):
     Raises ValueError when the expression is not in SOP shape.
     """
     order = _check_order(order)
-    cover = _sop_cover(expr, order)
-    if isinstance(cover, Cover):
-        return cover
-    term, stop = cover
+    words = _sop_words(expr, order)
+    if isinstance(words, list):
+        return Cover(order, tuple(cube_string(len(order), *w) for w in words))
+    term, stop = words
     if isinstance(stop, str):
         raise ValueError(f"variable {stop!r} not in order")
     raise ValueError(
@@ -391,44 +391,43 @@ def cover_from_expr(expr, order):
     )
 
 
-def _sop_cover(expr, order):
-    """cover_from_expr's Cover over a checked order, or the (term, stop)
-    pair of the first term _term_words stopped at. It formats no message,
-    so a caller that falls back to the truth table pays for none."""
+def _sop_words(expr, order):
+    """cover_from_expr's cubes as (req1, req0) words over a checked order,
+    or the (term, stop) pair of the first term _term_words stopped at. It
+    formats no message, so a caller that falls back to the table pays for none."""
     n = len(order)
     bits = {name: 1 << (n - 1 - j) for j, name in enumerate(order)}
-    cubes = []
+    words = []
     for term in expr.children if isinstance(expr, ex.Or) else (expr,):
-        words = _term_words(term, bits)
-        if isinstance(words, tuple):
-            cubes.append(cube_string(n, *words))
-        elif words is not None:
-            return term, words
-    return Cover(order, tuple(cubes))
+        w = _term_words(term, bits)
+        if isinstance(w, tuple):
+            words.append(w)
+        elif w is not None:
+            return term, w
+    return words
 
 
 def _term_words(term, bits):
     """(req1, req0) of one product of literals and constants, read left to
-    right: None once the product is 0 (a constant 0, or X and X'), so no
-    factor after that is read. A factor before it that is not a literal
-    over `bits` stops the product: the result is then the variable's name
-    when only the name is wrong, else the factor."""
+    right. A variable outside `bits` stops the product with its name, and a
+    factor that is not a literal stops it with the factor while the product
+    may be nonzero. A product that is 0 (a constant 0, or X and X') gives
+    None once every factor's names are read, or the first name outside `bits`."""
     literals = []
-    for f in term.children if isinstance(term, ex.And) else (term,):
-        if isinstance(f, ex.Const):
-            if f.value:
-                continue
-            return None
+    factors = term.children if isinstance(term, ex.And) else (term,)
+    for i, f in enumerate(factors):
         var = f.child if isinstance(f, ex.Not) else f
-        if not isinstance(var, ex.Var):
-            stop = f
-        elif var.name not in bits:
-            stop = var.name
-        else:
+        if isinstance(var, ex.Var):
+            if var.name not in bits:
+                return var.name
             literals.append((var.name, int(var is f)))
-            continue
-        return None if _literal_words(literals, bits) is None else stop
-    return _literal_words(literals, bits)
+        elif not (isinstance(f, ex.Const) and f.value):
+            if isinstance(f, ex.Const) or _literal_words(literals, bits) is None:
+                break  # the product is 0
+            return f
+    else:
+        return _literal_words(literals, bits)
+    return next((v for v in ex.variables(*factors[i:]) if v not in bits), None)
 
 
 def _literal_words(literals, bits):

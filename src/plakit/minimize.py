@@ -247,13 +247,19 @@ def minimize(table_or_cover, dc=None):
     the Petrick bounds and budget. It is the cover `minimum_cover` picks
     from `prime_implicants`, chosen on words and formatted once.
     """
+    n, chosen = len(table_or_cover.order), _chosen_primes(table_or_cover, dc)
+    return Cover(table_or_cover.order, tuple(_key_cube(n, key) for key, _, _ in chosen))
+
+
+def _chosen_primes(table_or_cover, dc=None):
+    """The (key, req1, req0) primes `minimize` chooses, in its cover's order."""
     src = table_or_cover
     table = src if isinstance(src, TruthTable) else src.to_table()
     n = table.n
     dc_mask = _checked_mask(n, dc or ())
     on = table.bits & ~dc_mask
     primes = _primes(n, on, table.bits | dc_mask)
-    return Cover(table.order, tuple(_key_cube(n, primes[i][0]) for i in _cover(n, primes, on)))
+    return [primes[i] for i in _cover(n, primes, on)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ import contextlib
 import io
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, product
 
 from plakit import (
-    CapacityError, FormatError, Fsm, MultiOutputCover, PlaProfile, PlaState, Transition,
-    compile_equations, emit_fusemap, eval_pla, inject_fault, output_masks, pad_input_names,
-    parse_equations, parse_fusemap, table_from_expr, variables,
+    CapacityError, ControllerImage, FormatError, Fsm, MultiOutputCover, PlaProfile, PlaState,
+    Transition, canonical_sop, compile_equations, cover_from_expr, default_encoding,
+    emit_fusemap, eval_pla, fit, fsm_to_covers, inject_fault, minimize, output_masks,
+    pad_input_names, parse_equations, parse_fusemap, share_terms, table_from_expr, variables,
 )
 from plakit.cli import parse_profile
 from plakit.expr import check_names
@@ -440,3 +442,51 @@ def verify_via_expr(fuse, text, var_order=None, multi_letter=False):
         return 0
 
     return _cli_outcome(command)
+
+
+# ---------------------------------------------------------------------------
+# The string route the compile paths took before they fitted words: each
+# output's Cover of cube strings, pooled by share_terms into a
+# MultiOutputCover, placed by fit, and the polarity bits set after.
+
+
+def fit_via_strings(named_covers, profile, pol_bits=()):
+    """(PlaState, FitReport) of (name, Cover) pairs through share_terms and fit."""
+    state, report = fit(share_terms(named_covers), profile)
+    if any(pol_bits):
+        top = profile.n_outputs - 1
+        state = replace(state, pol_word=sum(b << (top - o) for o, b in enumerate(pol_bits)))
+    return state, report
+
+
+def compile_via_strings(equations, profile, minimize_=False, pol_bits=None, order=None):
+    """compile_equations by the string route, `pol_bits` a bit per equation:
+    a minimized cover, the complement's minterms under polarity 1, else the
+    written products when the body is a sum of products, else its minterms."""
+    order = tuple(order) if order else variables(*(e for _, e in equations))
+    pol_bits = list(pol_bits or [0] * len(equations))
+    covers = []
+    for (name, e), pol in zip(equations, pol_bits):
+        table = table_from_expr(e, order)
+        table = table.complement() if pol else table
+        if minimize_:
+            cover = minimize(table)
+        elif pol:
+            cover = canonical_sop(table)
+        else:
+            try:
+                cover = cover_from_expr(e, order)
+            except ValueError:
+                cover = canonical_sop(table)
+        covers.append((name, cover))
+    return fit_via_strings(covers, profile, pol_bits)
+
+
+def synthesize_via_strings(fsm, profile):
+    """synthesize_controller(minimize=True) by the string route: each
+    output's Cover from fsm_to_covers, minimized against the unused codes."""
+    encoding = default_encoding(fsm)
+    mcover, dc_rows = fsm_to_covers(fsm, encoding)
+    state, report = fit_via_strings(
+        [(name, minimize(mcover.cover_for(name), dc_rows)) for name in mcover.names], profile)
+    return ControllerImage(state, encoding, report.input_names, report.output_names), report

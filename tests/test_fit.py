@@ -571,6 +571,8 @@ def test_compile_counts_the_pool_before_writing_minterm_cubes(monkeypatch):
         if needed >= 2:
             with monkeypatch.context() as patch:
                 patch.setattr(fit_mod.mn, "share_terms", no_pool)
+                # no table row is listed as a minterm word before the refusal
+                patch.setattr(fit_mod.logic, "mask_rows", lambda m: no_pool() if m else [])
                 with pytest.raises(CapacityError) as exc:
                     compile_equations(eqs, PlaProfile(4, needed - 1, m, has_output_xor=True),
                                       polarity=pol, order=order)

@@ -200,9 +200,9 @@ def test_mixed_files_keep_every_message_and_which_error_wins(tmp_path, capsys):
         ("F = AB + A'C\nG = B'C + A\n", one, ["--var-order", "A,B,C,D"],
          (0, ""),
          (2, "", "error: 4 variables but the device has 3 inputs\n")),
-        # X and X' drop the product before its name outside the order is read
+        # a product with X and X' is dropped only after every name in it is read
         ("F = AA'D + B\n", one + ["--order", "A,B"], [],
-         (0, ""),
+         (2, "error: equation 'F' uses variables not in order: ['D']\n"),
          (2, "", "error: equation 'F' uses variables not on the device: ['D']\n")),
     ]
     for text, compile_args, verify_args, compiled, verified in cases:
