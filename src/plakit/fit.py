@@ -33,6 +33,7 @@ a row with the wrong field count or a bad cube or output field, and a
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 from . import expr as ex
 from . import logic
@@ -224,7 +225,20 @@ def _row_text(line, width, what):
     return line
 
 
+def _plane(it, count, width, what):
+    """The next `count` lines as a plane's rows of `width` 0/1 characters:
+    one test for them all, and row by row only to name the first fault."""
+    rows = list(islice(it, count))
+    if len(rows) < count or not logic._texts_ok(rows, width, logic._BIT_CHARS):
+        for r, line in enumerate(rows):
+            _row_text(line, width, f"{what} row {r}")
+        raise FormatError(f"truncated fuse map: expected {what} row {len(rows)}")
+    return rows
+
+
 def parse_fusemap(text):
+    """Read a fuse map into a FuseMap; FormatError names the first fault.
+    Padding rows repeat, so each distinct AND row text becomes words once."""
     it = _nonblank_lines(text)
     header = _next_line(it, "PLAFUSE header")
     if not header.startswith("PLAFUSE"):
@@ -269,15 +283,13 @@ def parse_fusemap(text):
 
     if line != "AND":
         raise FormatError(f"expected AND section, got {line!r}")
-    and_words = []
-    for r in range(p):
-        row = _row_text(_next_line(it, f"AND row {r}"), 2 * n, f"AND row {r}")
-        and_words.append((int(row[0::2], 2), int(row[1::2], 2)))
+    rows = _plane(it, p, 2 * n, "AND")
+    words = {row: (int(row[0::2], 2), int(row[1::2], 2)) for row in set(rows)}
+    and_words = list(map(words.__getitem__, rows))
     line = _next_line(it, "OR")
     if line != "OR":
         raise FormatError(f"expected OR section, got {line!r}")
-    or_words = [int(_row_text(_next_line(it, f"OR row {r}"), p, f"OR row {r}")[::-1], 2)
-                for r in range(m)]
+    or_words = [int(row[::-1], 2) for row in _plane(it, m, p, "OR")]
 
     line = _next_line(it, "POL or END")
     polarity = 0
@@ -497,7 +509,7 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
                 table = logic.table_from_expr(e, order)
                 out = table.complement() if pol else table
                 if minimize:
-                    out = [p[1:] for p in mn._chosen_primes(out)]
+                    out = [p[1:] for p in mn._mask_primes(out.n, out.bits, 0)]
             else:
                 out = logic._sop_words(e, order)
                 if isinstance(out, tuple):  # not a sum of products

@@ -37,10 +37,11 @@ from . import minimize as mn
 from .device import eval_pla  # noqa: F401 (bench/tests reads fsm.eval_pla)
 from .errors import FormatError
 from .fit import (
-    _check_row, _directive_count, _fit_words, _next_line, _nonblank_lines, _scan_rows, fit,
+    _check_fits, _check_row, _directive_count, _fit_words, _next_line, _nonblank_lines,
+    _scan_rows, fit,
 )
 from .logic import (
-    MAX_VARS, Cover, _label_line, _product_mask, _texts_ok, check_bits, cube_contains,
+    MAX_VARS, _check_order, _label_line, _product_mask, _texts_ok, check_bits, cube_contains,
     cube_words, mask_rows,
 )
 
@@ -291,60 +292,93 @@ def fsm_to_covers(fsm, encoding=None, strict=False):
     then the outputs. Each transition is one row, its cube; each unmatched
     (state, input) pair is a hold-state minterm row whose bits are its own
     code and q zeros (none are needed for code 0). A row whose bits are all
-    0 is left out. dc_rows are the rows of unused state codes.
+    0 is left out. dc_rows lists the rows of unused state codes, ascending.
     """
-    order, out_names, rows, dc_rows = _lower(fsm, encoding, strict)
-    return mn.MultiOutputCover.pooled(order, out_names, rows), dc_rows
-
-
-def _lower(fsm, encoding, strict):
-    """fsm_to_covers' (order, output names, .pla rows, dc_rows), unpooled."""
     if encoding is None:
         encoding = default_encoding(fsm)
-    b, k, q = encoding.bits, fsm.n_inputs, fsm.n_outputs
+    return (mn.MultiOutputCover.pooled(*_lower(fsm, encoding, strict)),
+            mask_rows(_dc_mask(encoding, fsm.n_inputs)))
+
+
+def _free_rows(fsm, encoding, strict):
+    """(code per state name, each transition's input-row mask, each state's
+    input rows no transition covers), once the encoding suits the machine
+    and, under strict, no row is left free."""
+    k, q = fsm.n_inputs, fsm.n_outputs
     if (encoding.n_inputs, encoding.n_outputs) != (k, q):
         raise ValueError(
             f"encoding is for {encoding.n_inputs} inputs / {encoding.n_outputs} outputs "
             f"but the machine has {k} / {q}"
         )
-    order, out_names = _signal_names(b, k, q)
-
-    code_strs = {name: format(code, f"0{b}b") for name, code in encoding.codes}
+    codes = dict(encoding.codes)
     for state in fsm.states:
-        if state not in code_strs:
+        if state not in codes:
             raise ValueError(f"encoding has no code for state {state!r}")
     if encoding.reset != fsm.reset:  # the register starts at code 0
         raise ValueError(f"encoding gives code 0 to {encoding.reset!r}, "
                          f"but the machine resets to {fsm.reset!r}")
-    free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)  # rows no transition covers
-    rows = []  # (cube, output bits): next-state bits first, then outputs
+    free = dict.fromkeys(fsm.states, (1 << (1 << k)) - 1)
+    masks = []
     for t in fsm.transitions:
-        free[t.current] &= ~_product_mask(k, *cube_words(t.input_cube))
-        outs = code_strs[t.next_state] + t.outputs
-        if "1" in outs:
-            rows.append((code_strs[t.current] + t.input_cube, outs))
-
-    row_fmt = f"0{k}b"
+        masks.append(mask := _product_mask(k, *cube_words(t.input_cube)))
+        free[t.current] &= ~mask
     if strict and any(free.values()):
         pairs = ((s, row) for s in fsm.states for row in mask_rows(free[s]))
-        shown = ", ".join(f"({s}, {row:{row_fmt}})" for s, row in islice(pairs, 5))
+        shown = ", ".join(f"({s}, {row:0{k}b})" for s, row in islice(pairs, 5))
         raise ValueError(
             f"{sum(m.bit_count() for m in free.values())} unmatched state/input "
             f"combinations, e.g. {shown}"
         )
-    for state in fsm.states:
-        code_str = code_strs[state]
-        if "1" in code_str:
-            hold = code_str + "0" * q
-            rows += [(code_str + format(row, row_fmt), hold) for row in mask_rows(free[state])]
+    return codes, masks, free
 
-    dc_rows = []
-    used = {c for _, c in encoding.codes}
-    for code in range(1 << b):
-        if code not in used:
-            dc_rows.extend(range(code << k, (code + 1) << k))
 
-    return order, out_names, rows, dc_rows
+def _dc_mask(encoding, k):
+    """The rows of the state codes the encoding leaves unused."""
+    block = (1 << (1 << k)) - 1
+    used = sum(block << (code << k) for _, code in encoding.codes)
+    return ((1 << (1 << (encoding.bits + k))) - 1) ^ used
+
+
+def _lower(fsm, encoding, strict, profile=None):
+    """fsm_to_covers' (order, output names, .pla rows), unpooled. With a
+    profile, fit's CapacityError comes before any hold row is written: the
+    rows are pairwise distinct, so their count is the pool's."""
+    codes, _, free = _free_rows(fsm, encoding, strict)
+    b, k, q = encoding.bits, fsm.n_inputs, fsm.n_outputs
+    code_strs = {name: format(code, f"0{b}b") for name, code in codes.items()}
+    rows = []  # (cube, output bits): next-state bits first, then outputs
+    for t in fsm.transitions:
+        outs = code_strs[t.next_state] + t.outputs
+        if "1" in outs:
+            rows.append((code_strs[t.current] + t.input_cube, outs))
+    held = [state for state in fsm.states if codes[state]]  # code 0 holds with no row
+    if profile is not None:
+        _check_fits(profile, b + k, b + q, len(rows) + sum(free[s].bit_count() for s in held))
+    for state in held:
+        hold = code_strs[state] + "0" * q
+        rows += [(f"{code_strs[state]}{row:0{k}b}", hold) for row in mask_rows(free[state])]
+    return *_signal_names(b, k, q), rows
+
+
+def _lower_masks(fsm, encoding, strict):
+    """`_lower`'s rows as (order, output names, ON mask per output, DC mask),
+    too many variables refused before any mask is built. Rows move to
+    their state's code block: a transition's set the bits of its next code
+    and outputs, a state's free ones the bits of its code."""
+    b, k, q = encoding.bits, fsm.n_inputs, fsm.n_outputs
+    order, out_names = _signal_names(b, k, q)
+    mn._check_width(len(_check_order(order)))
+    codes, masks, free = _free_rows(fsm, encoding, strict)
+    code_strs = {name: format(code, f"0{b}b") for name, code in codes.items()}
+    sets = [(mask << (codes[t.current] << k), code_strs[t.next_state] + t.outputs)
+            for t, mask in zip(fsm.transitions, masks)]
+    sets += [(free[state] << (codes[state] << k), code_strs[state]) for state in fsm.states]
+    on = [0] * (b + q)
+    for rows, bits in sets:
+        for o, bit in enumerate(bits):
+            if bit == "1":
+                on[o] |= rows
+    return order, out_names, on, _dc_mask(encoding, k)
 
 
 @dataclass(frozen=True)
@@ -384,20 +418,20 @@ class ControllerImage:
 def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=None):
     """Program a device as the machine's next-state/output logic.
 
-    Returns (ControllerImage, FitReport). With minimize=True each output
-    function is minimized against the unused-code don't-cares and its
-    chosen primes are fitted as words; otherwise fit places fsm_to_covers' pool.
+    Returns (ControllerImage, FitReport). With minimize=True each output's
+    ON mask is minimized against the unused codes' DC mask, with no cover
+    or hold row built, and its chosen primes are fitted as words; otherwise
+    fit places fsm_to_covers' pool, refused before its hold rows are written.
     """
     if encoding is None:
         encoding = default_encoding(fsm)
-    if minimize:  # each output's primes from its rows' cubes, fitted as words
-        order, out_names, rows, dc_rows = _lower(fsm, encoding, strict)
-        words = [[p[1:] for p in mn._chosen_primes(
-            Cover(order, [cube for cube, outs in rows if outs[o] == "1"]), dc_rows)]
-            for o in range(len(out_names))]
+    if minimize:
+        order, out_names, on_masks, dc = _lower_masks(fsm, encoding, strict)
+        words = [[p[1:] for p in mn._mask_primes(len(order), on, dc)] for on in on_masks]
         state, report = _fit_words(out_names, order, words, profile)
     else:
-        state, report = fit(fsm_to_covers(fsm, encoding, strict=strict)[0], profile)
+        order, out_names, rows = _lower(fsm, encoding, strict, profile)
+        state, report = fit(mn.MultiOutputCover.pooled(order, out_names, rows), profile)
     image = ControllerImage(
         state, encoding, report.input_names, report.output_names
     )
@@ -437,8 +471,9 @@ def simulate_controller(image, input_seq):
     The register starts at code 0; each cycle evaluates the PLA on the
     input word (state bits, input bits, unused inputs at 0) and latches the
     next-state outputs. A run evaluates each distinct (code, input) pair
-    once: the step table keeps its trace entry and next code, and a key
-    enters the table only after its vector passed check_bits.
+    once: each code reached gets a step table whose entry per input string
+    holds the trace entry, the next code and its table, and a key enters a
+    table only after its vector passed check_bits.
     """
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
@@ -447,18 +482,18 @@ def simulate_controller(image, input_seq):
     pad = prof.n_inputs - b - k  # unused inputs read 0
     next_at = prof.n_outputs - b  # the next code is the word's top b bits
     outs_at, outs_mask = next_at - q, (1 << q) - 1
-    steps = {}  # (code, input string) -> ((code bits, outputs), next code)
-    code = 0
+    tables = {}  # code -> {input string: ((code bits, outputs), next code, its table)}
+    code, table = 0, tables.setdefault(0, {})
     trace = []
     for bits in input_seq:
         if not isinstance(bits, str):
             bits = check_bits(bits, k)
-        step = steps.get((code, bits))
+        step = table.get(bits)
         if step is None:
             word = evaluate(((code << k) | int(check_bits(bits, k), 2)) << pad)
-            step = steps[code, bits] = ((format(code, f"0{b}b"),
-                                         format(word >> outs_at & outs_mask, f"0{q}b")),
-                                        word >> next_at)
-        trace.append(step[0])
-        code = step[1]
+            step = table[bits] = ((format(code, f"0{b}b"),
+                                   format(word >> outs_at & outs_mask, f"0{q}b")),
+                                  word >> next_at, tables.setdefault(word >> next_at, {}))
+        entry, code, table = step
+        trace.append(entry)
     return trace

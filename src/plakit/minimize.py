@@ -41,13 +41,16 @@ PETRICK_MAX_PRIMES = 24
 PETRICK_MAX_MINTERMS = 64
 PETRICK_MAX_PRODUCTS = 512  # absorbed products kept after any chart row
 
+def _check_width(n):
+    """ValueError unless n variables suit the minimizer."""
+    if n > MINIMIZER_MAX_VARS:
+        raise ValueError(f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}")
+
+
 def _checked_mask(n, rows):
     """The row mask of row indices over n variables; ValueError unless n
     suits the minimizer and every index is one of the 2^n rows."""
-    if n > MINIMIZER_MAX_VARS:
-        raise ValueError(
-            f"{n} variables exceeds the minimizer limit of {MINIMIZER_MAX_VARS}"
-        )
+    _check_width(n)
     limit = 1 << n
     digits = bytearray(b"0" * limit)  # row r is digit limit-1-r
     for row in rows:
@@ -247,18 +250,18 @@ def minimize(table_or_cover, dc=None):
     the Petrick bounds and budget. It is the cover `minimum_cover` picks
     from `prime_implicants`, chosen on words and formatted once.
     """
-    n, chosen = len(table_or_cover.order), _chosen_primes(table_or_cover, dc)
-    return Cover(table_or_cover.order, tuple(_key_cube(n, key) for key, _, _ in chosen))
-
-
-def _chosen_primes(table_or_cover, dc=None):
-    """The (key, req1, req0) primes `minimize` chooses, in its cover's order."""
     src = table_or_cover
     table = src if isinstance(src, TruthTable) else src.to_table()
-    n = table.n
-    dc_mask = _checked_mask(n, dc or ())
-    on = table.bits & ~dc_mask
-    primes = _primes(n, on, table.bits | dc_mask)
+    dc_mask = _checked_mask(table.n, dc or ())
+    chosen = _mask_primes(table.n, table.bits & ~dc_mask, dc_mask)
+    return Cover(table.order, tuple(_key_cube(table.n, key) for key, _, _ in chosen))
+
+
+def _mask_primes(n, on, dc):
+    """The (key, req1, req0) primes `minimize` chooses to cover the `on` row
+    mask, in its cover's order, with the rows of the disjoint `dc` mask free."""
+    _check_width(n)
+    primes = _primes(n, on, on | dc)
     return [primes[i] for i in _cover(n, primes, on)]
 
 

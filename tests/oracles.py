@@ -20,6 +20,7 @@ from plakit import (
 )
 from plakit.cli import parse_profile
 from plakit.expr import check_names
+from plakit.minimize import _checked_mask
 
 
 def all_cubes(n):
@@ -482,11 +483,24 @@ def compile_via_strings(equations, profile, minimize_=False, pol_bits=None, orde
     return fit_via_strings(covers, profile, pol_bits)
 
 
-def synthesize_via_strings(fsm, profile):
+def synthesize_via_strings(fsm, profile, encoding=None):
     """synthesize_controller(minimize=True) by the string route: each
     output's Cover from fsm_to_covers, minimized against the unused codes."""
-    encoding = default_encoding(fsm)
+    encoding = encoding or default_encoding(fsm)
     mcover, dc_rows = fsm_to_covers(fsm, encoding)
     state, report = fit_via_strings(
         [(name, minimize(mcover.cover_for(name), dc_rows)) for name in mcover.names], profile)
     return ControllerImage(state, encoding, report.input_names, report.output_names), report
+
+
+def lower_via_rows(fsm, encoding):
+    """(ON mask per output, DC mask) of a machine by the row route: the
+    table of each output's Cover of fsm_to_covers' rows, and the mask of
+    the unused codes' rows, listed one by one."""
+    mcover, _ = fsm_to_covers(fsm, encoding)
+    b, k = encoding.bits, fsm.n_inputs
+    used = {code for _, code in encoding.codes}
+    dc_rows = [row for code in range(1 << b) if code not in used
+               for row in range(code << k, (code + 1) << k)]
+    return ([mcover.cover_for(name).to_table().bits for name in mcover.names],
+            _checked_mask(b + k, dc_rows))

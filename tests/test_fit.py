@@ -27,7 +27,7 @@ from plakit import (
     table_from_expr,
     write_berkeley_pla,
 )
-from oracles import and_row_naive, random_profile, random_state, seeded
+from oracles import and_row_naive, random_profile, random_state, seeded, state_from_planes
 
 fit_mod = importlib.import_module("plakit.fit")
 
@@ -282,7 +282,49 @@ def test_fusemap_round_trip_random_devices():
             assert emit_fusemap(fm.state, fm.input_names, fm.output_names) == text
 
 
-MAJ_PLA = ".i 3\n.o 1\n.p 4\n.ilb A B C\n.ob M\n011 1\n101 1\n110 1\n111 1\n.e\n"
+def test_fusemap_round_trip_with_repeated_rows():
+    # a fitted part's unused rows repeat one padding row; here a few
+    # distinct rows each recur many times, in random order
+    rng = seeded(47)
+    for _ in range(40):
+        prof = random_profile(rng, max_inputs=8, max_terms=96, max_outputs=4)
+        rows = random_state(rng, PlaProfile(prof.n_inputs, rng.randint(1, 4), 1)).and_plane
+        and_plane = [rng.choice(rows) for _ in range(prof.n_terms)]
+        state = random_state(rng, prof)
+        state = state_from_planes(prof, and_plane, state.or_plane, state.polarity)
+        assert len(set(state.and_words)) <= 4
+        assert parse_fusemap(emit_fusemap(state)).state == state
+
+
+_FUSE_HEAD = "PLAFUSE 1\nTECH fuse XOR 0\nDIM 2 64 2\nAND\n"
+_FUSE_OR = "OR\n" + "1" * 64 + "\n" + "0" * 64 + "\nEND\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bad row wins over the truncation after it
+    (_FUSE_HEAD + "1000\n" * 3 + "10x0\n" + "1000\n" * 2,
+     "AND row 3 has illegal characters ['x']"),
+    # a short plane reads the OR keyword as its next row
+    (_FUSE_HEAD + "1000\n" * 5 + _FUSE_OR, "AND row 5 has 2 columns, expected 4"),
+    (_FUSE_HEAD + "1000\n" * 60 + "0000\n" * 2 + "00 0\n" + "0000\n" + _FUSE_OR,
+     "AND row 62 has illegal characters [' ']"),
+    (_FUSE_HEAD + "1000\n" * 60 + "0000\n" * 2 + "0020\n" + "0000\n" + _FUSE_OR,
+     "AND row 62 has illegal characters ['2']"),
+    (_FUSE_HEAD + "1000\n" * 61 + "000\n" + "0000\n" * 2 + _FUSE_OR,
+     "AND row 61 has 3 columns, expected 4"),
+    (_FUSE_HEAD + "1000\n" * 64, "truncated fuse map: expected OR"),
+    (_FUSE_HEAD + "1000\n" * 64 + "OR\n" + "1" * 64 + "\n",
+     "truncated fuse map: expected OR row 1"),
+    (_FUSE_HEAD + "1000\n" * 64 + "OR\n" + "1" * 63 + "\n",
+     "OR row 0 has 63 columns, expected 64"),
+])
+def test_parse_fusemap_names_the_first_fault_of_a_plane(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_fusemap(text)
+    assert str(exc.value) == message
+
+
+MAJ_PLA =".i 3\n.o 1\n.p 4\n.ilb A B C\n.ob M\n011 1\n101 1\n110 1\n111 1\n.e\n"
 
 
 def test_write_berkeley_pla_golden():

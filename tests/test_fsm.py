@@ -29,6 +29,7 @@ from oracles import (
     random_input_sequence,
     seeded,
     simulate_controller_naive,
+    state_from_planes,
 )
 
 TOGGLE_KISS = """\
@@ -696,3 +697,37 @@ def test_step_table_of_an_edited_image_is_its_own():
                     edits += want != before
     assert edits > 0
     assert simulate_controller(image, seq) == before
+
+
+def test_step_tables_match_the_per_cycle_oracle_over_long_runs():
+    # one machine of each kind, 10,000 cycles as strings and as 0/1 lists
+    rng = seeded(107)
+    for machine in (random_fsm(rng, max_inputs=3), random_cube_fsm(rng, 5)):
+        image, _ = synthesize_controller(machine, profile_for(machine, minimize_safe=True),
+                                         minimize=True)
+        seq = _repeating_stimulus(rng, machine.n_inputs, 5000)
+        seq += random_input_sequence(rng, machine.n_inputs, 5000)
+        want = simulate_controller_naive(image, seq)
+        assert simulate_controller(image, seq) == want
+        assert simulate_controller(image, [[int(c) for c in bits] for bits in seq]) == want
+
+
+def test_step_tables_follow_codes_the_encoding_does_not_name():
+    # a hand-drawn image on 2 state bits whose encoding names codes 0 and 1
+    # only: the next code is the input vector, so codes 2 and 3 are reached
+    enc = StateEncoding(2, 2, 1, (("A", 0), ("B", 1)))
+    profile = PlaProfile(5, 6, 4)  # inputs s0 s1 i0 i1 x, outputs ns0 ns1 o0 f
+    and_plane = [  # columns: s0 s0' s1 s1' i0 i0' i1 i1' x x'
+        (0, 0, 0, 0, 1, 0, 0, 0, 0, 0),  # i0
+        (0, 0, 0, 0, 0, 0, 1, 0, 0, 0),  # i1
+        (1, 0, 0, 0, 0, 0, 0, 1, 0, 0),  # s0 i1'
+        (0, 0, 1, 0, 1, 0, 0, 0, 0, 0),  # s1 i0
+    ] + [(0,) * 10] * 2
+    or_plane = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 0, 0)]
+    image = ControllerImage(state_from_planes(profile, and_plane, or_plane, (0,) * 4), enc)
+    seq = random_input_sequence(seeded(109), 2, 10000)
+    want = simulate_controller_naive(image, seq)
+    assert {code for code, _ in want} == {"00", "01", "10", "11"}
+    assert {out for _, out in want} == {"0", "1"}
+    assert simulate_controller(image, seq) == want
+    assert simulate_controller(image, [[int(c) for c in bits] for bits in seq]) == want
