@@ -28,12 +28,14 @@ scanner, `_scan_rows`, reads the grammar that .pla covers and KISS2
 machines share. It refuses an unknown directive, a bad or zero .i/.o
 count, a .i above the input limit, a row before .i/.o or without them,
 a row with the wrong field count or a bad cube or output field, and a
-.i/.o that changes after rows were read.
+.i/.o that changes after rows were read. The rows between two directives
+are checked as one block, and row by row only to name the first fault.
+Every pool, of .pla cubes or of product words, comes from `minimize._pool`.
 """
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from . import expr as ex
 from . import logic
@@ -114,11 +116,10 @@ def _fit_words(names, order, outputs, profile, pol_bits=()):
         words = {w for out in outputs if not isinstance(out, logic.TruthTable) for w in out}
         _check_fits(profile, len(order), len(outputs), rows.bit_count() + sum(
             w[0] | w[1] != full or not rows >> w[0] & 1 for w in words))
-    pool = {}
-    selections = [dict.fromkeys([pool.setdefault(w, len(pool)) for w in (
-        [(r, full ^ r) for r in logic.mask_rows(out.bits)]
-        if isinstance(out, logic.TruthTable) else out)]) for out in outputs]
-    return _fit_pool(names, order, list(pool), selections, profile, pol_bits)
+    columns = [[(r, full ^ r) for r in logic.mask_rows(out.bits)]
+               if isinstance(out, logic.TruthTable) else out for out in outputs]
+    pool, selections = mn._pool(chain.from_iterable(columns), columns)
+    return _fit_pool(names, order, pool, selections, profile, pol_bits)
 
 
 def _fit_pool(names, order, pool, selections, profile, pol_bits=()):
@@ -229,7 +230,7 @@ def _plane(it, count, width, what):
     """The next `count` lines as a plane's rows of `width` 0/1 characters:
     one test for them all, and row by row only to name the first fault."""
     rows = list(islice(it, count))
-    if len(rows) < count or not logic._texts_ok(rows, width, logic._BIT_CHARS):
+    if len(rows) < count or not logic._texts_ok(rows, width, b"01"):
         for r, line in enumerate(rows):
             _row_text(line, width, f"{what} row {r}")
         raise FormatError(f"truncated fuse map: expected {what} row {len(rows)}")
@@ -374,25 +375,32 @@ def _scan_rows(text, shape, noun, directives):
     counts = {".i": None, ".o": None}
     n = m = None
     width = shape.count(" ") + 1
-    cube_chars, bit_chars = logic._CUBE_CHARS, logic._BIT_CHARS
+    lines = text.splitlines()
+    lines = [line.split("#", 1)[0] for line in lines] if "#" in text else lines
+    fields = [line.split() for line in lines]
     rows = []
     found = {}
-    for lineno, line in ex.content_lines(text):
-        parts = line.split()
-        if line[0] != ".":
-            if n is None or m is None:
-                raise FormatError(f"line {lineno}: {noun} before .i/.o declarations")
-            if len(parts) != width:
-                raise FormatError(f"line {lineno}: expected {shape!r}, got {line!r}")
-            cube, outs = parts[0], parts[-1]
-            if not (len(cube) == n and len(outs) == m and cube_chars.issuperset(cube)
-                    and bit_chars.issuperset(outs)):
-                try:  # name what is wrong
-                    _check_row(cube, outs, n, m)
+    start = 0  # the first line of the rows before the next directive
+    for at in [i for i, parts in enumerate(fields) if parts and parts[0][0] == "."] + [None]:
+        block = list(filter(None, fields[start:at]))
+        columns = list(zip(*block))  # whole when every row has `width` fields
+        if block and (m is None or n is None or set(map(len, block)) != {width}
+                      or not logic._texts_ok(columns[0], n)
+                      or not logic._texts_ok(columns[-1], m, b"01")):
+            for lineno, parts in [(i, p) for i, p in enumerate(fields[start:at], start + 1) if p]:
+                if n is None or m is None:  # name the first fault
+                    raise FormatError(f"line {lineno}: {noun} before .i/.o declarations")
+                if len(parts) != width:
+                    raise FormatError(f"line {lineno}: expected {shape!r}, "
+                                      f"got {lines[lineno - 1].strip()!r}")
+                try:
+                    _check_row(parts[0], parts[-1], n, m)
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: {exc}") from None
-            rows.append(parts)
-            continue
+        rows += block
+        if at is None:
+            break
+        parts, lineno, start = fields[at], at + 1, at + 1
         key = parts[0]
         if key in counts:
             count = _signal_count(parts, lineno)
@@ -464,10 +472,10 @@ def write_berkeley_pla(mcover):
         ".ilb " + logic._label_line(mcover.order, comments=True),
         ".ob " + logic._label_line(mcover.names, comments=True),
     ]
-    sel_sets = [set(sel) for _, sel in mcover.outputs]
-    for t, cube in enumerate(mcover.term_pool):
-        out_part = "".join("1" if t in s else "0" for s in sel_sets)
-        lines.append(f"{cube} {out_part}")
+    terms = range(len(mcover.term_pool))  # each output's column: "1" at its terms, else "0"
+    columns = [map(dict.fromkeys(sel, "1").get, terms, repeat("0")) for _, sel in mcover.outputs]
+    outs = map("".join, zip(*columns) if columns else [()] * len(terms))
+    lines += map(" ".join, zip(mcover.term_pool, outs))
     lines.append(".e")
     return "\n".join(lines) + "\n"
 

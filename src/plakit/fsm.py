@@ -81,7 +81,7 @@ class Fsm:
         transitions = tuple(self.transitions)
         object.__setattr__(self, "transitions", transitions)
         rows_ok = (_texts_ok([t.input_cube for t in transitions], self.n_inputs)
-                   and _texts_ok([t.outputs for t in transitions], self.n_outputs, "01"))
+                   and _texts_ok([t.outputs for t in transitions], self.n_outputs, b"01"))
         seen = set()
         by_state = {}  # state -> (req1, req0, cube) per row
         for t in transitions:
@@ -473,7 +473,8 @@ def simulate_controller(image, input_seq):
     next-state outputs. A run evaluates each distinct (code, input) pair
     once: each code reached gets a step table whose entry per input string
     holds the trace entry, the next code and its table, and a key enters a
-    table only after its vector passed check_bits.
+    table only after its vector passed check_bits, so a vector that is not a
+    string costs one format of its items per cycle.
     """
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
@@ -485,9 +486,11 @@ def simulate_controller(image, input_seq):
     tables = {}  # code -> {input string: ((code bits, outputs), next code, its table)}
     code, table = 0, tables.setdefault(0, {})
     trace = []
+    digits = "%s" * k  # check_bits' string of k items: str() of each
     for bits in input_seq:
         if not isinstance(bits, str):
-            bits = check_bits(bits, k)
+            bits = tuple(bits)
+            bits = digits % bits if len(bits) == k else check_bits(bits, k)
         step = table.get(bits)
         if step is None:
             word = evaluate(((code << k) | int(check_bits(bits, k), 2)) << pad)

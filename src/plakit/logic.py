@@ -31,8 +31,8 @@ MAX_VARS = 24  # exhaustive 2^n sweeps stay cheap up to here
 
 _CUBE_CHARS = frozenset("01-")
 _BIT_CHARS = frozenset("01")
-_REQ1 = str.maketrans("01-", "010")  # cube -> word of its true literals
-_REQ0 = str.maketrans("01-", "100")  # cube -> word of its complemented literals
+_REQ1 = bytes.maketrans(b"01-", b"010")  # cube -> word of its true literals
+_REQ0 = bytes.maketrans(b"01-", b"100")  # cube -> word of its complemented literals
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # 0/1 byte values -> binary digits
 # 8 bits spread to the even bits of 16: a variable's two interleaved bits
 _SPREAD = tuple(sum((x >> k & 1) << 2 * k for k in range(8)) for x in range(256))
@@ -147,9 +147,11 @@ def check_cube(cube, n):
     return cube
 
 
-def _texts_ok(texts, n, chars=_CUBE_CHARS):
-    """Is every text (a string) n characters from `chars`? One test for the whole list."""
-    return not set(map(len, texts)) - {n} and frozenset(chars).issuperset("".join(texts))
+def _texts_ok(texts, n, chars=b"01-"):
+    """Is every text (a string) n characters from the bytes `chars`? One test for them all."""
+    text = "".join(texts)
+    return (not set(map(len, texts)) - {n} and text.isascii()
+            and not text.encode().translate(None, chars))
 
 
 def check_cubes(cubes, n):
@@ -231,6 +233,7 @@ def mask_rows(mask):
 def cube_words(cube):
     """(req1, req0) literal words of a cube: bit n-1-j of req1 is set where
     variable j appears true, of req0 where it appears complemented."""
+    cube = cube.encode()
     return int(cube.translate(_REQ1), 2), int(cube.translate(_REQ0), 2)
 
 
@@ -243,14 +246,17 @@ def interleave(words):
             | _SPREAD[req0 & 255] | _SPREAD[req0 >> 8 & 255] << 16 | _SPREAD[req0 >> 16] << 32)
 
 
-def _key_cube(n, key):
-    """The n-character cube of an `interleave` key, read as whole hex digits."""
-    return format(key << 2 * (n & 1), f"0{n + 1 >> 1}x").translate(_HEX_CUBES)[:n]
+def _key_cubes(n, keys):
+    """The n-character cubes of `interleave` keys, read as whole hex digits,
+    all with one translate."""
+    digits, shift = n + 1 >> 1, 2 * (n & 1)
+    text = "".join([format(key << shift, f"0{digits}x") for key in keys]).translate(_HEX_CUBES)
+    return [text[i:i + n] for i in range(0, len(text), 2 * digits)]
 
 
 def cube_string(n, req1, req0):
     """The n-character cube of a (req1, req0) pair; a variable in both reads '1'."""
-    return _key_cube(n, interleave((req1, req0)))
+    return _key_cubes(n, [interleave((req1, req0))])[0]
 
 
 def cube_mask(cube, n=None):

@@ -28,9 +28,10 @@ word pair (`logic.interleave`) that sorts pairs as their cube strings sort.
 import heapq
 import logging
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 from .logic import (
-    Cover, TruthTable, _check_order, _coverage, _key_cube, _literal_mask, _product_mask,
+    Cover, TruthTable, _check_order, _coverage, _key_cubes, _literal_mask, _product_mask,
     check_cubes, cube_words, interleave, mask_rows,
 )
 
@@ -131,7 +132,7 @@ def prime_implicants(spec):
     n = spec.n
     on = _checked_mask(n, spec.on_set)
     care = on | _checked_mask(n, spec.dc_set)
-    return [_key_cube(n, key) for key, _, _ in _primes(n, on, care)]
+    return _key_cubes(n, [key for key, _, _ in _primes(n, on, care)])
 
 
 def _petrick(masks, remaining):
@@ -254,7 +255,7 @@ def minimize(table_or_cover, dc=None):
     table = src if isinstance(src, TruthTable) else src.to_table()
     dc_mask = _checked_mask(table.n, dc or ())
     chosen = _mask_primes(table.n, table.bits & ~dc_mask, dc_mask)
-    return Cover(table.order, tuple(_key_cube(table.n, key) for key, _, _ in chosen))
+    return Cover(table.order, tuple(_key_cubes(table.n, [key for key, _, _ in chosen])))
 
 
 def _mask_primes(n, on, dc):
@@ -305,15 +306,12 @@ class MultiOutputCover:
         """Build from .pla rows (cube, output bits), in order: bit o of a row
         is "1" when output o uses its cube. A cube enters the pool at its
         first row, even one whose bits are all "0", and each output lists
-        its terms once, in first-use order."""
-        pool = {}
-        selections = [{} for _ in names]
-        for cube, outs in rows:
-            t = pool.setdefault(cube, len(pool))
-            for sel, bit in zip(selections, outs):
-                if bit == "1":
-                    sel[t] = None
-        return cls(order, tuple(pool), tuple(zip(names, map(tuple, selections))))
+        its terms once, in first-use order. Each output is one column of the
+        rows' bits, read whole."""
+        cubes, outs = [*zip(*rows)] or [(), ()]
+        columns = zip(*outs) if outs else [()] * len(names)
+        pool, selections = _pool(cubes, [compress(cubes, map("1".__eq__, c)) for c in columns])
+        return cls(order, tuple(pool), tuple(zip(names, selections)))
 
     @property
     def names(self):
@@ -322,7 +320,7 @@ class MultiOutputCover:
     def cover_for(self, name):
         for out_name, sel in self.outputs:
             if out_name == name:
-                return Cover(self.order, tuple(self.term_pool[i] for i in sel))
+                return Cover(self.order, tuple(map(self.term_pool.__getitem__, sel)))
         raise KeyError(name)
 
 
@@ -342,10 +340,14 @@ def share_terms(named_covers):
             raise ValueError(
                 f"output {name!r} uses order {cover.order}, expected {order}"
             )
-    m = len(named_covers)
-    hot = ["0" * o + "1" + "0" * (m - 1 - o) for o in range(m)]
-    return MultiOutputCover.pooled(
-        order,
-        [name for name, _ in named_covers],
-        ((cube, hot[o]) for o, (_, c) in enumerate(named_covers) for cube in c.cubes),
-    )
+    names, cubes = zip(*[(name, cover.cubes) for name, cover in named_covers])
+    pool, selections = _pool(chain.from_iterable(cubes), cubes)
+    return MultiOutputCover(order, tuple(pool), tuple(zip(names, selections)))
+
+
+def _pool(keys, columns):
+    """The one pool builder: (the distinct `keys` in first-use order, and for
+    each column the pool indices of its keys, each once, in first-use order)."""
+    distinct = dict.fromkeys(keys)
+    index = dict(zip(distinct, range(len(distinct))))
+    return list(index), [list(dict.fromkeys(map(index.__getitem__, col))) for col in columns]

@@ -6,8 +6,10 @@ an independent path.
 """
 
 import contextlib
+import importlib
 import io
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -19,8 +21,11 @@ from plakit import (
     pad_input_names, parse_equations, parse_fusemap, share_terms, table_from_expr, variables,
 )
 from plakit.cli import parse_profile
-from plakit.expr import check_names
+from plakit.expr import check_names, content_lines
+from plakit.fit import _check_row, _directive_count, _signal_count
 from plakit.minimize import _checked_mask
+
+fit_module, fsm_module = map(importlib.import_module, ("plakit.fit", "plakit.fsm"))
 
 
 def all_cubes(n):
@@ -504,3 +509,93 @@ def lower_via_rows(fsm, encoding):
                for row in range(code << k, (code + 1) << k)]
     return ([mcover.cover_for(name).to_table().bits for name in mcover.names],
             _checked_mask(b + k, dc_rows))
+
+
+# ---------------------------------------------------------------------------
+# The .pla and KISS2 readers line by line, and the .pla writer term by term,
+# as they were before the readers checked rows in blocks and the writer
+# filled each output's column whole.
+
+
+def scan_rows_per_line(text, shape, noun, directives):
+    """fit._scan_rows read one content line at a time, each row checked alone."""
+    readers = {".p": _directive_count, **directives}
+    counts = {".i": None, ".o": None}
+    n = m = None
+    width = shape.count(" ") + 1
+    rows = []
+    found = {}
+    for lineno, line in content_lines(text):
+        parts = line.split()
+        if line[0] != ".":
+            if n is None or m is None:
+                raise FormatError(f"line {lineno}: {noun} before .i/.o declarations")
+            if len(parts) != width:
+                raise FormatError(f"line {lineno}: expected {shape!r}, got {line!r}")
+            try:
+                _check_row(parts[0], parts[-1], n, m)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
+            rows.append(parts)
+            continue
+        key = parts[0]
+        if key in counts:
+            count = _signal_count(parts, lineno)
+            if rows and count != counts[key]:
+                raise FormatError(f"line {lineno}: {key} {count} after rows "
+                                  f"read with {key} {counts[key]}")
+            counts[key] = count
+            n, m = counts.values()
+        elif key in (".e", ".end"):
+            break
+        elif key in readers:
+            found[key] = readers[key](parts, lineno)
+        else:
+            raise FormatError(f"line {lineno}: unsupported directive {key!r}")
+    if n is None or m is None:
+        raise FormatError("missing .i/.o declarations")
+    return n, m, rows, found
+
+
+def read_outcome(reader, text, per_line=False):
+    """("ok", result, warnings) of reader(text), or (exception type, message,
+    warnings); with per_line the readers scan with scan_rows_per_line and
+    pool .pla rows with pooled_naive."""
+    with contextlib.ExitStack() as stack:
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        if per_line:
+            for module in (fit_module, fsm_module):
+                stack.enter_context(_patched(module, "_scan_rows", scan_rows_per_line))
+            stack.enter_context(_patched(MultiOutputCover, "pooled", classmethod(
+                lambda cls, order, names, rows: pooled_naive(order, names, rows))))
+        try:
+            result = ("ok", reader(text))
+        except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+            result = (type(exc), str(exc))
+    return (*result, [str(w.message) for w in caught])
+
+
+@contextlib.contextmanager
+def _patched(owner, name, value):
+    saved = owner.__dict__[name]
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def write_berkeley_pla_per_term(mcover):
+    """write_berkeley_pla with each term's output bits tested one by one."""
+    lines = [
+        f".i {len(mcover.order)}",
+        f".o {len(mcover.outputs)}",
+        f".p {len(mcover.term_pool)}",
+        ".ilb " + " ".join(mcover.order),
+        ".ob " + " ".join(mcover.names),
+    ]
+    for t, cube in enumerate(mcover.term_pool):
+        lines.append(cube + " " + "".join("1" if t in sel else "0" for _, sel in mcover.outputs))
+    lines.append(".e")
+    return "\n".join(lines) + "\n"

@@ -27,7 +27,11 @@ from plakit import (
     table_from_expr,
     write_berkeley_pla,
 )
-from oracles import and_row_naive, random_profile, random_state, seeded, state_from_planes
+from plakit.logic import cube_string, cube_words
+from oracles import (
+    all_cubes, and_row_naive, pooled_naive, random_profile, random_state, seeded,
+    state_from_planes, write_berkeley_pla_per_term,
+)
 
 fit_mod = importlib.import_module("plakit.fit")
 
@@ -432,6 +436,57 @@ def test_large_minterm_pla_reads_tables_and_emits_in_bounded_time():
         assert table.bits == int("".join(str(bits >> (1 - o) & 1) for bits in outs[::-1]), 2)
     assert fuse.count("\n") == len(mc.term_pool) + 10
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_pla_round_trip_of_a_large_pool_runs_in_linear_time():
+    # the same ~49k minterm rows as above, pooled from covers, written,
+    # read back and fitted: a conversion quadratic in the pool fails this
+    rng = seeded(83)
+    outs = [rng.getrandbits(2) for _ in range(1 << 16)]
+    order = tuple(f"x{j}" for j in range(16))
+    covers = [(f"f{o}", Cover(order, tuple(f"{row:016b}" for row, bits in enumerate(outs)
+                                           if bits >> (1 - o) & 1))) for o in range(2)]
+    start = time.perf_counter()
+    mc = share_terms(covers)
+    text = write_berkeley_pla(mc)
+    back = read_berkeley_pla(text)
+    state, report = fit(back, PlaProfile(16, len(back.term_pool), 2))
+    elapsed = time.perf_counter() - start
+    assert back.term_pool == mc.term_pool  # each output's terms come back in pool order
+    assert [sorted(sel) for _, sel in back.outputs] == [sorted(sel) for _, sel in mc.outputs]
+    assert len(mc.term_pool) == sum(1 for bits in outs if bits) > 48000
+    assert report.terms_used == len(mc.term_pool) and text.count("\n") == len(mc.term_pool) + 6
+    assert state.and_words[-1] == cube_words(mc.term_pool[-1])
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_every_pool_builder_matches_the_naive_pool():
+    # pooled (.pla rows), share_terms (covers) and _fit_words (words) pool
+    # alike, and the writer's columns match a term-by-term writer
+    rng = seeded(211)
+    for _ in range(400):
+        n, m = rng.randint(1, 5), rng.randint(1, 4)
+        order, names = tuple(f"v{j}" for j in range(n)), tuple(f"f{o}" for o in range(m))
+        cubes = rng.sample(all_cubes(n), min(3 ** n, rng.randint(1, 6)))  # few: they repeat
+        covers = [(name, Cover(order, tuple(rng.choice(cubes) for _ in range(
+            rng.choice((0, 1, 3, 6)))))) for name in names]  # some outputs have no terms
+        hot = [(cube, "".join("01"[p == o] for p in range(m)))
+               for o, (_, cover) in enumerate(covers) for cube in cover.cubes]
+        shared = share_terms(covers)
+        assert shared == pooled_naive(order, names, hot)
+        rows = hot + [(rng.choice(cubes), rng.choice(("0" * m, "".join(
+            rng.choice("001") for _ in range(m))))) for _ in range(rng.randint(0, 4))]
+        rng.shuffle(rows)  # all-zero rows and rows feeding several outputs, anywhere
+        mc = MultiOutputCover.pooled(order, names, rows)
+        assert mc == pooled_naive(order, names, rows), rows
+        state, report = fit_mod._fit_words(
+            names, order, [list(map(cube_words, cover.cubes)) for _, cover in covers],
+            PlaProfile(n, max(1, len(shared.term_pool)), m))
+        pool = state.and_words[:len(shared.term_pool)]
+        assert tuple(cube_string(n, *w) for w in pool) == shared.term_pool
+        assert report.assignments == shared.outputs
+        for cover in (shared, mc):
+            assert write_berkeley_pla(cover) == write_berkeley_pla_per_term(cover)
 
 
 def test_read_berkeley_accepts_redeclared_counts():

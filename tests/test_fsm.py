@@ -20,6 +20,7 @@ from plakit import (
     synthesize_controller,
     write_kiss2,
 )
+from plakit.logic import check_bits
 from oracles import (
     all_cubes,
     cube_rows_naive,
@@ -446,6 +447,28 @@ def test_synthesize_toggle_golden():
     # hold on the unmatched input: state keeps, output drops to 0
     trace2 = simulate_controller(image, ["1", "0", "1", "1"])
     assert trace2 == [("0", "1"), ("1", "0"), ("1", "0"), ("0", "1")]
+
+
+def test_simulate_controller_reads_lists_tuples_and_strings_alike():
+    machine = random_cube_fsm(seeded(1021), 3)
+    image, _ = synthesize_controller(machine, PlaProfile(8, 64, 8), minimize=True)
+    seq = random_input_sequence(seeded(1022), machine.n_inputs, 300)
+    want = simulate_controller(image, seq)
+    assert want == simulate_controller_naive(image, seq)
+    lists = [[int(c) for c in bits] for bits in seq]
+    assert simulate_controller(image, lists) == want
+    assert simulate_controller(image, map(tuple, lists)) == want
+    assert simulate_controller(image, [(bits[:2], int(bits[2])) for bits in seq]) == want
+    assert simulate_controller(image, [bits if i % 2 else lists[i] for i, bits in
+                                       enumerate(seq)]) == want
+    # a bad vector raises check_bits' error, read before or after good ones
+    for bad in ([0, 2, 1], (1, 0), [1, 0, 1, 1], "0x1", [1.0, 0, 1], [True, False, True]):
+        with pytest.raises(ValueError) as want_exc:
+            check_bits(bad, 3)
+        for stimulus in ([bad], [*lists[:5], bad], [*seq[:5], bad]):
+            with pytest.raises(ValueError) as exc:
+                simulate_controller(image, stimulus)
+            assert str(exc.value) == str(want_exc.value)
 
 
 def test_simulate_fsm_matches_controller_on_toggle():

@@ -3,6 +3,9 @@
 Every mutant of a valid equations file, fuse map, Berkeley .pla, KISS2
 machine or PLAENC sidecar must either parse or raise a PlakitError, so the
 CLI reports it as a malformed artifact (exit 4) and never as a traceback.
+The .pla and KISS2 readers, which check rows in blocks, must also give the
+result, or the exception and message, of the line-by-line reader in
+tests/oracles.py.
 """
 
 import random
@@ -29,6 +32,7 @@ from plakit import (
     write_berkeley_pla,
     write_kiss2,
 )
+from oracles import read_outcome
 
 EQUATIONS = "# majority and friends\nM = AB + AC + BC\nG = (A + B')C * D\nH = !(A . !B)' + 0\n"
 MACHINE = Fsm(2, 1, ("S0", "S1", "S2"), "S0", (
@@ -114,3 +118,45 @@ def test_mutants_raise_only_plakit_errors():
             pass
         except Exception as exc:  # noqa: BLE001 - any other exception is the finding
             raise AssertionError(f"{name} raised {exc!r} on {text!r}") from exc
+
+
+# Texts that reach every branch of the row scan: comments, blank and
+# whitespace-only lines, tabs, CRLF, directives between row blocks, a row
+# block right after the counts change, and lines after .e.
+SCAN_TEXTS = {
+    "pla": CORPUS["pla"] + [
+        "# two outputs\n.i 3\n.o 2\n\n1-0 10 # a row\n.ilb a b c\n011\t01\r\n  \n"
+        "--1 11\n.ob f g\n1-0 01\n.p 4\n.e\nnot a row\n",
+        ".i 1\n.o 1\n1 1\n.i 1\n.o 1\n0 0\n.type f\n- 1\n.end\n",
+    ],
+    "kiss2": CORPUS["kiss2"] + [
+        "# a counter\n.i 1\n.o 1\n.s 2\n\n1 A B 1 # count\n0 A A 0\n.r A\n1\tB A 0\r\n"
+        "0 B B 1\n.p 4\n.e\nx\n",
+    ],
+}
+SCAN_READERS = {"pla": read_berkeley_pla, "kiss2": parse_kiss2}
+
+
+def test_block_scan_matches_the_per_line_reader():
+    pinned = {  # a bad row before a bad directive, a repeated .i, a wide row
+        ".i 2\n.o 1\n11 1\n1x 1\n.bogus\n": "line 4: input cube '1x' is not 2 chars of 0/1/-",
+        ".i 2\n.o 1\n11 1\n.bogus\n1x 1\n": "line 4: unsupported directive '.bogus'",
+        ".i 2\n.o 1\n11 1\n.i 3\n1x 1\n": "line 4: .i 3 after rows read with .i 2",
+        ".i 2\n.o 1\n\n  11  1 1 # c\n": "line 4: expected '<inputs> <outputs>', got '11  1 1'",
+        "11 1\n.bogus\n": "line 1: cube before .i/.o declarations",
+        ".i 2\n.o 1\n11 1x\n": "line 3: outputs '1x' is not 1 chars of 0/1 "
+                               "(output don't-cares are not supported)",
+    }
+    for text, message in pinned.items():
+        outcome = read_outcome(read_berkeley_pla, text)
+        assert outcome == read_outcome(read_berkeley_pla, text, per_line=True)
+        assert outcome[1] == message, outcome
+    for name, texts in SCAN_TEXTS.items():
+        for text in texts:
+            assert read_outcome(SCAN_READERS[name], text)[0] == "ok", text
+    rng = random.Random(20261019)
+    for i in range(4000):
+        name = sorted(SCAN_TEXTS)[i % 2]
+        text = mutate(rng, rng.choice(SCAN_TEXTS[name]))
+        got = read_outcome(SCAN_READERS[name], text)
+        assert got == read_outcome(SCAN_READERS[name], text, per_line=True), (name, text)
