@@ -382,8 +382,8 @@ def cmd_fault(args):
 
 
 def build_parser():
-    """The argparse parser for every subcommand; `main` builds it once per
-    process, since parse_args keeps no state between calls."""
+    """The argparse parser and its command parsers by name; `main` builds
+    them once per process, since parsing keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="plakit",
         description="Two-level logic on programmable logic arrays: "
@@ -464,20 +464,35 @@ def build_parser():
         action="store_true",
         help="exit 1 unless every fault has a test vector",
     )
-    return parser
+    return parser, sub.choices
 
 
-_parser = cache(build_parser)
+_parsers = cache(build_parser)
+
+
+def _parse_args(argv):
+    """parser.parse_args(argv), reading a command's words once: its parser
+    takes them as argparse's subparsers action hands them over, and the
+    top-level parser names any left over. Every other argv, and one with a
+    '--=' word, which the top-level pass refuses as ambiguous, takes the
+    top-level pass."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands and not any(w.startswith("--=") for w in argv):
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None):
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     if args.command is None:
-        parser.print_help(sys.stderr)
+        _parsers()[0].print_help(sys.stderr)
         return 2
     # looked up per call, so the kept parser holds no command function and a
     # rebound cmd_* (a tracer's wrapper, say) takes effect

@@ -21,10 +21,11 @@ coordinates are (output row, term column), matching the stored or_plane.
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import and_, or_
 
-from .logic import (MAX_VARS, _coverage, _literal_mask, _product_mask, check_bits,
-                    lowest_row, minterm_cube)
+from .logic import (MAX_VARS, _coverage, _label_line, _literal_mask, _product_mask,
+                    check_bits, interleave, lowest_row, minterm_cube)
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -384,14 +385,29 @@ def fault_sweep(state):
 # Diagram
 
 
+def _and_rows(state):
+    """The AND plane as one 0/1 text line per row, column 2j input j true
+    and 2j+1 its complement (the fuse map's AND section). Padding rows
+    repeat one pair, so each distinct pair is formatted once."""
+    width = f"0{2 * state.profile.n_inputs}b"
+    rows = {w: format(interleave(w), width) for w in set(state.and_words)}
+    return list(map(rows.__getitem__, state.and_words))
+
+
+_MARKS = bytes.maketrans(b"01", b".X")
+
+
 def render_crosspoint_diagram(state, input_names=None, output_names=None):
     """ASCII crosspoint map: X connected, . open, AND plane | OR plane.
 
     Each input owns a true/complement column pair; each line below the
     header is one product term showing which outputs it feeds. A POL line
-    appears only on devices with the output XOR.
+    appears only on devices with the output XOR. Every term line has one
+    length, ending at the last OR column, so the term lines are one buffer
+    with a fixed stride and each column of them is one strided slice.
     """
     prof = state.profile
+    p = prof.n_terms
     if input_names is None:
         input_names = [f"x{j}" for j in range(prof.n_inputs)]
     if output_names is None:
@@ -400,37 +416,39 @@ def render_crosspoint_diagram(state, input_names=None, output_names=None):
         raise ValueError(f"expected {prof.n_inputs} input names")
     if len(output_names) != prof.n_outputs:
         raise ValueError(f"expected {prof.n_outputs} output names")
+    _label_line(input_names)
+    _label_line(output_names)
 
-    and_labels = []
-    for name in input_names:
-        and_labels.append(name)
-        and_labels.append(name + "'")
-    term_labels = [f"T{t}" for t in range(prof.n_terms)]
-    left_w = max(len(s) for s in term_labels + ["POL"]) + 2
+    and_labels = [s for name in input_names for s in (name, name + "'")]
+    label_w = len(f"T{p - 1}")
+    left_w = max(label_w, len("POL")) + 2
     and_ws = [len(s) + 1 for s in and_labels]
     or_ws = [len(s) + 1 for s in output_names]
-
-    lines = []
     header = "".ljust(left_w)
     header += "".join(s.ljust(w) for s, w in zip(and_labels, and_ws))
     header += "| " + "".join(s.ljust(w) for s, w in zip(output_names, or_ws))
-    lines.append(header.rstrip())
-    for t in range(prof.n_terms):
-        line = term_labels[t].ljust(left_w)
-        line += "".join(
-            ("X" if bit else ".").ljust(w)
-            for bit, w in zip(_row_bits(state, "and", t), and_ws)
-        )
-        line += "| " + "".join(
-            ("X" if row >> t & 1 else ".").ljust(w)
-            for row, w in zip(state.or_words, or_ws)
-        )
-        lines.append(line.rstrip())
+
+    *and_at, bar = accumulate([left_w] + and_ws)
+    or_at = list(accumulate([bar + 2] + or_ws[:-1]))
+    stride = or_at[-1] + 2
+    body = bytearray(b" " * (stride * p))
+    body[stride - 1::stride] = b"\n" * p
+    body[bar::stride] = b"|" * p
+    labels = "".join([f"T{t:<{label_w - 1}}" for t in range(p)]).encode("ascii")
+    for k in range(label_w):
+        body[k::stride] = labels[k::label_w]
+    cells = "".join(_and_rows(state)).encode("ascii").translate(_MARKS)
+    for c, at in enumerate(and_at):
+        body[at::stride] = cells[c::len(and_at)]
+    for at, row in zip(or_at, state.or_words):
+        body[at::stride] = format(row, f"0{p}b")[::-1].encode("ascii").translate(_MARKS)
+
+    text = header.rstrip() + "\n" + body.decode("ascii")
     if prof.has_output_xor:
         line = "POL".ljust(left_w) + " " * sum(and_ws)
         line += "| " + "".join(
             bit.ljust(w)
             for bit, w in zip(format(state.pol_word, f"0{prof.n_outputs}b"), or_ws)
         )
-        lines.append(line.rstrip())
-    return "\n".join(lines) + "\n"
+        text += line.rstrip() + "\n"
+    return text

@@ -40,7 +40,7 @@ from itertools import chain, islice, repeat
 from . import expr as ex
 from . import logic
 from . import minimize as mn
-from .device import PlaProfile, PlaState
+from .device import PlaProfile, PlaState, _and_rows
 from .errors import CapacityError, FormatError
 
 
@@ -190,9 +190,7 @@ def emit_fusemap(state, input_names=None, output_names=None):
     if output_names is not None:
         lines.append("OB " + logic._label_line(output_names))
     lines.append("AND")
-    row_fmt = f"0{2 * prof.n_inputs}b"  # column 2j: input j true, 2j+1: its complement
-    rows = {w: format(logic.interleave(w), row_fmt) for w in set(state.and_words)}  # each once
-    lines += map(rows.__getitem__, state.and_words)
+    lines += _and_rows(state)
     lines.append("OR")
     lines += [format(w, f"0{prof.n_terms}b")[::-1] for w in state.or_words]
     if prof.has_output_xor:

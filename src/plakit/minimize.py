@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 
 from .logic import (
-    Cover, TruthTable, _check_order, _coverage, _key_cubes, _literal_mask, _product_mask,
-    check_cubes, cube_words, interleave, mask_rows,
+    _SPREAD, Cover, TruthTable, _check_order, _coverage, _key_cubes, _literal_mask,
+    _product_mask, check_cubes, cube_words, interleave, mask_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -93,6 +93,7 @@ def _primes(n, on, care):
         # its one prime is the all-'-' cube, and the walk would visit every word
         return [(0, 0, 0)]
     full = (1 << n) - 1
+    spread = _SPREAD
     low = {1 << k: _literal_mask(n, n - 1 - k, 0) for k in range(n)}  # bit k clear
     level = {0: care}  # absent-literal word -> anchor mask
     levels = []
@@ -116,9 +117,14 @@ def _primes(n, on, care):
                 spare ^= w
                 if level[absent ^ w]:
                     level[absent ^ w] &= ~(anchors | anchors << w)
-        levels.append(sorted([(interleave((r, present ^ r)), r, present ^ r)
+        # r lies inside its present word, so interleave((r, present ^ r)) is
+        # interleave((0, present)) + interleave((0, r)): each a spread of at
+        # most MINIMIZER_MAX_VARS = 16 bits, two byte lookups
+        levels.append(sorted([(key + spread[r & 255] + (spread[r >> 8] << 16), r, present ^ r)
                               for absent, anchors in level.items() if anchors
-                              for present in (full ^ absent,) for r in mask_rows(anchors)]))
+                              for present in (full ^ absent,)
+                              for key in (spread[present & 255] + (spread[present >> 8] << 16),)
+                              for r in mask_rows(anchors)]))
         level = wider
     return [prime for primes in reversed(levels) for prime in primes]
 

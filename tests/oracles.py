@@ -599,3 +599,41 @@ def write_berkeley_pla_per_term(mcover):
         lines.append(cube + " " + "".join("1" if t in sel else "0" for _, sel in mcover.outputs))
     lines.append(".e")
     return "\n".join(lines) + "\n"
+
+
+def render_crosspoint_diagram_naive(state, input_names=None, output_names=None):
+    """The crosspoint map padded one crosspoint at a time: every cell is its
+    mark left-justified to its column's width, and every line is stripped."""
+    prof = state.profile
+    if input_names is None:
+        input_names = [f"x{j}" for j in range(prof.n_inputs)]
+    if output_names is None:
+        output_names = [f"f{o}" for o in range(prof.n_outputs)]
+    and_labels = []
+    for name in input_names:
+        and_labels.append(name)
+        and_labels.append(name + "'")
+    term_labels = [f"T{t}" for t in range(prof.n_terms)]
+    left_w = max(len(s) for s in term_labels + ["POL"]) + 2
+    and_ws = [len(s) + 1 for s in and_labels]
+    or_ws = [len(s) + 1 for s in output_names]
+
+    lines = []
+    header = "".ljust(left_w)
+    header += "".join(s.ljust(w) for s, w in zip(and_labels, and_ws))
+    header += "| " + "".join(s.ljust(w) for s, w in zip(output_names, or_ws))
+    lines.append(header.rstrip())
+    for t in range(prof.n_terms):
+        line = term_labels[t].ljust(left_w)
+        line += "".join(
+            ("X" if bit else ".").ljust(w) for bit, w in zip(state.and_plane[t], and_ws)
+        )
+        line += "| " + "".join(
+            ("X" if row[t] else ".").ljust(w) for row, w in zip(state.or_plane, or_ws)
+        )
+        lines.append(line.rstrip())
+    if prof.has_output_xor:
+        line = "POL".ljust(left_w) + " " * sum(and_ws)
+        line += "| " + "".join(bit.ljust(w) for bit, w in zip(map(str, state.polarity), or_ws))
+        lines.append(line.rstrip())
+    return "\n".join(lines) + "\n"

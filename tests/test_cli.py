@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -29,6 +31,7 @@ from plakit import (
     synthesize_controller,
     table_from_expr,
 )
+from plakit import cli
 from plakit.cli import _CHUNK_BITS, main, parse_profile
 from oracles import (eval_pla_naive, lowest_differing_row_naive, random_state, seeded,
                      state_from_planes)
@@ -871,3 +874,130 @@ def test_sim_all_formats_a_chunk_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20, f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
+# Usage transcripts: (exit code, stdout, stderr) of `main` for argvs that
+# stop in argparse or lean on its rules, pinned as digests.
+
+_COMMANDS = ("table", "synth", "compile", "sim", "verify", "diagram", "fsm", "fsmsim",
+             "fault")
+_USAGE_ARGVS = (
+    (), ("-h",), ("--help",), ("--version",), ("--vers",), ("frobnicate",),
+    *((name, "-h") for name in _COMMANDS),
+    ("compile", "--profile", "n3p4m1"),  # a missing positional
+    ("compile", "maj.eqn"),  # a missing --profile
+    ("sim", "maj.fuse", "--vectors"),  # a missing value
+    ("sim", "maj.fuse", "--vectors", "all", "--bogus"),  # an unknown option
+    ("sim", "maj.fuse", "--vec", "all", "--head"),  # abbreviated options
+    ("diagram", "maj.fuse", "extra"),  # an extra positional
+    ("compile", "x", "--version"),
+    ("diagram", "a", "--", "b"),
+    ("--", "compile"),
+    ("fault", "m", "--all", "--fault", "and,0,0,connected"),
+    ("compile", "maj.eqn", "--=x"),  # the top-level parser finds this ambiguous
+)
+
+
+@pytest.fixture
+def usage_dir(tmp_path, monkeypatch):
+    """A working directory holding maj.eqn and maj.fuse, a fixed help width
+    and a closed stdin, so every transcript is the same on every run."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    stdin = io.StringIO()
+    stdin.close()
+    monkeypatch.setattr(sys, "stdin", stdin)
+    (tmp_path / "maj.eqn").write_text(MAJ_EQNS)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compile", "maj.eqn", "--profile", "n3p4m1", "-o", "maj.fuse"]) == 0
+    return tmp_path
+
+
+def _transcript(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(transcript):
+    return hashlib.sha256(repr(transcript).encode()).hexdigest()[:16]
+
+
+# taken on argparse of Python 3.11, whose wording later versions change
+_USAGE_DIGESTS = {
+    (): "6ec3861da2d512a2",
+    ("-h",): "47aa27fe30c38099",
+    ("--help",): "47aa27fe30c38099",
+    ("--version",): "ec1d2b330c0007e7",
+    ("--vers",): "ec1d2b330c0007e7",
+    ("frobnicate",): "40d69e850a911666",
+    ("table", "-h"): "1647182000da8529",
+    ("synth", "-h"): "845729c6aab4dc85",
+    ("compile", "-h"): "09d0fae1fb469bee",
+    ("sim", "-h"): "54b1226ddba30587",
+    ("verify", "-h"): "f416756dc38b18f2",
+    ("diagram", "-h"): "25e29e742941c0e0",
+    ("fsm", "-h"): "6549f3d353869ad5",
+    ("fsmsim", "-h"): "b912980012de6ce0",
+    ("fault", "-h"): "ac1b1255c9c211fa",
+    ("compile", "--profile", "n3p4m1"): "e860f782cefc4189",
+    ("compile", "maj.eqn"): "aaee2061e83d348d",
+    ("sim", "maj.fuse", "--vectors"): "699971ea64799094",
+    ("sim", "maj.fuse", "--vectors", "all", "--bogus"): "0e153d0d92b943c3",
+    ("sim", "maj.fuse", "--vec", "all", "--head"): "c135740814e67fe6",
+    ("diagram", "maj.fuse", "extra"): "a2d01e3250e6eb6d",
+    ("compile", "x", "--version"): "aaee2061e83d348d",
+    ("diagram", "a", "--", "b"): "390f03c9ed9b9579",
+    ("--", "compile"): "6e3850e7e5db65d9",
+    ("fault", "m", "--all", "--fault", "and,0,0,connected"): "c1029c38973089e8",
+    ("compile", "maj.eqn", "--=x"): "4ccf8fcf2843c659",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests hold argparse's Python 3.11 wording")
+@pytest.mark.parametrize("argv", _USAGE_ARGVS, ids=lambda argv: " ".join(argv) or "none")
+def test_usage_transcripts_are_pinned(usage_dir, argv):
+    assert _digest(_transcript(main, argv)) == _USAGE_DIGESTS[argv]
+
+
+def test_command_words_skip_the_top_level_pass(usage_dir, monkeypatch):
+    """A command word goes straight to its parser; the namespace, exit
+    code, stdout and stderr are what the top-level parse_args gives, on any
+    Python version. No command runs: each cmd_* hands back its namespace."""
+    top, _ = cli._parsers()
+    calls, seen = [], []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self is top)
+        return parse_args(self, *args, **kwargs)
+
+    def reference(argv):  # the top-level pass over every argv
+        args = top.parse_args(argv)
+        if args.command is None:
+            top.print_help(sys.stderr)
+            return 2
+        seen.append(args)
+        return 0
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    for name in _COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: seen.append(args) or 0)
+    extra = (("compile", "maj.eqn", "--profile=n3p4m1", "--min"),
+             ("fault", "m", "--fault", "or,0,0,connected", "--fault=and,1,2,connected"),
+             ("sim", "--vectors", "all", "--", "-"), ("table", "-", "--order", "A"),
+             ("fsmsim", "--encoding", "e", "--vectors", "-1", "--names"))
+    for argv in _USAGE_ARGVS + extra:
+        got = _transcript(main, argv), seen[:]
+        top_level = not argv or argv[0] not in _COMMANDS or "--=x" in argv
+        assert calls == ([True] if top_level else []), argv
+        seen.clear()
+        assert got == (_transcript(reference, argv), seen), argv
+        calls.clear()
+        seen.clear()

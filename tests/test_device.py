@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -18,7 +19,8 @@ from plakit import (
 )
 from plakit.device import fault_sweep
 from oracles import (
-    eval_pla_naive, random_profile, random_state, seeded, state_from_planes,
+    eval_pla_naive, random_profile, random_state, render_crosspoint_diagram_naive, seeded,
+    state_from_planes,
 )
 
 
@@ -389,3 +391,42 @@ def test_diagram_name_count_validation():
         render_crosspoint_diagram(majority_device(), ["A"], ["M"])
     with pytest.raises(ValueError):
         render_crosspoint_diagram(majority_device(), ["A", "B", "C"], [])
+    # names a fuse map could not carry: a header that reads as four inputs,
+    # two identical column pairs, a header split over two lines
+    state = state_from_planes(PlaProfile(2, 1, 1), ((1, 0, 0, 1),), ((1,),), (0,))
+    for names, outs, message in ((["A B", "C"], ["F"], "label 'A B' would not"),
+                                 (["A", "A"], ["F"], "labels repeat a name: A A"),
+                                 (["A", "B"], ["F\nG"], "label 'F\\nG' would not")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_crosspoint_diagram(state, names, outs)
+
+
+def _diagram_names(kind, count, prefix, rng):
+    if kind == "default":
+        return None
+    if kind == "long":
+        return [f"{prefix}_{'w' * rng.randint(0, 12)}_{k}" for k in range(count)]
+    return [f"{'äσ输'[k % 3]}{prefix}{k}" for k in range(count)]  # non-ASCII
+
+
+def test_diagram_matches_the_naive_renderer():
+    """Seeded images across the widths where a term label grows a digit,
+    with and without the XOR, under default, long and non-ASCII names, and
+    with planes all open and all connected."""
+    rng = seeded(22)
+    kinds = ("default", "long", "non-ascii")
+    cases = [(n, p, m, xor) for n in (1, 2, 9, 24) for p in (1, 9, 10, 11, 99, 100, 101)
+             for m in (1, 3, 17) for xor in (False, True)]
+    for i, (n, p, m, xor) in enumerate(cases):
+        # i % 12 walks every (xor, technology, fill) triple
+        prof = PlaProfile(n, p, m, ("fuse", "antifuse")[i // 2 % 2], xor)
+        if i % 3 == 0:
+            state = random_state(rng, prof, rng.choice((0.1, 0.5, 0.9)))
+        else:  # a blank image: all connected (fuse) or all open (antifuse)
+            state = blank_device(prof)
+            if xor:
+                state = replace(state, pol_word=rng.getrandbits(m))
+        names = (_diagram_names(kinds[i // 4 % 3], n, "in", rng),
+                 _diagram_names(kinds[i // 12 % 3], m, "out", rng))
+        got = render_crosspoint_diagram(state, *names)
+        assert got == render_crosspoint_diagram_naive(state, *names), (n, p, m, xor)
