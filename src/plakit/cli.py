@@ -137,7 +137,7 @@ def _split_names(text):
 def cmd_table(args):
     expr = parse_expression(args.expr, multi_letter=args.multi_letter)
     order = _split_names(args.order) if args.order else variables(expr)
-    if not order:
+    if not (order or args.order):
         raise ValueError("constant expression: give the columns with --order")
     table = table_from_expr(expr, order)
     if args.header:
@@ -152,7 +152,7 @@ def cmd_synth(args):
         _read_text(args.equations, "equations"), multi_letter=args.multi_letter
     )
     order = _split_names(args.order) if args.order else variables(*(e for _, e in named))
-    if not order:
+    if not (order or args.order):
         raise ValueError("constant equations: give the variables with --order")
 
     make = minimize if args.minimize else canonical_sop

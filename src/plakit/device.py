@@ -21,7 +21,7 @@ coordinates are (output row, term column), matching the stored or_plane.
 
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import and_, or_
 
 from .logic import (MAX_VARS, _coverage, _label_line, _literal_mask, _product_mask,
@@ -30,6 +30,7 @@ from .logic import (MAX_VARS, _coverage, _label_line, _literal_mask, _product_ma
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
 STUCK_MODES = ("connected", "disconnected")
+_INT_TYPES = {int, bool}  # a plane word's type; other int subclasses take the slow test
 
 
 @dataclass(frozen=True)
@@ -83,20 +84,30 @@ class PlaState:
 
     def __post_init__(self):
         p = self.profile
-        and_words = tuple(map(tuple, self.and_words))
-        if len(and_words) != p.n_terms or {len(pair) for pair in and_words} - {2}:
+        try:
+            and_words = tuple(map(tuple, self.and_words))
+            paired = len(and_words) == p.n_terms and set(map(len, and_words)) <= {2}
+        except TypeError:  # a row that is not a sequence
+            paired = False
+        if not paired:
             raise ValueError(f"and_plane needs {p.n_terms} (req1, req0) word pairs")
         or_words = tuple(self.or_words)
         if len(or_words) != p.n_outputs:
             raise ValueError(f"or_plane has {len(or_words)} rows, expected {p.n_outputs}")
-        # padding rows repeat one pair: each distinct word is checked once, in row order
-        literals = dict.fromkeys(w for pair in dict.fromkeys(and_words) for w in pair)
-        for name, words, width in (("and_plane", literals, p.n_inputs),
-                                   ("or_plane", or_words, p.n_terms),
-                                   ("polarity", (self.pol_word,), p.n_outputs)):
-            for w in words:
-                if not (isinstance(w, int) and 0 <= w < 1 << width):
-                    raise ValueError(f"{name} holds {w!r}, not a {width}-bit word")
+        try:  # padding rows repeat one pair: the plane's test reads each distinct pair once
+            literals = list(chain.from_iterable(set(and_words)))
+        except TypeError:  # an unhashable word
+            literals = [None]
+        # one test per plane; word by word, in row order, only to name the first bad one
+        for name, distinct, words, width in (
+                ("and_plane", literals, chain.from_iterable(and_words), p.n_inputs),
+                ("or_plane", or_words, or_words, p.n_terms),
+                ("polarity", (self.pol_word,), (self.pol_word,), p.n_outputs)):
+            if not (set(map(type, distinct)) <= _INT_TYPES
+                    and min(distinct) >= 0 and max(distinct) >> width == 0):
+                for w in words:
+                    if not (isinstance(w, int) and 0 <= w < 1 << width):
+                        raise ValueError(f"{name} holds {w!r}, not a {width}-bit word")
         if self.pol_word and not p.has_output_xor:
             raise ValueError("polarity bits set but profile has no output XOR")
         object.__setattr__(self, "and_words", and_words)

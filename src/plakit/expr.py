@@ -4,13 +4,17 @@ Grammar (text form):
 
     expr    := term ('+' term)*                 OR
     term    := factor (AND? factor)*            AND: juxtaposition, '*', '.', '·'
-    factor  := '!' factor | primary "'"*        NOT: prefix '!' or postfix apostrophe
+    factor  := '!'* primary "'"*                NOT: prefix '!' or postfix apostrophe
     primary := NAME | '0' | '1' | '(' expr ')'
 
 Precedence NOT > AND > OR. The postfix apostrophe binds to the immediately
-preceding variable, constant, or parenthesized group. Double negation is
-removed while parsing; no other rewriting happens, so the tree mirrors the
-text.
+preceding variable, constant, or parenthesized group. One loop reads the
+grammar as the products a PLA's AND plane forms: a name with its marks
+stays a (name, value) literal, and only a constant or a parenthesized group
+(read by the same loop) becomes a tree node, so read_sop is the same parse
+with no tree. A '(' nested more than 100 deep is refused. Double negation
+is removed while parsing; no other rewriting happens, so the tree mirrors
+the text.
 
 Two identifier modes:
   * single-letter (default): every letter is its own variable, so "AB'C"
@@ -159,91 +163,103 @@ def _tokenize(text, multi_letter):
     return tokens
 
 
-_FACTOR_START = (_NAME, _CONST, _LPAREN, _BANG)
+_MAX_DEPTH = 100  # a '(' nested deeper is refused
+_NO_OPERAND = {
+    _LPAREN: f"parentheses nested more than {_MAX_DEPTH} deep",
+    _RPAREN: "unbalanced parentheses: unexpected ')'",
+    _END: "empty operand: unexpected end of expression",
+}
 
 
-class _Parser:
-    def __init__(self, text, multi_letter):
-        self.text = text
-        self.tokens = _tokenize(text, multi_letter)
-        self.pos = 0
-        self.multi_letter = multi_letter
-        self.leaves = {}  # one Var per name: nodes are frozen and compare by value
-
-    def error(self, message, index):
-        return ParseError(message, _byte_offset(self.text, index))
-
-    def parse_or(self):
-        terms = [self.parse_and()]
-        while self.tokens[self.pos][0] == _PLUS:
-            self.pos += 1
-            terms.append(self.parse_and())
-        return terms[0] if len(terms) == 1 else Or(*terms)
-
-    def parse_and(self):
-        factors = [self.parse_factor()]
-        while True:
-            kind, _, index = self.tokens[self.pos]
-            if kind == _STAR:
-                self.pos += 1
-            elif kind not in _FACTOR_START:
-                break
-            elif self.multi_letter:
-                raise self.error(
-                    "missing AND operator (multi-letter mode requires '*')", index
-                )
-            factors.append(self.parse_factor())
-        return factors[0] if len(factors) == 1 else And(*factors)
-
-    def parse_factor(self):
-        tokens = self.tokens
-        if tokens[self.pos][0] == _BANG:
-            self.pos += 1
-            return _negate(self.parse_factor())
-        expr = self.parse_primary()
-        while tokens[self.pos][0] == _PRIME:
-            self.pos += 1
-            expr = _negate(expr)
-        return expr
-
-    def parse_primary(self):
-        kind, text, index = self.tokens[self.pos]
-        self.pos += 1
+def _sum(tokens, i, text, multi_letter, leaves, depth):
+    """Read products joined by '+' from tokens[i:] up to the ')' or end that
+    closes them: (products, that token's index). Each factor is '!'* primary
+    "'"*: a name is a (name, value) literal, value 1 for an even number of
+    marks; a constant or a group (read by recursion) is an Expr, negated for
+    an odd number. `leaves` maps names to Vars; with leaves None no Expr is
+    built, and the first constant, group or missing operand gives None."""
+    products, product = [], []
+    kind = tokens[i][0]
+    while True:
+        value = 1
+        while kind == _BANG:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
         if kind == _NAME:
-            return self.leaves.get(text) or self.leaves.setdefault(text, Var(text))
-        if kind == _CONST:
-            return Const(int(text))
-        if kind == _LPAREN:
-            expr = self.parse_or()
-            kind, _, index = self.tokens[self.pos]
-            if kind != _RPAREN:
-                raise self.error("unbalanced parentheses: expected ')'", index)
-            self.pos += 1
-            return expr
-        if kind == _RPAREN:
-            raise self.error("unbalanced parentheses: unexpected ')'", index)
-        if kind == _END:
-            raise self.error("empty operand: unexpected end of expression", index)
-        raise self.error(f"empty operand: unexpected {text!r}", index)
+            name = tokens[i][1]
+        elif leaves is None:
+            return None
+        else:
+            kind, name, index = tokens[i]
+            if kind == _CONST:
+                factor = Const(int(name))
+            elif kind == _LPAREN and depth < _MAX_DEPTH:
+                group, i = _sum(tokens, i + 1, text, multi_letter, leaves, depth + 1)
+                if tokens[i][0] != _RPAREN:
+                    raise ParseError("unbalanced parentheses: expected ')'",
+                                     _byte_offset(text, tokens[i][2]))
+                factor = _tree(group, leaves)
+            else:
+                raise ParseError(_NO_OPERAND.get(kind, f"empty operand: unexpected {name!r}"),
+                                 _byte_offset(text, index))
+            name = None
+        i += 1
+        kind = tokens[i][0]
+        while kind == _PRIME:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
+        if name:
+            product.append((name, value))
+        else:
+            product.append(factor if value else _negate(factor))
+        if kind == _NAME and not multi_letter:  # a name set beside the last factor
+            continue
+        if kind == _STAR or kind == _PLUS:
+            if kind == _PLUS:
+                products.append(product)
+                product = []
+            i += 1
+            kind = tokens[i][0]
+        elif kind == _RPAREN or kind == _END:
+            products.append(product)
+            return products, i
+        elif multi_letter:  # any factor set beside the last one
+            raise ParseError("missing AND operator (multi-letter mode requires '*')",
+                             _byte_offset(text, tokens[i][2]))
+
+
+def _tree(products, leaves):
+    """The Expr of _sum's products: one Var per name in `leaves`, Not only on
+    a value-0 literal, And and Or only for two or more operands."""
+    terms = []
+    for product in products:
+        factors = []
+        for factor in product:
+            if type(factor) is tuple:
+                var = leaves.get(factor[0]) or leaves.setdefault(factor[0], Var(factor[0]))
+                factor = var if factor[1] else Not(var)
+            factors.append(factor)
+        terms.append(factors[0] if len(factors) == 1 else And(*factors))
+    return terms[0] if len(terms) == 1 else Or(*terms)
 
 
 def _negate(expr):
-    # the only parse-time simplification: NOT NOT x == x
-    if isinstance(expr, Not):
-        return expr.child
-    return Not(expr)
+    return expr.child if isinstance(expr, Not) else Not(expr)  # NOT NOT x == x: no other rewrite
 
 
 def parse_expression(text, multi_letter=False):
     """Parse a Boolean expression; raises ParseError with a byte offset."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(text, multi_letter)
-    expr = parser.parse_or()
-    kind, tok, index = parser.tokens[parser.pos]
+    tokens = _tokenize(text, multi_letter)
+    leaves = {}  # one Var per name: nodes are frozen and compare by value
+    products, i = _sum(tokens, 0, text, multi_letter, leaves, 0)
+    kind, tok, index = tokens[i]
     if kind != _END:
-        raise parser.error(f"unexpected trailing token {tok!r}", index)
-    return expr
+        raise ParseError(f"unexpected trailing token {tok!r}", _byte_offset(text, index))
+    return _tree(products, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -401,60 +417,23 @@ def parse_equations(text, multi_letter=False):
 
 def read_sop(text, multi_letter=False):
     """An equation file whose every body is a sum of products of literals,
-    read from its tokens with no Expr tree: (equations, variables), where
-    each equation is (name, products), a product is a list of (variable,
-    value) literals in the order written, and `variables` lists the names
-    in first-appearance order. None for an empty file and for any other
-    body (parentheses, constants, a missing operand, juxtaposition in
-    multi-letter mode), and for every file parse_equations refuses: the
-    caller parses those, so each error comes from the one grammar."""
+    read by parse_expression's loop with no Expr tree: (equations,
+    variables), each equation (name, products), each product a list of
+    (variable, value) literals as written, the variables in first-appearance
+    order. None for an empty file, a constant or a group, and every file
+    parse_equations refuses: the caller parses those, so each error comes
+    from one grammar."""
     equations = []
     try:
         for _, name, body in _equation_lines(text):
-            products = _sop_products(_tokenize(body, multi_letter), multi_letter)
-            if products is None:
+            tokens = _tokenize(body, multi_letter)
+            read = _sum(tokens, 0, body, multi_letter, None, 0)
+            if read is None or tokens[read[1]][0] != _END:
                 return None
-            equations.append((name, products))
+            equations.append((name, read[0]))
     except FormatError:  # ParseError included
         return None
     if not equations:
         return None
     return equations, tuple(dict.fromkeys(
         v for _, products in equations for product in products for v, _ in product))
-
-
-def _sop_products(tokens, multi_letter):
-    """The products of a token list that reads as products joined by '+',
-    each a run of factors joined by '*' (or, in single-letter mode, set
-    side by side) and each factor '!'* NAME "'"*, as _Parser reads them;
-    None for any other list. A literal's value is 1 when it carries an
-    even number of '!' and "'" marks."""
-    products, product = [], []
-    i, kind = 0, tokens[0][0]
-    while True:
-        value = 1
-        while kind == _BANG:
-            value ^= 1
-            i += 1
-            kind = tokens[i][0]
-        if kind != _NAME:
-            return None
-        name = tokens[i][1]
-        i += 1
-        kind = tokens[i][0]
-        while kind == _PRIME:
-            value ^= 1
-            i += 1
-            kind = tokens[i][0]
-        product.append((name, value))
-        if kind == _STAR or kind == _PLUS:
-            if kind == _PLUS:
-                products.append(product)
-                product = []
-            i += 1
-            kind = tokens[i][0]
-        elif kind == _END:
-            products.append(product)
-            return products
-        elif multi_letter or kind != _NAME and kind != _BANG:
-            return None  # juxtaposition needs '*' here, or not a literal

@@ -15,13 +15,17 @@ from dataclasses import replace
 from itertools import combinations, product
 
 from plakit import (
-    CapacityError, ControllerImage, FormatError, Fsm, MultiOutputCover, PlaProfile, PlaState,
-    Transition, canonical_sop, compile_equations, cover_from_expr, default_encoding,
-    emit_fusemap, eval_pla, fit, fsm_to_covers, inject_fault, minimize, output_masks,
-    pad_input_names, parse_equations, parse_fusemap, share_terms, table_from_expr, variables,
+    And, CapacityError, Const, ControllerImage, FormatError, Fsm, MultiOutputCover, Not, Or,
+    ParseError, PlaProfile, PlaState, Transition, Var, canonical_sop, compile_equations,
+    cover_from_expr, default_encoding, emit_fusemap, eval_pla, fit, fsm_to_covers,
+    inject_fault, minimize, output_masks, pad_input_names, parse_equations, parse_fusemap,
+    share_terms, table_from_expr, variables,
 )
 from plakit.cli import parse_profile
-from plakit.expr import check_names, content_lines
+from plakit.expr import (
+    _BANG, _CONST, _END, _LPAREN, _NAME, _PLUS, _PRIME, _RPAREN, _STAR, _byte_offset,
+    _equation_lines, _tokenize, check_names, content_lines,
+)
 from plakit.fit import _check_row, _directive_count, _signal_count
 from plakit.minimize import _checked_mask
 
@@ -637,3 +641,156 @@ def render_crosspoint_diagram_naive(state, input_names=None, output_names=None):
         line += "| " + "".join(bit.ljust(w) for bit, w in zip(map(str, state.polarity), or_ws))
         lines.append(line.rstrip())
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The two grammars plakit.expr read equation bodies with before one loop
+# read both: a recursive-descent parser to Expr trees, and a flat loop to
+# the literal lists of a sum of products. Both read plakit.expr._tokenize's
+# tokens.
+
+
+class _NaiveParser:
+    _FACTOR_START = (_NAME, _CONST, _LPAREN, _BANG)
+
+    def __init__(self, text, multi_letter):
+        self.text = text
+        self.tokens = _tokenize(text, multi_letter)
+        self.pos = 0
+        self.multi_letter = multi_letter
+        self.leaves = {}  # one Var per name
+
+    def error(self, message, index):
+        return ParseError(message, _byte_offset(self.text, index))
+
+    def parse_or(self):
+        terms = [self.parse_and()]
+        while self.tokens[self.pos][0] == _PLUS:
+            self.pos += 1
+            terms.append(self.parse_and())
+        return terms[0] if len(terms) == 1 else Or(*terms)
+
+    def parse_and(self):
+        factors = [self.parse_factor()]
+        while True:
+            kind, _, index = self.tokens[self.pos]
+            if kind == _STAR:
+                self.pos += 1
+            elif kind not in self._FACTOR_START:
+                break
+            elif self.multi_letter:
+                raise self.error(
+                    "missing AND operator (multi-letter mode requires '*')", index
+                )
+            factors.append(self.parse_factor())
+        return factors[0] if len(factors) == 1 else And(*factors)
+
+    def parse_factor(self):
+        if self.tokens[self.pos][0] == _BANG:
+            self.pos += 1
+            return _negate_naive(self.parse_factor())
+        expr = self.parse_primary()
+        while self.tokens[self.pos][0] == _PRIME:
+            self.pos += 1
+            expr = _negate_naive(expr)
+        return expr
+
+    def parse_primary(self):
+        kind, text, index = self.tokens[self.pos]
+        self.pos += 1
+        if kind == _NAME:
+            return self.leaves.setdefault(text, Var(text))
+        if kind == _CONST:
+            return Const(int(text))
+        if kind == _LPAREN:
+            expr = self.parse_or()
+            kind, _, index = self.tokens[self.pos]
+            if kind != _RPAREN:
+                raise self.error("unbalanced parentheses: expected ')'", index)
+            self.pos += 1
+            return expr
+        if kind == _RPAREN:
+            raise self.error("unbalanced parentheses: unexpected ')'", index)
+        if kind == _END:
+            raise self.error("empty operand: unexpected end of expression", index)
+        raise self.error(f"empty operand: unexpected {text!r}", index)
+
+
+def _negate_naive(expr):
+    return expr.child if isinstance(expr, Not) else Not(expr)
+
+
+def parse_expression_naive(text, multi_letter=False):
+    """plakit.expr.parse_expression by recursive descent, one call per '!'."""
+    if not text.strip():
+        raise ParseError("empty expression", 0)
+    parser = _NaiveParser(text, multi_letter)
+    expr = parser.parse_or()
+    kind, tok, index = parser.tokens[parser.pos]
+    if kind != _END:
+        raise parser.error(f"unexpected trailing token {tok!r}", index)
+    return expr
+
+
+def parse_equations_naive(text, multi_letter=False):
+    """plakit.expr.parse_equations with parse_expression_naive for each body."""
+    equations = []
+    for lineno, name, body in _equation_lines(text):
+        try:
+            expr = parse_expression_naive(body, multi_letter=multi_letter)
+        except ParseError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        equations.append((name, expr))
+    return equations
+
+
+def read_sop_naive(text, multi_letter=False):
+    """plakit.expr.read_sop by its own flat loop over each body's tokens."""
+    equations = []
+    try:
+        for _, name, body in _equation_lines(text):
+            products = _sop_products_naive(_tokenize(body, multi_letter), multi_letter)
+            if products is None:
+                return None
+            equations.append((name, products))
+    except FormatError:  # ParseError included
+        return None
+    if not equations:
+        return None
+    return equations, tuple(dict.fromkeys(
+        v for _, products in equations for product in products for v, _ in product))
+
+
+def _sop_products_naive(tokens, multi_letter):
+    """Products joined by '+', each factors joined by '*' (or set side by
+    side in single-letter mode), each factor '!'* NAME "'"*; None for any
+    other token list. A literal's value is 1 for an even number of marks."""
+    products, product = [], []
+    i, kind = 0, tokens[0][0]
+    while True:
+        value = 1
+        while kind == _BANG:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
+        if kind != _NAME:
+            return None
+        name = tokens[i][1]
+        i += 1
+        kind = tokens[i][0]
+        while kind == _PRIME:
+            value ^= 1
+            i += 1
+            kind = tokens[i][0]
+        product.append((name, value))
+        if kind == _STAR or kind == _PLUS:
+            if kind == _PLUS:
+                products.append(product)
+                product = []
+            i += 1
+            kind = tokens[i][0]
+        elif kind == _END:
+            products.append(product)
+            return products
+        elif multi_letter or kind != _NAME and kind != _BANG:
+            return None

@@ -133,6 +133,50 @@ def test_synth_constant_equations_need_order(tmp_path, capsys):
     assert ".p 2\n.ilb A\n.ob K\n0 1\n1 1\n" in capsys.readouterr().out
 
 
+def test_an_empty_order_is_not_a_constant(tmp_path, capsys):
+    # --order "," names no columns, which the table and synth builds refuse
+    assert main(["table", "A+B", "--order", ","]) == 2
+    assert capsys.readouterr().err == "error: variable order must not be empty\n"
+    eq = tmp_path / "f.eqn"
+    eq.write_text("F = AB + C\n")
+    assert main(["synth", str(eq), "--order", ","]) == 2
+    assert capsys.readouterr().err == (
+        "error: equation 'F' uses variables not in order: ['A', 'B', 'C']\n")
+
+
+def test_deep_bodies_are_refused_or_read_without_recursion(tmp_path, capsys):
+    deep = tmp_path / "deep.eqn"
+    deep.write_text("F = " + "(" * 300 + "A" + ")" * 300 + "\n")
+    assert main(["compile", str(deep), "--profile", "n1p1m1"]) == 4
+    assert capsys.readouterr().err == (
+        "error: line 1: parentheses nested more than 100 deep (byte 101)\n")
+    assert main(["table", "!(" * 200 + "A" + ")" * 200]) == 4
+    assert capsys.readouterr().err == "error: parentheses nested more than 100 deep (byte 201)\n"
+    # a run of marks is one loop, not one call per mark
+    deep.write_text("F = " + "!" * 2000 + "A\n")
+    assert main(["compile", "--minimize", str(deep), "--profile", "n1p1m1"]) == 0
+    assert capsys.readouterr().out.endswith("AND\n10\nOR\n1\nEND\n")  # F = A
+    assert main(["synth", str(deep)]) == 0
+    assert capsys.readouterr().out.endswith(".ob F\n1 1\n.e\n")
+
+
+def test_nesting_limit_is_100(tmp_path, capsys):
+    body = "!(A + B(" * 50 + "C" + ")" * 100  # 100 groups, every other one negated
+    eq, fuse = tmp_path / "d.eqn", tmp_path / "d.fuse"
+    eq.write_text(f"F = {body}\n")
+    assert main(["compile", str(eq), "--profile", "n3p8m1", "-o", str(fuse)]) == 0
+    assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    assert "equivalent: 1 output(s)" in capsys.readouterr().out
+    expr = parse_expression(body)
+    text = plakit.format_expression(expr)
+    assert plakit.format_expression(parse_expression(text)) == text
+    assert table_from_expr(parse_expression(text), "ABC") == table_from_expr(expr, "ABC")
+    eq.write_text("F = " + "!(A + B(" * 50 + "(C)" + ")" * 100 + "\n")
+    assert main(["compile", str(eq), "--profile", "n3p8m1"]) == 4
+    assert capsys.readouterr().err == (  # the 101st '(' is the body's character 401
+        "error: line 1: parentheses nested more than 100 deep (byte 401)\n")
+
+
 def test_synth_canonical_and_minimized(tmp_path, capsys):
     eq = tmp_path / "f.eqn"
     eq.write_text("F = ABC + A'BC + AB'C'\n")

@@ -60,6 +60,14 @@ def test_state_validation():
     # words are checked once each, and the first bad one in row order is named
     with pytest.raises(ValueError, match="and_plane holds 8, not a 2-bit word"):
         PlaState(PlaProfile(2, 4, 1), ((0, 0), (0, 8), (0, 0), (4, 8)), (0,), 0)
+    # a word or a row of the wrong type is refused as a bad word or a bad pair
+    for words, message in ((([1], 0), "and_plane holds [1], not a 2-bit word"),
+                           ((0, 0.0), "and_plane holds 0.0, not a 2-bit word"),
+                           (("1", 0), "and_plane holds '1', not a 2-bit word"),
+                           (1, "and_plane needs 1 (req1, req0) word pairs")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlaState(prof, [words], [1])
+    assert PlaState(prof, ((True, False),), (True,)).and_words == ((1, 0),)  # bools are words
     with pytest.raises(ValueError, match="or_plane"):
         PlaState(prof, ((0, 0),), (0b10,), 0)  # a second term column
     with pytest.raises(ValueError, match="or_plane"):

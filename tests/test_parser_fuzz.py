@@ -24,6 +24,7 @@ from plakit import (
     emit_fusemap,
     parse_encoding,
     parse_equations,
+    parse_expression,
     parse_fusemap,
     parse_kiss2,
     read_berkeley_pla,
@@ -32,7 +33,10 @@ from plakit import (
     write_berkeley_pla,
     write_kiss2,
 )
-from oracles import read_outcome
+from plakit.expr import read_sop
+from oracles import (
+    parse_equations_naive, parse_expression_naive, read_outcome, read_sop_naive,
+)
 
 EQUATIONS = "# majority and friends\nM = AB + AC + BC\nG = (A + B')C * D\nH = !(A . !B)' + 0\n"
 MACHINE = Fsm(2, 1, ("S0", "S1", "S2"), "S0", (
@@ -160,3 +164,52 @@ def test_block_scan_matches_the_per_line_reader():
         text = mutate(rng, rng.choice(SCAN_TEXTS[name]))
         got = read_outcome(SCAN_READERS[name], text)
         assert got == read_outcome(SCAN_READERS[name], text, per_line=True), (name, text)
+
+
+# Bodies that reach every branch of the expression loop: runs of marks on a
+# name, a constant and a group, nested and flattened groups, each kind of
+# missing operand and stray ')', both AND spellings, both digit adjacencies,
+# empty and blank bodies, a non-ASCII name, and nested negated groups (30
+# deep: comparing trees by value recurses three calls a level).
+HAND_BODIES = [
+    "A''", "!A'", "!!A", "(A')'", "((A))", "(AB)C", "A(B+C)'", "(A+B)+C", "0'", "!1",
+    "A + ", ")", "(A", "A)", "A**B", "A ++ B", "A0", "0A", "a*b c", "a b", "", "   ",
+    "\u00e9 + b", "A\u00b7B", "\u00b7", "!" * 50 + "A" + "'" * 7,
+    "".join("!(A + B" for _ in range(30)) + ")" * 30,
+]
+
+
+def _outcome(parse, *args):
+    """("ok", result) of parse(*args), or the exception's type, message and offset."""
+    try:
+        return "ok", parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, whatever it is
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _same_as_naive(text, multi_letter):
+    """Each reader of `text` gives the naive grammar's result; the bodies
+    are also read as bare expressions."""
+    for parse, naive in ((parse_equations, parse_equations_naive),
+                         (read_sop, read_sop_naive)):
+        assert _outcome(parse, text, multi_letter) == _outcome(naive, text, multi_letter), (
+            parse.__name__, multi_letter, text)
+    for line in text.split("\n"):
+        body = line.partition("=")[2]
+        assert _outcome(parse_expression, body, multi_letter) == _outcome(
+            parse_expression_naive, body, multi_letter), (multi_letter, body)
+
+
+def test_one_grammar_matches_the_two_it_replaced():
+    for body in HAND_BODIES:
+        for multi_letter in (False, True):
+            for text in (body, f"F = {body}\n"):
+                assert _outcome(parse_expression, text, multi_letter) == _outcome(
+                    parse_expression_naive, text, multi_letter), (multi_letter, text)
+                _same_as_naive(text, multi_letter)
+    seeds = CORPUS["equations"] + CORPUS["equations_multi"]
+    rng = random.Random(20261019)
+    for _ in range(8000):
+        text = mutate(rng, rng.choice(seeds))
+        for multi_letter in (False, True):
+            _same_as_naive(text, multi_letter)

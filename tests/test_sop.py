@@ -2,13 +2,13 @@
 straight to cube words. These tests hold both commands to the Expr tree
 path in tests/oracles.py (exit code, stdout, stderr and fuse-map bytes),
 pin the messages of files that mix SOP and other bodies, and check that a
-valid SOP file never reaches the expression parser.
+valid SOP file never builds an expression tree.
 """
 
 import pytest
 
 import plakit
-from plakit import PlaProfile, compile_equations, cover_from_expr, parse_equations
+from plakit import Or, PlaProfile, Var, compile_equations, cover_from_expr, parse_equations
 from plakit.cli import main
 from plakit.expr import read_sop
 from oracles import compile_via_expr, seeded, verify_via_expr
@@ -211,13 +211,13 @@ def test_mixed_files_keep_every_message_and_which_error_wins(tmp_path, capsys):
 
 
 def test_valid_sop_files_never_reach_the_parser(tmp_path, capsys, monkeypatch):
-    calls, parse_or = [], plakit.expr._Parser.parse_or
+    calls, tree = [], plakit.expr._tree
 
-    def counted(self):
-        calls.append(self.text)
-        return parse_or(self)
+    def counted(products, leaves):
+        calls.append(products)
+        return tree(products, leaves)
 
-    monkeypatch.setattr(plakit.expr._Parser, "parse_or", counted)
+    monkeypatch.setattr(plakit.expr, "_tree", counted)
     eq, fuse = tmp_path / "fg.eqn", tmp_path / "fg.fuse"
     eq.write_text("F = AB + A'C\nG = !B*C + A . B''\n")
     for order, first in ((["--order", "C,A,B"], "C,A,B"), ([], "A,B,C")):
@@ -230,10 +230,11 @@ def test_valid_sop_files_never_reach_the_parser(tmp_path, capsys, monkeypatch):
     assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
     assert calls == []
     capsys.readouterr()
-    # the counter does see the parser: a body that is not a sum of products
+    # the counter does see the trees: a body that is not a sum of products
     eq.write_text("F = (A + B)C\n")
     assert main(["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"]) == 0
-    assert calls == [" (A + B)C"] * 2  # the body, then its parenthesized group
+    group = Or(Var("A"), Var("B"))
+    assert calls == [[[("A", 1)], [("B", 1)]], [[group, ("C", 1)]]]  # the group, then the body
 
 
 def test_compile_formats_no_message_for_a_body_that_is_not_sop(monkeypatch):
