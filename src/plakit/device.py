@@ -20,12 +20,12 @@ coordinates are (output row, term column), matching the stored or_plane.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, chain
-from operator import and_, or_
+from operator import or_
 
-from .logic import (MAX_VARS, _coverage, _label_line, _literal_mask, _product_mask,
-                    check_bits, interleave, lowest_row, minterm_cube)
+from .logic import (MAX_VARS, _coverage, _label_line, _literal_mask, _low, _product_mask,
+                    check_bits, interleave, mask_rows, minterm_cube)
 
 SWITCH_TECHS = ("fuse", "antifuse")
 PLANES = ("and", "or")
@@ -74,7 +74,8 @@ class PlaState:
     alone, and every edit makes a new instance, so none goes stale.
     and_plane, or_plane and polarity show the image as 0/1 ints; the
     private ones are integer views: _keep reads the AND plane by column
-    for evaluation, and the term and output masks serve the fault sweep.
+    for evaluation, and the term and output masks, with each term's
+    _exposed rows, serve the fault sweep.
     """
 
     profile: PlaProfile
@@ -91,7 +92,10 @@ class PlaState:
             paired = False
         if not paired:
             raise ValueError(f"and_plane needs {p.n_terms} (req1, req0) word pairs")
-        or_words = tuple(self.or_words)
+        try:
+            or_words = tuple(self.or_words)
+        except TypeError:  # a plane that is not a sequence
+            raise ValueError(f"or_plane needs {p.n_outputs} words") from None
         if len(or_words) != p.n_outputs:
             raise ValueError(f"or_plane has {len(or_words)} rows, expected {p.n_outputs}")
         try:  # padding rows repeat one pair: the plane's test reads each distinct pair once
@@ -116,12 +120,14 @@ class PlaState:
     @cached_property
     def and_plane(self):
         """p rows x 2n columns of 0/1."""
-        return tuple(tuple(_row_bits(self, "and", t)) for t in range(self.profile.n_terms))
+        shifts = range(self.profile.n_inputs - 1, -1, -1)
+        return tuple(tuple(w >> s & 1 for s in shifts for w in pair) for pair in self.and_words)
 
     @cached_property
     def or_plane(self):
         """m rows x p columns of 0/1."""
-        return tuple(tuple(_row_bits(self, "or", o)) for o in range(self.profile.n_outputs))
+        terms = range(self.profile.n_terms)
+        return tuple(tuple(word >> t & 1 for t in terms) for word in self.or_words)
 
     @cached_property
     def polarity(self):
@@ -163,12 +169,14 @@ class PlaState:
         return tuple(_product_mask(self.profile.n_inputs, *lits) for lits in self.and_words)
 
     @cached_property
+    def _connected(self):
+        """_connected[o]: the terms OR row o connects, ascending."""
+        return tuple(map(mask_rows, self.or_words))
+
+    @cached_property
     def _raw(self):
         """Output masks before the polarity XOR."""
-        return tuple(
-            reduce(or_, (m for t, m in enumerate(self._terms) if row >> t & 1), 0)
-            for row in self.or_words
-        )
+        return tuple(reduce(or_, map(self._terms.__getitem__, ts), 0) for ts in self._connected)
 
     @cached_property
     def _masks(self):
@@ -177,19 +185,21 @@ class PlaState:
     @cached_property
     def _twice(self):
         """Rows of each output that two or more connected terms cover."""
-        return tuple(_coverage(m for t, m in enumerate(self._terms) if row >> t & 1)[1]
-                     for row in self.or_words)
+        return tuple(_coverage(map(self._terms.__getitem__, ts))[1] for ts in self._connected)
 
     @cached_property
-    def _hidden(self):
-        """_hidden[t]: rows where each output that term t feeds is 1 through
-        another term, so no change to term t shows there."""
-        return tuple(
-            reduce(and_, (raw & ~m | twice & m
-                          for row, raw, twice in zip(self.or_words, self._raw, self._twice)
-                          if row >> t & 1), self._full)
-            for t, m in enumerate(self._terms)
-        )
+    def _exposed(self):
+        """_exposed[t]: (seen, dark). seen: term t's rows where some output it
+        feeds has no other cover, so losing one shows; dark: the rows where
+        some output it feeds reads 0, so gaining one shows."""
+        full, terms = self._full, self._terms
+        alone, lit = [0] * len(terms), [full] * len(terms)
+        for ts, raw, twice in zip(self._connected, self._raw, self._twice):
+            once = full ^ twice
+            for t in ts:
+                alone[t] |= once
+                lit[t] &= raw
+        return tuple((m & a, full ^ b) for m, a, b in zip(terms, alone, lit))
 
 
 def blank_device(profile):
@@ -201,15 +211,6 @@ def blank_device(profile):
                     (terms,) * profile.n_outputs)
 
 
-def _row_bits(state, plane, row):
-    """The 0/1 columns of one stored row, read by shift."""
-    if plane == "and":
-        return [w >> s & 1 for s in range(state.profile.n_inputs - 1, -1, -1)
-                for w in state.and_words[row]]
-    word = state.or_words[row]
-    return [word >> t & 1 for t in range(state.profile.n_terms)]
-
-
 def _crosspoint(state, plane, row, col):
     """The stored bit at crosspoint (row, col), after checking it exists."""
     if plane not in PLANES:
@@ -219,7 +220,9 @@ def _crosspoint(state, plane, row, col):
                   else (prof.n_outputs, prof.n_terms))
     if not (0 <= row < rows and 0 <= col < cols):
         raise ValueError(f"{plane} plane has no crosspoint ({row}, {col})")
-    return _row_bits(state, plane, row)[col]
+    if plane == "and":
+        return state.and_words[row][col & 1] >> (prof.n_inputs - 1 - (col >> 1)) & 1
+    return state.or_words[row] >> col & 1
 
 
 def set_crosspoint(state, plane, row, col, connected):
@@ -300,47 +303,53 @@ def enumerate_faults(profile):
             for row in range(rows) for col in range(cols) for stuck in STUCK_MODES]
 
 
-def _and_diffs(state, t):
-    """diffs[c]: the rows where flipping AND crosspoint (t, c) changes an output.
+@lru_cache(maxsize=None)
+def _inputs(n):
+    """(bit, rows where it reads 0, rows where it reads 1) for each input j
+    of n; its bit, 1 << (n-1-j), is also the row distance across input j."""
+    return tuple((1 << (n - 1 - j), _literal_mask(n, j, 0), _literal_mask(n, j, 1))
+                 for j in range(n))
 
-    A literal that joins the term removes the rows where it reads 0; one that
-    leaves adds the mirror image of the term across its input, unless the
-    term is contradictory (constant 0), whose rows must be rebuilt."""
-    n, term = state.profile.n_inputs, state._terms[t]
-    visible = state._full ^ state._hidden[t]
-    if not visible:
-        return [0] * (2 * n)
-    req1, req0 = state.and_words[t]
+
+def _and_lows(state, t):
+    """The low of each fault of AND row t, in enumerate_faults order: one
+    plus the lowest row where it changes an output, or 0 if it changes none.
+    A joining literal loses the `seen` rows where it reads 0: the complement
+    of a held literal empties the term, so that whole kill class shares one
+    low, and a free input's two literals split `seen`. A leaving literal
+    gains, where `dark`, the term's mirror image across its input."""
+    n = state.profile.n_inputs
+    seen, dark = state._exposed[t]
+    if not (seen or dark):
+        return [0] * (4 * n)
+    term, (req1, req0) = state._terms[t], state.and_words[t]
     contradictory = req1 & req0
-    diffs = []
-    for j in range(n):
-        zeros, ones = _literal_mask(n, j, 0), _literal_mask(n, j, 1)
-        bit = 1 << (n - 1 - j)  # also the row distance between mirror rows
-        if not req1 & bit:
-            true = term & zeros
-        elif contradictory:
-            true = _product_mask(n, req1 ^ bit, req0)
-        else:
-            true = term >> bit
-        if not req0 & bit:
-            comp = term & ones
-        elif contradictory:
-            comp = _product_mask(n, req1, req0 ^ bit)
-        else:
-            comp = term << bit
-        diffs += (true & visible, comp & visible)
-    return diffs
+    kill = _low(seen)
+    lows = []
+    for bit, zeros, ones in _inputs(n):
+        if contradictory:  # constant 0: a leaving literal's gain is rebuilt
+            lows += (0, _low(_product_mask(n, req1 ^ bit, req0) & dark) if req1 & bit else 0,
+                     0, _low(_product_mask(n, req1, req0 ^ bit) & dark) if req0 & bit else 0)
+        elif req1 & bit:
+            lows += (0, _low(term >> bit & dark), kill, 0)
+        elif req0 & bit:
+            lows += (kill, 0, 0, _low(term << bit & dark))
+        elif (kill - 1) & bit:  # the lowest seen row reads 1 (or none is seen)
+            lows += (_low(seen & zeros), 0, kill, 0)
+        else:  # the lowest seen row reads 0: the true literal loses it
+            lows += (kill, 0, _low(seen & ones), 0)
+    return lows
 
 
-def _or_diffs(state, o):
-    """diffs[t]: the rows where flipping OR crosspoint (o, t) changes output o.
-
-    Connecting term t adds its rows the output lacks; disconnecting it loses
-    the rows no other connected term covers."""
-    row = state.or_words[o]
-    gained = state._full ^ state._raw[o]
-    lost = state._full ^ state._twice[o]
-    return [m & (lost if row >> t & 1 else gained) for t, m in enumerate(state._terms)]
+def _or_lows(state, o):
+    """The low of each fault of OR row o, in enumerate_faults order.
+    Disconnecting a term loses the rows no other connected term covers;
+    connecting one gains its rows the output lacks."""
+    row, lost, gained = state.or_words[o], ~state._twice[o], ~state._raw[o]
+    lows = []
+    for t, m in enumerate(state._terms):
+        lows += (0, _low(m & lost)) if row >> t & 1 else (_low(m & gained), 0)
+    return lows
 
 
 def find_test_vector(state, fault):
@@ -348,47 +357,33 @@ def find_test_vector(state, fault):
 
     None means the fault is undetectable on this image -- usually because
     the stuck value equals the programmed value, or the crosspoint feeds
-    nothing observable. Only the faulted row is re-evaluated; `fault_sweep`
-    answers every fault of the image in one walk.
-    """
-    stuck = 1 if fault.stuck == "connected" else 0
-    row, col = fault.row, fault.col
-    if _crosspoint(state, fault.plane, row, col) == stuck:
-        return None
-    diffs = _and_diffs(state, row) if fault.plane == "and" else _or_diffs(state, row)
-    return lowest_row(diffs[col], state.profile.n_inputs)
+    nothing observable. Only the faulted row's lows are derived."""
+    _crosspoint(state, fault.plane, fault.row, fault.col)
+    row_lows = _and_lows if fault.plane == "and" else _or_lows
+    low = row_lows(state, fault.row)[2 * fault.col + (fault.stuck == "disconnected")]
+    return minterm_cube(low - 1, state.profile.n_inputs) if low else None
 
 
 def fault_sweep(state):
     """The `fault --all` transcript: (lines, detected). Fault f of
     enumerate_faults(state.profile) reads f"{f}: {verdict or 'undetectable'}",
     with find_test_vector's verdict; each string of `lines` holds one
-    crosspoint's two faults, written in one walk of the image row by row.
-    `detected` counts the faults with a test vector: the one of each
-    crosspoint whose stuck value differs from the programmed one, when it
-    changes some output."""
+    crosspoint's two faults, and `detected` counts the faults with a vector."""
     n = state.profile.n_inputs
     lines, detected = [], 0
-    vectors = {}  # lowest differing row -> its input string
-    for plane, rows, cols, row_diffs in (
-            ("and", state.and_words, 2 * n, _and_diffs),
-            ("or", state.or_words, state.profile.n_terms, _or_diffs)):
-        tails = [(f"{c}] stuck-connected: ", f"{c}] stuck-disconnected: ")
-                 for c in range(cols)]
-        for r in range(len(rows)):
-            head = f"{plane}[{r},"
-            for (on, off), bit, diff in zip(tails, _row_bits(state, plane, r),
-                                            row_diffs(state, r)):
-                if not diff:
-                    lines.append(f"{head}{on}undetectable\n{head}{off}undetectable\n")
-                    continue
-                row = (diff & -diff).bit_length() - 1
-                vector = vectors.get(row) or vectors.setdefault(row, minterm_cube(row, n))
-                detected += 1
-                if bit:
-                    lines.append(f"{head}{on}undetectable\n{head}{off}{vector}\n")
-                else:
-                    lines.append(f"{head}{on}{vector}\n{head}{off}undetectable\n")
+    verdicts = {0: "undetectable"}  # low -> its line ending
+    for plane, rows, cols, row_lows in (
+            ("and", len(state.and_words), 2 * n, _and_lows),
+            ("or", len(state.or_words), state.profile.n_terms, _or_lows)):
+        tails = [(f"{c}] stuck-connected: ", f"{c}] stuck-disconnected: ") for c in range(cols)]
+        lows = list(chain.from_iterable(row_lows(state, r) for r in range(rows)))
+        for low in set(lows).difference(verdicts):
+            verdicts[low] = minterm_cube(low - 1, n)
+        detected += len(lows) - lows.count(0)
+        pairs = iter(map(verdicts.__getitem__, lows))
+        lines += [f"{head}{on}{a}\n{head}{off}{b}\n"
+                  for head in [f"{plane}[{r}," for r in range(rows)]
+                  for (on, off), a, b in zip(tails, pairs, pairs)]
     return lines, detected
 
 

@@ -279,11 +279,15 @@ def minterm_cube(row, n):
     return format(row, f"0{n}b")
 
 
+def _low(mask):
+    """The lowest set row of a mask plus one; 0 for an empty mask."""
+    return (mask & -mask).bit_length()
+
+
 def lowest_row(diff, n):
     """Input string of the lowest set bit of a 2^n-row mask, or None if 0."""
-    if diff == 0:
-        return None
-    return minterm_cube((diff & -diff).bit_length() - 1, n)
+    low = _low(diff)
+    return minterm_cube(low - 1, n) if low else None
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ def test_state_validation():
         PlaState(prof, ((0, 0),), (0b10,), 0)  # a second term column
     with pytest.raises(ValueError, match="or_plane"):
         PlaState(prof, ((0, 0),), (0, 0), 0)
+    for plane in (5, None):  # a plane that is not a sequence
+        with pytest.raises(ValueError, match=re.escape("or_plane needs 1 words")):
+            PlaState(prof, [(0, 0)], plane)
     with pytest.raises(ValueError, match="polarity"):
         PlaState(prof, ((0, 0),), (0,), 0b10)  # a second output
     with pytest.raises(ValueError, match="polarity"):
@@ -309,9 +312,50 @@ def test_find_test_vector_reports_lowest_row():
     assert find_test_vector(state, Fault("or", 0, 0, "disconnected")) == "00"
 
 
-def test_fault_sweep_matches_exhaustive_difference():
+def _check_faults_against_exhaustive_difference(state):
     # oracle: the lowest row where the good and faulty images' full truth
     # tables differ, each built from scratch
+    n = state.profile.n_inputs
+    for bits in all_inputs(n):
+        assert eval_pla(state, bits) == eval_pla_naive(state, bits)
+    good = output_masks(state)
+    faults, wants = enumerate_faults(state.profile), []
+    for fault in faults:
+        bad = output_masks(inject_fault(state, fault))
+        diff = 0
+        for g, b in zip(good, bad):
+            diff |= g ^ b
+        rows = [r for r in range(1 << n) if diff >> r & 1]
+        wants.append(format(rows[0], f"0{n}b") if rows else None)
+        assert find_test_vector(state, fault) == wants[-1], fault
+    lines, detected = fault_sweep(state)
+    assert len(lines) == len(faults) // 2
+    assert "".join(lines) == "".join(
+        f"{fault}: {want or 'undetectable'}\n" for fault, want in zip(faults, wants))
+    assert detected == len(wants) - wants.count(None)
+
+
+# (profile, AND rows, OR rows), one image for each way a fault's row is derived
+HAND_IMAGES = (
+    # term 1 (x2) feeds no output
+    (PlaProfile(3, 2, 1), ((1, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0)), ((1, 0),)),
+    # term 0 holds both literals of x0 and x1 besides: two disconnections, no kill
+    (PlaProfile(3, 2, 2), ((1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0)), ((1, 1), (1, 0))),
+    # term 0 is empty, the constant-1 product
+    (PlaProfile(2, 2, 1), ((0, 0, 0, 0), (1, 0, 0, 0)), ((1, 1),)),
+    # two equal terms on one output: every kill is hidden by the other
+    (PlaProfile(3, 2, 1), ((1, 0, 0, 1, 0, 0), (1, 0, 0, 1, 0, 0)), ((1, 1),)),
+    # one input
+    (PlaProfile(1, 2, 2), ((1, 0), (0, 1)), ((1, 0), (1, 1))),
+)
+
+
+def test_fault_sweep_matches_exhaustive_difference():
+    for profile, and_plane, or_plane in HAND_IMAGES:
+        _check_faults_against_exhaustive_difference(
+            state_from_planes(profile, and_plane, or_plane, (0,) * profile.n_outputs))
+    for tech in ("fuse", "antifuse"):
+        _check_faults_against_exhaustive_difference(blank_device(PlaProfile(2, 3, 2, tech)))
     rng = seeded(43)
     for tech in ("fuse", "antifuse"):
         for xor in (False, True):
@@ -319,19 +363,8 @@ def test_fault_sweep_matches_exhaustive_difference():
                 for _ in range(4):
                     prof = PlaProfile(rng.randint(1, 5), rng.randint(1, 6),
                                       rng.randint(1, 3), tech, xor)
-                    state = random_state(rng, prof, density)
-                    n = prof.n_inputs
-                    for bits in all_inputs(n):
-                        assert eval_pla(state, bits) == eval_pla_naive(state, bits)
-                    good = output_masks(state)
-                    for fault in enumerate_faults(prof):
-                        bad = output_masks(inject_fault(state, fault))
-                        diff = 0
-                        for g, b in zip(good, bad):
-                            diff |= g ^ b
-                        rows = [r for r in range(1 << n) if diff >> r & 1]
-                        want = format(rows[0], f"0{n}b") if rows else None
-                        assert find_test_vector(state, fault) == want, fault
+                    _check_faults_against_exhaustive_difference(
+                        random_state(rng, prof, density))
 
 
 def test_edited_image_evaluates_its_own_planes():

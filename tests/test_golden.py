@@ -8,7 +8,8 @@ minimizer or the fitter has to reproduce the same text exactly.
 Seeded random functions run n = 4..11 with and without don't-cares at a
 30 % on-set: n <= 6 reaches Petrick's method, n >= 7 the greedy cover.
 Seeded machines with '-' input cubes and unmatched (state, input) pairs
-pin the KISS2 lowering and both controller fuse maps.
+pin the KISS2 lowering and both controller fuse maps. Seeded random
+images pin every line of the `fault --all` sweep and its detected count.
 """
 
 import hashlib
@@ -25,7 +26,8 @@ from plakit import (
     synthesize_controller,
     write_berkeley_pla,
 )
-from oracles import random_cube_fsm, seeded
+from plakit.device import fault_sweep
+from oracles import random_cube_fsm, random_state, seeded
 
 MINIMIZED_PLA_SHA256 = {
     (4, False): "dfa15c2201a94bae574e9c2aa514d9b8fdef36399982308882d841ba333fbe6d",
@@ -139,3 +141,24 @@ def test_cube_fsm_lowering_and_controllers_are_byte_identical():
             ))
         got[k] = tuple(digests)
     assert got == CUBE_FSM_SHA256
+
+
+def _sweep_images():
+    """60 seeded images with n <= 8 over densities 0.1-0.9, both switch
+    technologies, with and without the output XOR, then one 16-input image."""
+    rng = seeded(2401)
+    for k in range(60):
+        profile = PlaProfile(rng.randint(1, 8), rng.randint(1, 10), rng.randint(1, 4),
+                             ("fuse", "antifuse")[k & 1], bool(k >> 1 & 1))
+        yield random_state(rng, profile, 0.1 + 0.1 * (k % 9))
+    yield random_state(rng, PlaProfile(16, 12, 3, "fuse", True), 0.15)
+
+
+def test_fault_sweep_transcripts_are_byte_identical():
+    digest = hashlib.sha256()
+    for state in _sweep_images():
+        lines, detected = fault_sweep(state)
+        digest.update(f"{''.join(lines)}{detected}\n".encode())
+    assert digest.hexdigest() == (
+        "07eb117867baf062689fb2d8ec6c22cc8c85fcbad2263385e0c22c9668d3d173"
+    )
