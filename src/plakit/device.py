@@ -75,7 +75,9 @@ class PlaState:
     and_plane, or_plane and polarity show the image as 0/1 ints; the
     private ones are integer views: _keep reads the AND plane by column
     for evaluation, and the term and output masks, with each term's
-    _exposed rows, serve the fault sweep.
+    _exposed rows, serve the fault sweep. The output masks are the v = n
+    case of _masks_over(v), the masks over the first v inputs with the
+    others at 0: a controller's step tables read them without _keep.
     """
 
     profile: PlaProfile
@@ -176,11 +178,29 @@ class PlaState:
     @cached_property
     def _raw(self):
         """Output masks before the polarity XOR."""
-        return tuple(reduce(or_, map(self._terms.__getitem__, ts), 0) for ts in self._connected)
+        return self._raw_over(self.profile.n_inputs)
 
     @cached_property
     def _masks(self):
-        return tuple(m ^ self._full if pol else m for m, pol in zip(self._raw, self.polarity))
+        return self._masks_over(self.profile.n_inputs)
+
+    def _raw_over(self, v):
+        """_raw over the 2^v rows of the first v inputs, the other n - v
+        inputs at 0: a term that needs one of those at 1 is dead. v = n reads
+        _terms; a smaller v builds the connected terms' masks alone."""
+        shift = self.profile.n_inputs - v
+        unused = (1 << shift) - 1
+        terms = self._terms if not shift else {
+            t: 0 if req1 & unused else _product_mask(v, req1 >> shift, req0 >> shift)
+            for t in set().union(*self._connected) for req1, req0 in [self.and_words[t]]}
+        return tuple(reduce(or_, map(terms.__getitem__, ts), 0) for ts in self._connected)
+
+    def _masks_over(self, v):
+        """Output masks over the first v inputs, the others at 0: _raw_over(v)
+        after the polarity XOR."""
+        raw = self._raw if v == self.profile.n_inputs else self._raw_over(v)
+        full = (1 << (1 << v)) - 1
+        return tuple(m ^ full if pol else m for m, pol in zip(raw, self.polarity))
 
     @cached_property
     def _twice(self):

@@ -465,16 +465,26 @@ def simulate_fsm(fsm, input_seq):
     return trace
 
 
+# The mask path's size rule, in cycles per (state code, input) row: reading a
+# row costs about eight cycles of the loop, so a run that visits few pairs
+# pays at most about twice its per-pair time.
+_CYCLES_PER_ROW = 8
+
+
 def simulate_controller(image, input_seq):
     """Cycle-accurate run of the programmed device: [(state code bits, outputs)].
 
     The register starts at code 0; each cycle evaluates the PLA on the
     input word (state bits, input bits, unused inputs at 0) and latches the
-    next-state outputs. A run evaluates each distinct (code, input) pair
-    once: each code reached gets a step table whose entry per input string
-    holds the trace entry, the next code and its table, and a key enters a
-    table only after its vector passed check_bits, so a vector that is not a
-    string costs one format of its items per cycle.
+    next-state outputs. Each state code has a step table whose entry per
+    input string holds the trace entry, the next code and its table. A run
+    of at least _CYCLES_PER_ROW cycles per (state code, input) row fills
+    the tables of every code reachable from code 0 at once, from the output
+    masks over those 2^(b+k) rows; a shorter run evaluates each distinct
+    pair when first reached. A key enters a table on the per-pair path only
+    after its vector passed check_bits, and the mask path's keys are the
+    2^k strings of k binary digits, so a vector that is not a string costs
+    one format of its items per cycle.
     """
     enc = image.encoding
     b, k, q = enc.bits, enc.n_inputs, enc.n_outputs
@@ -483,7 +493,10 @@ def simulate_controller(image, input_seq):
     pad = prof.n_inputs - b - k  # unused inputs read 0
     next_at = prof.n_outputs - b  # the next code is the word's top b bits
     outs_at, outs_mask = next_at - q, (1 << q) - 1
-    tables = {}  # code -> {input string: ((code bits, outputs), next code, its table)}
+    input_seq = list(input_seq)
+    # code -> {input string: ((code bits, outputs), next code, its table)}
+    tables = (_step_tables(image.state, b, k, q)
+              if _CYCLES_PER_ROW << (b + k) <= len(input_seq) else {})
     code, table = 0, tables.setdefault(0, {})
     trace = []
     digits = "%s" * k  # check_bits' string of k items: str() of each
@@ -500,3 +513,29 @@ def simulate_controller(image, input_seq):
         entry, code, table = step
         trace.append(entry)
     return trace
+
+
+def _step_tables(state, b, k, q):
+    """The step tables of the codes reachable from code 0, read from the
+    first b + q output masks over the (state code, input) rows: row r is
+    code r >> k on the input whose word is r's low k bits. Each mask is one
+    binary-digit string, written into a buffer that holds two words per
+    row, its next code and its outputs. A code's rows are read once a read
+    row leads to it, so an unreachable code costs none."""
+    rows, width = 1 << (b + k), b + q + 2
+    buf = bytearray(b" " * (rows * width))
+    for o, mask in enumerate(state._masks_over(b + k)[: b + q]):
+        buf[o + (o >= b)::width] = format(mask, f"0{rows}b")[::-1].encode()
+    words = buf.decode().split()
+    keys = [format(x, f"0{k}b") for x in range(1 << k)]
+    todo = ["0" * b]
+    steps = {todo[0]: (0, {})}  # code bits -> (code, its table)
+    for bits in todo:  # grows with each code reached
+        code, table = steps[bits]
+        pairs = iter(words[code << (k + 1) : (code + 1) << (k + 1)])
+        for key, nxt, outs in zip(keys, pairs, pairs):
+            if nxt not in steps:
+                steps[nxt] = int(nxt, 2), {}
+                todo.append(nxt)
+            table[key] = ((bits, outs), *steps[nxt])
+    return dict(steps.values())

@@ -13,6 +13,7 @@ import pytest
 
 import plakit
 from plakit import (
+    ControllerImage,
     Cover,
     Fault,
     Fsm,
@@ -24,6 +25,7 @@ from plakit import (
     enumerate_faults,
     eval_pla,
     find_test_vector,
+    parse_encoding,
     parse_expression,
     parse_fusemap,
     simulate_controller,
@@ -33,8 +35,9 @@ from plakit import (
 )
 from plakit import cli
 from plakit.cli import _CHUNK_BITS, main, parse_profile
-from oracles import (eval_pla_naive, lowest_differing_row_naive, random_state, seeded,
-                     state_from_planes)
+from plakit.fsm import _CYCLES_PER_ROW
+from oracles import (eval_pla_naive, lowest_differing_row_naive, random_input_sequence,
+                     random_state, seeded, simulate_controller_naive, state_from_planes)
 
 MAJ_EQNS = "M = AB + AC + BC\n"
 TOGGLE_KISS = ".i 1\n.o 1\n.r S0\n1 S0 S1 1\n1 S1 S0 0\n.e\n"
@@ -563,6 +566,19 @@ def test_fsm_pipeline(tmp_path, capsys):
                  "--vectors", str(vectors), "--header"]) == 0
     assert capsys.readouterr().out.splitlines() == ["# cycle state out", "0 0 1",
                                                     "1 1 0", "2 0 1"]
+    # runs either side of the mask path's size rule: 2 (state code, input) rows
+    image = ControllerImage(parse_fusemap(fuse.read_text()).state,
+                            parse_encoding(enc.read_text()))
+    rng = seeded(1022)
+    for cycles in (2 * _CYCLES_PER_ROW - 1, 2 * _CYCLES_PER_ROW):
+        seq = random_input_sequence(rng, 1, cycles)
+        vectors.write_text("\n".join(seq) + "\n")
+        want = "# cycle state out\n" + "".join(
+            f"{cycle} {code} {outs} S{int(code)}\n"
+            for cycle, (code, outs) in enumerate(simulate_controller_naive(image, seq)))
+        assert main(["fsmsim", str(fuse), "--encoding", str(enc),
+                     "--vectors", str(vectors), "--names", "--header"]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_fsm_strict_exit(tmp_path, capsys):

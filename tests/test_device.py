@@ -156,6 +156,21 @@ def test_eval_matches_naive_oracle_on_random_devices():
             assert got_masked == want
 
 
+def test_masks_over_the_first_inputs_match_the_naive_oracle():
+    # the first v inputs vary, the other n - v read 0; v = n is output_masks
+    rng = seeded(39)
+    for _ in range(60):
+        prof = random_profile(rng, max_inputs=6, max_terms=8, max_outputs=4)
+        state = random_state(rng, prof, rng.choice((0.1, 0.25, 0.4)))
+        n = prof.n_inputs
+        assert tuple(state._masks_over(n)) == output_masks(state)
+        for v in range(1, n):
+            masks = state._masks_over(v)
+            for row, bits in enumerate(all_inputs(v)):
+                want = eval_pla_naive(state, bits + "0" * (n - v))
+                assert "".join(str(m >> row & 1) for m in masks) == want
+
+
 def test_eval_matches_naive_oracle_across_slice_boundaries():
     # eval ANDs one keep word per input bit (PlaState._keep, the terms off
     # that input's true or complement column): widths run from 1 to 24

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -17,9 +18,11 @@ from plakit import (
     simulate_controller,
     simulate_fsm,
     set_crosspoint,
+    set_polarity,
     synthesize_controller,
     write_kiss2,
 )
+from plakit.fsm import _CYCLES_PER_ROW
 from plakit.logic import check_bits
 from oracles import (
     all_cubes,
@@ -28,6 +31,7 @@ from oracles import (
     random_cube_fsm,
     random_fsm,
     random_input_sequence,
+    random_state,
     seeded,
     simulate_controller_naive,
     state_from_planes,
@@ -452,7 +456,7 @@ def test_synthesize_toggle_golden():
 def test_simulate_controller_reads_lists_tuples_and_strings_alike():
     machine = random_cube_fsm(seeded(1021), 3)
     image, _ = synthesize_controller(machine, PlaProfile(8, 64, 8), minimize=True)
-    seq = random_input_sequence(seeded(1022), machine.n_inputs, 300)
+    seq = random_input_sequence(seeded(1022), machine.n_inputs, 600)
     want = simulate_controller(image, seq)
     assert want == simulate_controller_naive(image, seq)
     lists = [[int(c) for c in bits] for bits in seq]
@@ -461,11 +465,14 @@ def test_simulate_controller_reads_lists_tuples_and_strings_alike():
     assert simulate_controller(image, [(bits[:2], int(bits[2])) for bits in seq]) == want
     assert simulate_controller(image, [bits if i % 2 else lists[i] for i, bits in
                                        enumerate(seq)]) == want
-    # a bad vector raises check_bits' error, read before or after good ones
+    # a bad vector raises check_bits' error, read before or after good ones,
+    # on the per-pair path and on the mask path
+    assert _CYCLES_PER_ROW << (image.encoding.bits + 3) <= len(seq)
     for bad in ([0, 2, 1], (1, 0), [1, 0, 1, 1], "0x1", [1.0, 0, 1], [True, False, True]):
         with pytest.raises(ValueError) as want_exc:
             check_bits(bad, 3)
-        for stimulus in ([bad], [*lists[:5], bad], [*seq[:5], bad]):
+        for stimulus in ([bad], [*lists[:5], bad], [*seq[:5], bad],
+                         [bad, *seq], [*seq[:300], bad, *lists[300:]], [*lists, bad]):
             with pytest.raises(ValueError) as exc:
                 simulate_controller(image, stimulus)
             assert str(exc.value) == str(want_exc.value)
@@ -754,3 +761,67 @@ def test_step_tables_follow_codes_the_encoding_does_not_name():
     assert {out for _, out in want} == {"0", "1"}
     assert simulate_controller(image, seq) == want
     assert simulate_controller(image, [[int(c) for c in bits] for bits in seq]) == want
+
+
+def _drawn_controllers():
+    """(feature, ControllerImage) pairs over random images, each drawn to
+    carry one thing the step tables must read right."""
+    rng = seeded(1201)
+
+    def drawn(b, k, q, extra_in=0, extra_out=0, tech="fuse", xor=False, codes=None):
+        profile = PlaProfile(b + k + extra_in, 12, b + q + extra_out, tech, xor)
+        codes = codes or tuple((f"S{c}", c) for c in range(1 << b))
+        return random_state(rng, profile, 0.2), StateEncoding(b, k, q, codes)
+
+    state, enc = drawn(2, 2, 2, xor=True)
+    yield "polarity", ControllerImage(set_polarity(set_polarity(state, 0, 1), 2, 1), enc)
+    yield "antifuse", ControllerImage(*drawn(2, 3, 2, tech="antifuse"))
+    # inputs 4 and 5 of 6 are unused and read 0: term 0 needs input 4 at 1,
+    # so it is dead; term 1 needs input 5 at 0 and state bit 0 at 1
+    state, enc = drawn(2, 2, 2, extra_in=2)
+    words = ((0b000010, 0), (0b100000, 0b000001), *state.and_words[2:])
+    ors = tuple(w | 0b11 if o in (0, 2) else w for o, w in enumerate(state.or_words))
+    yield "unused inputs", ControllerImage(replace(state, and_words=words, or_words=ors), enc)
+    state, enc = drawn(2, 2, 2)
+    words = ((0b1000, 0b1000), (0b0110, 0b0110), *state.and_words[2:])  # s0 s0'; s1 s1' i0 i0'
+    ors = tuple(w | 0b11 for w in state.or_words)
+    yield "contradictory", ControllerImage(replace(state, and_words=words, or_words=ors), enc)
+    state, enc = drawn(2, 2, 2)
+    ors = tuple(w | 1 if o == 3 else w & ~1 for o, w in enumerate(state.or_words))
+    state = replace(state, and_words=((0, 0), *state.and_words[1:]), or_words=ors)
+    yield "unconnected", ControllerImage(state, enc)  # o1 reads the constant-1 term
+    yield "more outputs", ControllerImage(*drawn(2, 2, 1, extra_out=3, xor=True))
+    yield "unnamed codes", ControllerImage(*drawn(2, 2, 2, codes=(("A", 0), ("B", 1))))
+
+
+def test_both_step_table_paths_match_the_per_cycle_oracle():
+    # a run of _CYCLES_PER_ROW cycles per (state code, input) row fills the
+    # tables from the output masks and never builds the per-pair evaluator's
+    # keep words; one cycle fewer evaluates each pair when first reached
+    rng = seeded(1203)
+    for feature, image in _drawn_controllers():
+        enc = image.encoding
+        rows = _CYCLES_PER_ROW << (enc.bits + enc.n_inputs)
+        seq = random_input_sequence(rng, enc.n_inputs, rows)
+        got = simulate_controller(image, map(list, seq))
+        assert "_keep" not in image.state.__dict__, feature
+        want = simulate_controller_naive(image, seq)
+        assert got == want, feature
+        short = random_input_sequence(rng, enc.n_inputs, rows - 1)
+        assert simulate_controller(image, short) == simulate_controller_naive(image, short), feature
+        if feature == "unnamed codes":
+            assert {code for code, _ in want} - {enc.code_str(n) for n, _ in enc.codes}
+
+
+def test_a_wide_controller_stays_on_the_per_pair_path():
+    # 2 state bits and 20 inputs: the mask path would read 4,194,304
+    # (state code, input) rows for a 1000-cycle run
+    rng = seeded(1207)
+    enc = StateEncoding(2, 20, 6, (("A", 0), ("B", 1), ("C", 2)))
+    image = ControllerImage(random_state(rng, PlaProfile(22, 64, 8), 0.05), enc)
+    seq = random_input_sequence(rng, 20, 1000)
+    start = time.perf_counter()
+    got = simulate_controller(image, seq)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+    assert got == simulate_controller_naive(image, seq)

@@ -10,12 +10,16 @@ Seeded random functions run n = 4..11 with and without don't-cares at a
 Seeded machines with '-' input cubes and unmatched (state, input) pairs
 pin the KISS2 lowering and both controller fuse maps. Seeded random
 images pin every line of the `fault --all` sweep and its detected count.
+Seeded controllers pin their clocked traces on runs either side of the
+size rule that picks how their step tables are filled.
 """
 
 import hashlib
 
 from plakit import (
+    ControllerImage,
     PlaProfile,
+    StateEncoding,
     TruthTable,
     emit_encoding,
     emit_fusemap,
@@ -23,11 +27,13 @@ from plakit import (
     minimize,
     parse_kiss2,
     share_terms,
+    simulate_controller,
     synthesize_controller,
     write_berkeley_pla,
 )
 from plakit.device import fault_sweep
-from oracles import random_cube_fsm, random_state, seeded
+from plakit.fsm import _CYCLES_PER_ROW
+from oracles import random_cube_fsm, random_input_sequence, random_state, seeded
 
 MINIMIZED_PLA_SHA256 = {
     (4, False): "dfa15c2201a94bae574e9c2aa514d9b8fdef36399982308882d841ba333fbe6d",
@@ -161,4 +167,41 @@ def test_fault_sweep_transcripts_are_byte_identical():
         digest.update(f"{''.join(lines)}{detected}\n".encode())
     assert digest.hexdigest() == (
         "07eb117867baf062689fb2d8ec6c22cc8c85fcbad2263385e0c22c9668d3d173"
+    )
+
+
+def _controller_images():
+    """Seeded cube machines, plain and minimized, on parts one input and one
+    output wider than they need, then seeded random images with the output
+    XOR over random encodings, unused codes and unused inputs included."""
+    for k in (2, 3, 4):
+        machine = random_cube_fsm(seeded(2500 + k), k)
+        mcover, _ = fsm_to_covers(machine)
+        bits = max(1, (len(machine.states) - 1).bit_length())
+        profile = PlaProfile(bits + k + 1, 2 * len(mcover.term_pool),
+                             bits + machine.n_outputs + 1)
+        for minimized in (False, True):
+            yield synthesize_controller(machine, profile, minimize=minimized)[0]
+    rng = seeded(2510)
+    for i in range(12):
+        b, k, q = rng.randint(1, 3), rng.randint(1, 4), rng.randint(2, 3)
+        profile = PlaProfile(b + k + rng.randint(0, 2), rng.randint(8, 24),
+                             b + q + rng.randint(0, 2), ("fuse", "antifuse")[i & 1], True)
+        codes = sorted({0, *rng.sample(range(1 << b), rng.randint(0, (1 << b) - 1))})
+        enc = StateEncoding(b, k, q, tuple((f"S{c}", c) for c in codes))
+        yield ControllerImage(random_state(rng, profile, 0.2), enc)
+
+
+def test_controller_traces_are_byte_identical():
+    # one run a cycle short of the mask path's size rule, one longer
+    rng = seeded(2520)
+    digest = hashlib.sha256()
+    for image in _controller_images():
+        enc = image.encoding
+        rows = _CYCLES_PER_ROW << (enc.bits + enc.n_inputs)
+        for cycles in (rows - 1, rows + 37):
+            trace = simulate_controller(image, random_input_sequence(rng, enc.n_inputs, cycles))
+            digest.update("".join(f"{code} {outs}\n" for code, outs in trace).encode() + b"\0")
+    assert digest.hexdigest() == (
+        "07e0c8290c36ccce4532e53e7790f85149237cddc98367a1f6e789eeeeba8eda"
     )
