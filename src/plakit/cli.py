@@ -3,6 +3,8 @@
 Subcommands mirror the library pipeline: table / synth for algebra,
 compile / sim / verify / diagram / fault for combinational devices,
 fsm / fsmsim for controllers. '-' means stdin (inputs) or stdout (-o).
+compile, verify and synth read each equation file once; a tree is built
+only for a body with a constant or a group, or for a truth table.
 
 Exit codes: 0 success; 1 verification mismatch or failed fault-coverage
 gate; 2 usage or I/O trouble; 3 design does not fit the device; 4
@@ -28,16 +30,17 @@ from .device import (
 )
 from .errors import CapacityError, FormatError
 from .expr import (
+    _names,
+    _trees,
     check_names,
     content_lines,
     parse_equations,
     parse_expression,
-    read_sop,
+    read_equations,
     variables,
 )
 from .fit import (
-    compile_equations,
-    compile_sop,
+    _compile,
     emit_fusemap,
     pad_input_names,
     parse_fusemap,
@@ -52,11 +55,12 @@ from .fsm import (
     synthesize_controller,
 )
 from .logic import (
+    _order_bits,
     _product_mask,
+    _sop_words,
     canonical_sop,
     check_bits,
     lowest_row,
-    sop_words,
     table_from_expr,
 )
 from .minimize import minimize, share_terms
@@ -148,12 +152,11 @@ def cmd_table(args):
 
 
 def cmd_synth(args):
-    named = parse_equations(
-        _read_text(args.equations, "equations"), multi_letter=args.multi_letter
-    )
+    named = parse_equations(_read_text(args.equations, "equations"), args.multi_letter)
     order = _split_names(args.order) if args.order else variables(*(e for _, e in named))
     if not (order or args.order):
-        raise ValueError("constant equations: give the variables with --order")
+        raise ValueError("constant equations: give the variables with --order" if named
+                         else "no equations to synthesize")
 
     make = minimize if args.minimize else canonical_sop
     try:
@@ -166,22 +169,11 @@ def cmd_synth(args):
 
 
 def cmd_compile(args):
-    text = _read_text(args.equations, "equations")
-    # the term-for-term path reads a sum-of-products file straight to words
-    sop = None if args.minimize or args.polarity else read_sop(text, args.multi_letter)
-    equations = None if sop else parse_equations(text, multi_letter=args.multi_letter)
+    equations = read_equations(_read_text(args.equations, "equations"), args.multi_letter)
     profile = parse_profile(args.profile)
     order = _split_names(args.order) if args.order else None
-    compiled = sop and compile_sop(sop, profile, order)
-    if not compiled:  # not a sum of products, or a name the parser's path reports
-        polarity = None
-        if args.polarity:
-            polarity = {name: 1 for name in _split_names(args.polarity)}
-        compiled = compile_equations(
-            equations or parse_equations(text, multi_letter=args.multi_letter), profile,
-            minimize=args.minimize, polarity=polarity, order=order,
-        )
-    state, report = compiled
+    polarity = dict.fromkeys(_split_names(args.polarity), 1) if args.polarity else None
+    state, report = _compile(equations, profile, args.minimize, polarity, order)
     _write_text(args.output, emit_fusemap(state, report.input_names, report.output_names))
     if args.report:
         sys.stderr.write(report.summary())
@@ -244,40 +236,35 @@ def _exhaustive_lines(masks, n):
 
 def cmd_verify(args):
     fm = parse_fusemap(_read_text(args.fusemap, "fuse map"))
-    text = _read_text(args.equations, "equations")
-    sop = read_sop(text, args.multi_letter)
-    equations = sop[0] if sop else parse_equations(text, multi_letter=args.multi_letter)
+    equations = read_equations(_read_text(args.equations, "equations"), args.multi_letter)
+    if not equations:
+        raise ValueError("no equations to verify")
     profile = fm.state.profile
     if len(equations) > profile.n_outputs:
         raise ValueError(
             f"{len(equations)} equations but the device has {profile.n_outputs} outputs"
         )
 
-    base = (_split_names(args.var_order) if args.var_order else fm.input_names
-            or (sop[1] if sop else variables(*(e for _, e in equations))))
+    base = _split_names(args.var_order) if args.var_order else fm.input_names or _names(equations)
     if len(base) > profile.n_inputs:
         raise ValueError(
             f"{len(base)} variables but the device has {profile.n_inputs} inputs"
         )
     order = pad_input_names(base, profile.n_inputs)
-    words = sop and sop_words(sop, order)
-    if words:  # a sum of products: OR each product's rows
-        n = profile.n_inputs
-        tables = [reduce(or_, (_product_mask(n, *w) for w in ws), 0) for ws in words]
-    else:
-        if sop:  # a name outside the order, or a refused order: the parser's path reports it
-            equations = parse_equations(text, multi_letter=args.multi_letter)
-        # every table is built before any output is named or compared, so a
-        # name outside the order wins over an unknown output or a mismatch
-        try:
-            tables = [table_from_expr(e, order).bits for _, e in equations]
-        except ValueError:
-            check_names(equations, order, "not on the device")
-            raise
+    # every table is built before any output is named or compared, so a
+    # name outside the order wins over an unknown output or a mismatch
+    try:
+        bits, n = _order_bits(order), len(order)
+        tables = [table_from_expr(tree, order).bits if tree else
+                  reduce(or_, (_product_mask(n, *w) for w in _sop_words(products, None, bits)), 0)
+                  for _, products, tree in equations]
+    except ValueError:
+        check_names(_trees(equations), order, "not on the device")
+        raise
 
     masks = output_masks(fm.state)
     out_names = fm.output_names
-    for i, ((name, _), expected) in enumerate(zip(equations, tables)):
+    for i, ((name, _, _), expected) in enumerate(zip(equations, tables)):
         if not out_names:
             idx = i
         elif name in out_names:

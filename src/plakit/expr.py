@@ -11,10 +11,10 @@ Precedence NOT > AND > OR. The postfix apostrophe binds to the immediately
 preceding variable, constant, or parenthesized group. One loop reads the
 grammar as the products a PLA's AND plane forms: a name with its marks
 stays a (name, value) literal, and only a constant or a parenthesized group
-(read by the same loop) becomes a tree node, so read_sop is the same parse
-with no tree. A '(' nested more than 100 deep is refused. Double negation
-is removed while parsing; no other rewriting happens, so the tree mirrors
-the text.
+(read by the same loop) becomes a tree node: read_equations reads a file
+once, building a tree only for such a body. A '(' nested more than 100
+deep is refused. Double negation is removed while parsing; no other
+rewriting happens, so the tree mirrors the text.
 
 Two identifier modes:
   * single-letter (default): every letter is its own variable, so "AB'C"
@@ -28,6 +28,7 @@ mode).
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FormatError, ParseError
 
@@ -176,8 +177,7 @@ def _sum(tokens, i, text, multi_letter, leaves, depth):
     closes them: (products, that token's index). Each factor is '!'* primary
     "'"*: a name is a (name, value) literal, value 1 for an even number of
     marks; a constant or a group (read by recursion) is an Expr, negated for
-    an odd number. `leaves` maps names to Vars; with leaves None no Expr is
-    built, and the first constant, group or missing operand gives None."""
+    an odd number. `leaves` maps names to a group's Vars."""
     products, product = [], []
     kind = tokens[i][0]
     while True:
@@ -188,8 +188,6 @@ def _sum(tokens, i, text, multi_letter, leaves, depth):
             kind = tokens[i][0]
         if kind == _NAME:
             name = tokens[i][1]
-        elif leaves is None:
-            return None
         else:
             kind, name, index = tokens[i]
             if kind == _CONST:
@@ -245,12 +243,25 @@ def _tree(products, leaves):
     return terms[0] if len(terms) == 1 else Or(*terms)
 
 
+def _flat(tree):
+    """_tree's inverse: a tree's products, each Var or negated Var a (name,
+    value) literal and any other factor an Expr, as _sum reads them."""
+    products = []
+    for term in tree.children if isinstance(tree, Or) else (tree,):
+        products.append([])
+        for f in term.children if isinstance(term, And) else (term,):
+            var = f.child if isinstance(f, Not) else f
+            products[-1].append((var.name, int(var is f)) if isinstance(var, Var) else f)
+    return products
+
+
 def _negate(expr):
     return expr.child if isinstance(expr, Not) else Not(expr)  # NOT NOT x == x: no other rewrite
 
 
-def parse_expression(text, multi_letter=False):
-    """Parse a Boolean expression; raises ParseError with a byte offset."""
+def _read(text, multi_letter):
+    """(products, tree) of an expression, the tree None unless it holds a
+    constant or a group; ParseError with a byte offset."""
     if not text.strip():
         raise ParseError("empty expression", 0)
     tokens = _tokenize(text, multi_letter)
@@ -259,7 +270,16 @@ def parse_expression(text, multi_letter=False):
     kind, tok, index = tokens[i]
     if kind != _END:
         raise ParseError(f"unexpected trailing token {tok!r}", _byte_offset(text, index))
-    return _tree(products, leaves)
+    if set(map(type, chain.from_iterable(products))) == {tuple}:
+        return products, None
+    tree = _tree(products, leaves)
+    return _flat(tree), tree
+
+
+def parse_expression(text, multi_letter=False):
+    """Parse a Boolean expression; raises ParseError with a byte offset."""
+    products, tree = _read(text, multi_letter)
+    return tree or _tree(products, {})
 
 
 # ---------------------------------------------------------------------------
@@ -403,37 +423,33 @@ def _equation_lines(text):
         yield lineno, name, body
 
 
-def parse_equations(text, multi_letter=False):
-    """Read an equation file into an ordered list of (name, Expr) pairs."""
+def read_equations(text, multi_letter=False):
+    """Read an equation file into an ordered list of (name, products, tree)
+    triples. A product is a list of (variable, value) literals as written,
+    and tree is None, unless the body holds a constant or a group: then the
+    products are _flat(tree), whose factors may be Exprs."""
     equations = []
     for lineno, name, body in _equation_lines(text):
         try:
-            expr = parse_expression(body, multi_letter=multi_letter)
+            equations.append((name, *_read(body, multi_letter)))
         except ParseError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        equations.append((name, expr))
     return equations
 
 
-def read_sop(text, multi_letter=False):
-    """An equation file whose every body is a sum of products of literals,
-    read by parse_expression's loop with no Expr tree: (equations,
-    variables), each equation (name, products), each product a list of
-    (variable, value) literals as written, the variables in first-appearance
-    order. None for an empty file, a constant or a group, and every file
-    parse_equations refuses: the caller parses those, so each error comes
-    from one grammar."""
-    equations = []
-    try:
-        for _, name, body in _equation_lines(text):
-            tokens = _tokenize(body, multi_letter)
-            read = _sum(tokens, 0, body, multi_letter, None, 0)
-            if read is None or tokens[read[1]][0] != _END:
-                return None
-            equations.append((name, read[0]))
-    except FormatError:  # ParseError included
-        return None
-    if not equations:
-        return None
-    return equations, tuple(dict.fromkeys(
-        v for _, products in equations for product in products for v, _ in product))
+def parse_equations(text, multi_letter=False):
+    """Read an equation file into an ordered list of (name, Expr) pairs."""
+    return _trees(read_equations(text, multi_letter))
+
+
+def _trees(equations):
+    """read_equations' triples as (name, Expr) pairs, one Var per name."""
+    leaves = {}
+    return [(name, tree or _tree(products, leaves)) for name, products, tree in equations]
+
+
+def _names(equations):
+    """The variables of read_equations' triples in first-appearance order."""
+    return tuple(dict.fromkeys(chain.from_iterable(
+        variables(tree) if tree else (v for product in products for v, _ in product)
+        for _, products, tree in equations)))

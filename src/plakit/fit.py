@@ -495,50 +495,38 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     as (req1, req0) words; a design that does not fit raises fit's
     CapacityError before any minterm word is written.
     """
-    equations = list(equations)
+    return _compile([(n, None, e) for n, e in equations], profile, minimize, polarity, order)
+
+
+def _compile(equations, profile, minimize=False, polarity=None, order=None):
+    """compile_equations for expr.read_equations' triples, read once, or for
+    (name, None, tree) ones, whose tree is flattened only for its words. A
+    tree is built for a body that has none only for its truth table."""
     if not equations:
         raise ValueError("no equations to compile")
-    names = [name for name, _ in equations]
+    names = [name for name, _, _ in equations]
 
     pol_bits = _polarity_bits(polarity, names)
     if any(pol_bits) and not profile.has_output_xor:
         raise ValueError("polarity requested but profile has no output XOR")
 
-    order = tuple(order) if order is not None else (
-        ex.variables(*(e for _, e in equations)) or ("x0",))
+    order = tuple(order) if order is not None else (ex._names(equations) or ("x0",))
 
     outputs = []  # (req1, req0) words, or a TruthTable to cover with its minterms
     try:
-        order = logic._check_order(order)
-        for (_, e), pol in zip(equations, pol_bits):
-            if pol or minimize:
-                table = logic.table_from_expr(e, order)
+        bits = logic._order_bits(order)
+        for (_, products, tree), pol in zip(equations, pol_bits):
+            out = pol or minimize or logic._sop_words(products or ex._flat(tree), tree, bits)
+            if not isinstance(out, list):  # inverted, minimized or not a sum of products
+                table = logic.table_from_expr(tree or ex._tree(products, {}), order)
                 out = table.complement() if pol else table
                 if minimize:
                     out = [p[1:] for p in mn._mask_primes(out.n, out.bits, 0)]
-            else:
-                out = logic._sop_words(e, order)
-                if isinstance(out, tuple):  # not a sum of products
-                    out = logic.table_from_expr(e, order)
             outputs.append(out)
     except ValueError:
-        ex.check_names(equations, order, "not in order")
+        ex.check_names(ex._trees(equations), order, "not in order")
         raise
     return _fit_words(names, order, outputs, profile, pol_bits)
-
-
-def compile_sop(sop, profile, order=None):
-    """compile_equations(parse_equations(text), profile, order=order) for a
-    text that expr.read_sop read into `sop`, fitted from its literal words
-    with no Expr tree or cube string: each product is one AND row, and a
-    product holding X and X' is dropped. None when a variable is outside the
-    order or the order is refused; compiling the parsed equations reports those."""
-    equations, variables = sop
-    order = variables if order is None else tuple(order)
-    words = logic.sop_words(sop, order)
-    if words is None:
-        return None
-    return _fit_words([name for name, _ in equations], order, words, profile)
 
 
 def _polarity_bits(polarity, names):

@@ -389,55 +389,62 @@ def cover_from_expr(expr, order):
     Raises ValueError when the expression is not in SOP shape.
     """
     order = _check_order(order)
-    words = _sop_words(expr, order)
+    words = _sop_words(ex._flat(expr), expr, _order_bits(order))
     if isinstance(words, list):
         return Cover(order, tuple(cube_string(len(order), *w) for w in words))
-    term, stop = words
-    if isinstance(stop, str):
-        raise ValueError(f"variable {stop!r} not in order")
     raise ValueError(
-        f"not a sum-of-products expression: {ex.format_expression(term)!r} "
+        f"not a sum-of-products expression: {ex.format_expression(ex._tree([words[0]], {}))!r} "
         "is not a product of literals"
     )
 
 
-def _sop_words(expr, order):
-    """cover_from_expr's cubes as (req1, req0) words over a checked order,
-    or the (term, stop) pair of the first term _term_words stopped at. It
-    formats no message, so a caller that falls back to the table pays for none."""
-    n = len(order)
-    bits = {name: 1 << (n - 1 - j) for j, name in enumerate(order)}
+def _order_bits(order):
+    """The bit in a literal word of each variable of an order _check_order passes."""
+    order = _check_order(order)
+    return {name: 1 << (len(order) - 1 - j) for j, name in enumerate(order)}
+
+
+def _sop_words(products, tree, bits):
+    """The (req1, req0) words of a body's products (expr.read_equations'
+    form) with each product that is 0 dropped, or (product, factor) for the
+    first product _term_words stopped at; a body with no tree has literals only."""
+    if tree is None:
+        try:
+            return [w for w in (_literal_words(p, bits) for p in products) if w]
+        except KeyError:  # a name outside the order: _term_words names it
+            pass
     words = []
-    for term in expr.children if isinstance(expr, ex.Or) else (expr,):
-        w = _term_words(term, bits)
+    for product in products:
+        w = _term_words(product, bits)
         if isinstance(w, tuple):
             words.append(w)
         elif w is not None:
-            return term, w
+            return product, w
     return words
 
 
-def _term_words(term, bits):
-    """(req1, req0) of one product of literals and constants, read left to
-    right. A variable outside `bits` stops the product with its name, and a
-    factor that is not a literal stops it with the factor while the product
-    may be nonzero. A product that is 0 (a constant 0, or X and X') gives
-    None once every factor's names are read, or the first name outside `bits`."""
+def _term_words(product, bits):
+    """(req1, req0) of one product, read left to right; None when it is 0
+    (a constant 0, or X and X'), and the first factor that is no literal or
+    constant while it may be nonzero. ValueError for the first variable
+    outside `bits`, for which a product that is 0 is read to its end."""
     literals = []
-    factors = term.children if isinstance(term, ex.And) else (term,)
-    for i, f in enumerate(factors):
-        var = f.child if isinstance(f, ex.Not) else f
-        if isinstance(var, ex.Var):
-            if var.name not in bits:
-                return var.name
-            literals.append((var.name, int(var is f)))
+    for i, f in enumerate(product):
+        if type(f) is tuple:
+            if f[0] not in bits:
+                break
+            literals.append(f)
         elif not (isinstance(f, ex.Const) and f.value):
             if isinstance(f, ex.Const) or _literal_words(literals, bits) is None:
                 break  # the product is 0
             return f
     else:
         return _literal_words(literals, bits)
-    return next((v for v in ex.variables(*factors[i:]) if v not in bits), None)
+    for f in product[i:]:
+        for name in (f[0],) if type(f) is tuple else ex.variables(f):
+            if name not in bits:
+                raise ValueError(f"variable {name!r} not in order")
+    return None
 
 
 def _literal_words(literals, bits):
@@ -447,24 +454,6 @@ def _literal_words(literals, bits):
     for name, value in literals:
         req[value] |= bits[name]
     return None if req[0] & req[1] else (req[1], req[0])
-
-
-def sop_words(sop, order):
-    """The (req1, req0) words of each equation's products, per equation,
-    for `sop` = expr.read_sop's (equations, variables) over `order`, with
-    every product that holds X and X' dropped. None when a variable is
-    outside the order or the order is refused: the Expr path reports those."""
-    equations, variables = sop
-    if not set(order).issuperset(variables):
-        return None
-    try:
-        order = _check_order(order)
-    except ValueError:
-        return None
-    n = len(order)
-    bits = {name: 1 << (n - 1 - j) for j, name in enumerate(order)}
-    return [[w for w in (_literal_words(p, bits) for p in products) if w]
-            for _, products in equations]
 
 
 # ---------------------------------------------------------------------------

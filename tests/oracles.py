@@ -417,6 +417,8 @@ def verify_via_expr(fuse, text, var_order=None, multi_letter=False):
     def command():
         fm = parse_fusemap(fuse)
         equations = parse_equations(text, multi_letter=multi_letter)
+        if not equations:
+            raise ValueError("no equations to verify")
         profile = fm.state.profile
         if len(equations) > profile.n_outputs:
             raise ValueError(

@@ -136,6 +136,14 @@ def test_synth_constant_equations_need_order(tmp_path, capsys):
     assert ".p 2\n.ilb A\n.ob K\n0 1\n1 1\n" in capsys.readouterr().out
 
 
+def test_synth_refuses_a_file_with_no_equations(tmp_path, capsys):
+    eq = tmp_path / "none.eqn"
+    for text in ("", "\n  \n", "# a comment only\n"):
+        eq.write_text(text)
+        assert main(["synth", str(eq)]) == 2
+        assert capsys.readouterr() == ("", "error: no equations to synthesize\n")
+
+
 def test_an_empty_order_is_not_a_constant(tmp_path, capsys):
     # --order "," names no columns, which the table and synth builds refuse
     assert main(["table", "A+B", "--order", ","]) == 2
@@ -423,6 +431,14 @@ def test_verify_too_many_equations(tmp_path, maj_map_file, capsys):
     eq.write_text("M = A\nN = B\n")
     assert main(["verify", maj_map_file, "--equations", str(eq)]) == 2
     assert "2 equations but the device has 1" in capsys.readouterr().err
+
+
+def test_verify_refuses_a_file_with_no_equations(tmp_path, maj_map_file, capsys):
+    eq = tmp_path / "none.eqn"
+    for text in ("", "\n  \n", "# a comment only\n"):
+        eq.write_text(text)
+        assert main(["verify", maj_map_file, "--equations", str(eq)]) == 2
+        assert capsys.readouterr() == ("", "error: no equations to verify\n")
 
 
 def test_compile_refuses_variables_outside_its_order(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The compile paths fit (req1, req0) product words straight onto the
-device. These tests hold `compile_sop`, `compile_equations` (minimized and
-with polarity) and `synthesize_controller(minimize=True)` to the string
+device. These tests hold `plakit compile`'s private compile of
+`read_equations` bodies, `compile_equations` (minimized and with polarity)
+and `synthesize_controller(minimize=True)` to the string
 route in tests/oracles.py (Cover -> share_terms -> fit): equal PlaState,
 FitReport, report text and CapacityError text, and check that the word
 paths build no pool of cubes.
@@ -15,8 +16,8 @@ from plakit import (
     parse_equations, synthesize_controller, write_kiss2,
 )
 from plakit.cli import main
-from plakit.expr import read_sop
-from plakit.fit import compile_sop
+from plakit.expr import read_equations
+from plakit.fit import _compile
 from oracles import (
     compile_via_strings, random_cube_fsm, random_fsm, seeded, synthesize_via_strings,
 )
@@ -64,14 +65,14 @@ def test_sop_files_fit_as_the_string_route(multi_letter):
         names = rng.sample(pool, rng.randint(1, len(pool)))
         m = rng.randint(1, 5)
         text = _sop_file(rng, names, m, multi_letter)
-        sop = read_sop(text, multi_letter)
+        bodies = read_equations(text, multi_letter)
         order = None
         if rng.random() < 0.5:
             order = rng.sample(names, len(names)) + ["u0"] * rng.randint(0, 1)
         profile = PlaProfile(len(names) + 1, rng.choice((6, 40)), m + rng.randint(0, 1))
         equations = parse_equations(text, multi_letter=multi_letter)
         got = _same_with_one_term_short(
-            lambda prof: compile_sop(sop, prof, order),
+            lambda prof: _compile(bodies, prof, order=order),
             lambda prof: compile_via_strings(equations, prof, order=order), profile)
         fitted += not isinstance(got, str)
     assert fitted > 40
@@ -136,17 +137,17 @@ def test_repeated_products_contradictions_and_empty_outputs_fit_alike():
         order = ("A", "B", "C")
         m = len(equations)
         for profile in (PlaProfile(3, 16, m), PlaProfile(4, 16, m + 1)):
-            sop = read_sop(text)
-            if sop is not None:
-                _same_with_one_term_short(
-                    lambda prof: compile_sop(sop, prof, order),
-                    lambda prof: compile_via_strings(equations, prof, order=order), profile)
+            bodies = read_equations(text)
             for minimize in (False, True):
-                _same_with_one_term_short(
+                for compiled in (
+                    lambda prof: _compile(bodies, prof, minimize, order=order),
                     lambda prof: compile_equations(equations, prof, minimize=minimize,
                                                    order=order),
-                    lambda prof: compile_via_strings(equations, prof, minimize, order=order),
-                    profile)
+                ):
+                    _same_with_one_term_short(
+                        compiled,
+                        lambda prof: compile_via_strings(equations, prof, minimize, order=order),
+                        profile)
     _, report = compile_equations(parse_equations("F = AA'\nG = A\n"), PlaProfile(1, 2, 2))
     assert report.assignments == (("F", ()), ("G", (0,)))
 

@@ -1,16 +1,20 @@
-"""`plakit compile` and `plakit verify` read sum-of-products equation files
-straight to cube words. These tests hold both commands to the Expr tree
-path in tests/oracles.py (exit code, stdout, stderr and fuse-map bytes),
-pin the messages of files that mix SOP and other bodies, and check that a
-valid SOP file never builds an expression tree.
+"""`plakit compile`, `plakit verify` and `plakit synth` read each equation
+file once, as products, and build a tree only for a constant or a group
+body: a sum of products goes straight to cube words. These tests hold
+compile and verify to the Expr tree path in tests/oracles.py (exit code,
+stdout, stderr and fuse-map bytes), pin the messages of files that mix SOP
+and other bodies, and check that a valid SOP file never builds an
+expression tree and that no command reads a body twice.
 """
 
 import pytest
 
 import plakit
-from plakit import Or, PlaProfile, Var, compile_equations, cover_from_expr, parse_equations
+from plakit import (
+    Const, FormatError, Or, PlaProfile, Var, compile_equations, cover_from_expr, parse_equations,
+)
 from plakit.cli import main
-from plakit.expr import read_sop
+from plakit.expr import _names, read_equations
 from oracles import compile_via_expr, seeded, verify_via_expr
 from test_parser_fuzz import CORPUS, mutate
 
@@ -100,7 +104,7 @@ def test_sop_files_compile_and_verify_as_the_expr_path_does(tmp_path, capsys, mu
         names = rng.sample(pool, rng.randint(1, min(8, len(pool))))
         m = rng.randint(1, 5)
         text = _sop_file(rng, names, m, multi_letter)
-        assert read_sop(text, multi_letter) is not None, text
+        assert _sop_only(text, multi_letter), text
         width = len(names) + rng.choice((0, 0, 1, 3))
         order = var_order = None
         if rng.random() < 0.5:  # an explicit order, with unused names at times
@@ -129,13 +133,13 @@ def test_mutated_equation_files_compile_and_verify_as_the_expr_path_does(tmp_pat
         multi_letter = i % 3 == 2
         base = CORPUS["equations_multi" if multi_letter else "equations"]
         text = mutate(rng, rng.choice(base))
-        sop += read_sop(text, multi_letter) is not None
+        sop += _sop_only(text, multi_letter)
         order = ("A", "B", "C", "D") if i % 2 and not multi_letter else None
         _check_both(capsys, tmp_path, text, "n8p32m4", order, None, multi_letter)
         image = reference[multi_letter]
         assert (_verify(capsys, tmp_path, image, text, None, multi_letter)
                 == verify_via_expr(image, text, None, multi_letter)), text
-    assert 30 <= sop <= 270, sop  # both paths were taken often
+    assert 30 <= sop <= 270, sop  # files with and without trees came up often
 
 
 def _outcomes(capsys, tmp_path, text, compile_args, verify_args):
@@ -258,17 +262,73 @@ def test_compile_formats_no_message_for_a_body_that_is_not_sop(monkeypatch):
         cover_from_expr(equations[0][1].children[1], tuple("ABCD"))
 
 
-def test_read_sop_reads_literals_and_first_appearance():
+def test_read_equations_reads_literals_as_written():
     text = "# header\nF = !A'B'' + C!!B . A\n\nG = b\n"
-    assert read_sop(text) == (
-        [("F", [[("A", 1), ("B", 1)], [("C", 1), ("B", 1), ("A", 1)]]),
-         ("G", [[("b", 1)]])],
-        ("A", "B", "C", "b"),
-    )
-    assert read_sop("x1 = a_1 * !b' . c·d'\n", multi_letter=True) == (
-        [("x1", [[("a_1", 1), ("b", 1), ("c", 1), ("d", 0)]])], ("a_1", "b", "c", "d"))
-    for text in ("", "# only a comment\n", "F = A + 1\n", "F = (A)\n", "F = A +\n",
-                 "F = A * + B\n", "F = 'A\n", "F = !\n", "F = A2\n", "F = \n", "F A\n",
-                 "F = A\nF = B\n", "1F = A\n"):
-        assert read_sop(text) is None, text
-    assert read_sop("F = a b\n", multi_letter=True) is None
+    bodies = read_equations(text)
+    assert bodies == [
+        ("F", [[("A", 1), ("B", 1)], [("C", 1), ("B", 1), ("A", 1)]], None),
+        ("G", [[("b", 1)]], None),
+    ]
+    assert _names(bodies) == ("A", "B", "C", "b")
+    assert read_equations("x1 = a_1 * !b' . c·d'\n", multi_letter=True) == [
+        ("x1", [[("a_1", 1), ("b", 1), ("c", 1), ("d", 0)]], None)]
+    # a constant or a group: the tree, and the products it flattens to
+    assert read_equations("F = A + 1\nG = (A)\nH = (AB)C'\n") == [
+        ("F", [[("A", 1)], [Const(1)]], Or(Var("A"), Const(1))),
+        ("G", [[("A", 1)]], Var("A")),
+        ("H", [[("A", 1), ("B", 1), ("C", 0)]], parse_equations("H = ABC'")[0][1]),
+    ]
+    for text in ("", "# only a comment\n", "\n  \n"):
+        assert read_equations(text) == [], text
+    for text in ("F = A +\n", "F = A * + B\n", "F = 'A\n", "F = !\n", "F = A2\n",
+                 "F = \n", "F A\n", "F = A\nF = B\n", "1F = A\n"):
+        with pytest.raises(FormatError):
+            read_equations(text)
+    with pytest.raises(FormatError, match="missing AND operator"):
+        read_equations("F = a b\n", multi_letter=True)
+
+
+def _sop_only(text, multi_letter):
+    """Does `text` read, with at least one body and every body a sum of products?"""
+    try:
+        bodies = read_equations(text, multi_letter)
+    except FormatError:
+        return False
+    return bool(bodies) and all(tree is None for _, _, tree in bodies)
+
+
+@pytest.mark.parametrize("text", [
+    "F = AB + C'\nG = A'B + !C\n",  # sums of products
+    "F = AB + C'\nG = A*1\n",  # a constant body
+    "F = AB + C'\nG = (A + B)C\n",  # a group body
+])
+def test_every_command_tokenizes_each_body_once(tmp_path, capsys, monkeypatch, text):
+    calls, tokenize = [], plakit.expr._tokenize
+
+    def counted(body, multi_letter):
+        calls.append(body)
+        return tokenize(body, multi_letter)
+
+    monkeypatch.setattr(plakit.expr, "_tokenize", counted)
+    eq, fuse = tmp_path / "fg.eqn", tmp_path / "fg.fuse"
+    eq.write_text(text)
+    bodies = [line.partition("=")[2] for line in text.splitlines()]
+    compile_ = ["compile", str(eq), "--profile", "n3p16m2:xor", "-o", str(fuse)]
+    commands = [
+        (compile_, 0),
+        (compile_ + ["--order", "A,B"], 2),  # C is not in the order
+        (compile_ + ["--minimize"], 0),
+        (compile_ + ["--polarity", "G"], 0),
+        (["verify", str(fuse), "--equations", str(eq)], 0),
+        (["synth", str(eq)], 0),
+    ]
+    for argv, code in commands:
+        calls.clear()
+        assert main(argv) == code, (argv, capsys.readouterr())
+        assert calls == bodies, argv
+    # and on a map with no ILB, where verify takes the file's first-appearance order
+    fuse.write_text("".join(line for line in fuse.read_text().splitlines(True)
+                            if not line.startswith("ILB")))
+    calls.clear()
+    assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    assert calls == bodies
