@@ -12,7 +12,9 @@ malformed artifact (equations, fuse map, .pla, KISS2, encoding, vectors).
 """
 
 import argparse
+import os
 import re
+import stat
 import sys
 from functools import cache, reduce
 from operator import or_
@@ -104,8 +106,12 @@ def _read_text(path, what="input"):
 def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    # in place, then cut: on ext4, an O_TRUNC open of a non-empty file starts writeback on close
+    with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not /dev/null, a FIFO or a tty
+            f.truncate()
 
 
 def _exhaustive(spec, width):

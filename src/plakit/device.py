@@ -100,17 +100,19 @@ class PlaState:
             raise ValueError(f"or_plane needs {p.n_outputs} words") from None
         if len(or_words) != p.n_outputs:
             raise ValueError(f"or_plane has {len(or_words)} rows, expected {p.n_outputs}")
-        try:  # padding rows repeat one pair: the plane's test reads each distinct pair once
+        try:  # padding rows repeat one pair: the range test reads each distinct pair once
             literals = list(chain.from_iterable(set(and_words)))
         except TypeError:  # an unhashable word
             literals = [None]
-        # one test per plane; word by word, in row order, only to name the first bad one
-        for name, distinct, words, width in (
-                ("and_plane", literals, chain.from_iterable(and_words), p.n_inputs),
-                ("or_plane", or_words, or_words, p.n_terms),
-                ("polarity", (self.pol_word,), (self.pol_word,), p.n_outputs)):
-            if not (set(map(type, distinct)) <= _INT_TYPES
-                    and min(distinct) >= 0 and max(distinct) >> width == 0):
+        # one test per plane: types over every word, as (1.0, 0) == (1, 0), range over the
+        # distinct ones; word by word, in row order, only to name the first bad one
+        for name, types, distinct, words, width in (
+                ("and_plane", set(map(type, chain.from_iterable(and_words))), literals,
+                 chain.from_iterable(and_words), p.n_inputs),
+                ("or_plane", set(map(type, or_words)), or_words, or_words, p.n_terms),
+                ("polarity", {type(self.pol_word)}, (self.pol_word,), (self.pol_word,),
+                 p.n_outputs)):
+            if not (types <= _INT_TYPES and min(distinct) >= 0 and max(distinct) >> width == 0):
                 for w in words:
                     if not (isinstance(w, int) and 0 <= w < 1 << width):
                         raise ValueError(f"{name} holds {w!r}, not a {width}-bit word")

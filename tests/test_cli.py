@@ -1,8 +1,10 @@
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -237,6 +239,111 @@ def test_compile_determinism(tmp_path, maj_eq_file):
     main(["compile", maj_eq_file, "--profile", "n3p4m1", "-o", str(a)])
     main(["compile", maj_eq_file, "--profile", "n3p4m1", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+_WRITERS = {  # every command that writes a file, with {out} the file under test
+    "compile -o": ("compile", "{dir}/maj.eqn", "--profile", "n3p4m1", "-o", "{out}"),
+    "synth -o": ("synth", "{dir}/maj.eqn", "--minimize", "-o", "{out}"),
+    "fsm -o": ("fsm", "{dir}/t.kiss", "--profile", "n2p4m2", "-o", "{out}",
+               "--encoding-out", "{dir}/other"),
+    "fsm --encoding-out": ("fsm", "{dir}/t.kiss", "--profile", "n2p4m2", "-o", "{dir}/other",
+                           "--encoding-out", "{out}"),
+}
+
+
+def _write(tmp_path, writer, out):
+    (tmp_path / "maj.eqn").write_text(MAJ_EQNS)
+    (tmp_path / "t.kiss").write_text(TOGGLE_KISS)
+    return main([word.format(dir=tmp_path, out=out) for word in _WRITERS[writer]])
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_writers_leave_exactly_the_new_bytes(tmp_path, writer):
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert _write(tmp_path, writer, fresh) == 0
+    want = fresh.read_bytes()
+    for old in (want * 3 + b"old tail\n", want[:-1], b"Z", b"", b"\0" * len(want)):
+        out.write_bytes(old)
+        assert _write(tmp_path, writer, out) == 0
+        assert out.read_bytes() == want
+    assert _write(tmp_path, writer, os.devnull) == 0
+
+
+def test_a_new_file_gets_0o666_less_the_umask(tmp_path):
+    for umask in (0o022, 0o077, 0):
+        out = tmp_path / f"new{umask:o}"
+        old = os.umask(umask)
+        try:
+            assert _write(tmp_path, "compile -o", out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+
+def test_a_non_ascii_label_round_trips(tmp_path):
+    eqn, fuse = tmp_path / "u.eqn", tmp_path / "u.fuse"
+    eqn.write_text("Y = \u03b1 + B\n")
+    fuse.write_text("old\n" * 50)
+    assert main(["compile", str(eqn), "--profile", "n2p2m1", "-o", str(fuse)]) == 0
+    assert parse_fusemap(fuse.read_text()).input_names == ("\u03b1", "B")
+    assert main(["verify", str(fuse), "--equations", str(eqn)]) == 0
+
+
+@pytest.mark.parametrize("writer", _WRITERS)
+def test_writers_report_a_bad_path_as_before(tmp_path, writer, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    missing, directory = "[Errno 2] No such file or directory", "[Errno 21] Is a directory"
+    for out, message in (("", f"{directory}: '.'"),
+                         ("./nodir/x.fuse", f"{missing}: 'nodir/x.fuse'"),
+                         ("a//nodir/x", f"{missing}: 'a/nodir/x'"), ("d", f"{directory}: 'd'")):
+        if writer == "fsm --encoding-out" and out == "":  # an empty name asks for no sidecar
+            assert _write(tmp_path, writer, out) == 0 and capsys.readouterr().err == ""
+            continue
+        assert _write(tmp_path, writer, out) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_compile_over_an_existing_file_opens_it_without_o_trunc(tmp_path, monkeypatch):
+    """An open with O_TRUNC of a non-empty file on ext4 (auto_da_alloc) starts
+    writeback on close; -o writes over the old bytes and cuts the file instead."""
+    out = tmp_path / "maj.fuse"
+    out.write_text("old\n" * 100)
+    flags, os_open = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        if Path(path) == out:
+            flags.append(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert _write(tmp_path, "compile -o", out) == 0
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+    assert out.read_text().startswith("PLAFUSE 1\n")
+
+
+def test_every_file_write_in_the_cli_goes_through_write_text():
+    """So a new command gets the same writer: outside _write_text, cli.py opens
+    no file and writes only to sys.stdout and sys.stderr."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writer = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_write_text")
+    inside = set(map(id, ast.walk(writer)))
+    streams = {"sys.stdout", "sys.stderr"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        assert name not in {"write_text", "write_bytes"}, ast.unparse(node)
+        if id(node) in inside:
+            continue
+        assert name not in {"open", "fdopen"}, ast.unparse(node)
+        if name in {"write", "writelines"}:
+            assert ast.unparse(func.value) in streams, ast.unparse(node)
+        if name == "print":
+            files = [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"]
+            assert set(files) <= streams, ast.unparse(node)
 
 
 def test_compile_polarity_pipeline(tmp_path, capsys):

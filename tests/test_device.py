@@ -83,6 +83,14 @@ def test_state_validation():
         PlaState(prof, ((0, 0),), (0,), 1)
 
 
+@pytest.mark.parametrize("words, bad", [([(1, 0), (1.0, 0)], 1.0), ([(1.0, 0), (1, 0)], 1.0),
+                                        ([(0, 0), (0, 0.0)], 0.0)])
+def test_a_float_word_equal_to_an_int_word_is_refused(words, bad):
+    """(1.0, 0) == (1, 0), so a type test over the distinct pairs alone would keep a float."""
+    with pytest.raises(ValueError, match=re.escape(f"and_plane holds {bad!r}, not a 2-bit word")):
+        PlaState(PlaProfile(2, 2, 1), words, [1])
+
+
 def test_blank_fuse_device_outputs_zero_everywhere():
     state = blank_device(PlaProfile(3, 4, 2))
     assert all(all(bit == 1 for bit in row) for row in state.and_plane)
