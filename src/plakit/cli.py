@@ -12,10 +12,10 @@ malformed artifact (equations, fuse map, .pla, KISS2, encoding, vectors).
 """
 
 import argparse
-import os
+import locale
 import re
-import stat
 import sys
+from contextlib import suppress
 from functools import cache, reduce
 from operator import or_
 from pathlib import Path
@@ -107,11 +107,13 @@ def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    # in place, then cut: on ext4, an O_TRUNC open of a non-empty file starts writeback on close
-    with open(os.open(Path(path), os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-        f.write(text)
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # not /dev/null, a FIFO or a tty
-            f.truncate()
+    if Path(path).is_file():  # not a FIFO or a tty: its other end would see the open
+        with suppress(OSError, UnicodeError), open(path, "rb+", buffering=0) as f:
+            data = text.encode(locale.getpreferredencoding(False))  # as Path.write_text does
+            if f.read(len(data) + 1) == data:
+                Path(path).touch()  # already written: an O_TRUNC rewrite starts ext4 writeback
+                return
+    Path(path).write_text(text)
 
 
 def _exhaustive(spec, width):
