@@ -65,7 +65,7 @@ from .logic import (
     lowest_row,
     table_from_expr,
 )
-from .minimize import minimize, share_terms
+from .minimize import _check_width, _minimized, share_terms
 
 _PROFILE_RE = re.compile(r"n(\d+)p(\d+)m(\d+)")
 
@@ -166,13 +166,18 @@ def cmd_synth(args):
         raise ValueError("constant equations: give the variables with --order" if named
                          else "no equations to synthesize")
 
-    make = minimize if args.minimize else canonical_sop
     try:
-        covers = [(name, make(table_from_expr(e, order))) for name, e in named]
+        tables = []
+        for _, e in named:
+            tables.append(table_from_expr(e, order))
+            if args.minimize:  # refused where each output's own minimize call was
+                _check_width(tables[-1].n)
+        covers = _minimized(tables) if args.minimize else [canonical_sop(t) for t in tables]
     except ValueError:
         check_names(named, order, "not in order")
         raise
-    _write_text(args.output, write_berkeley_pla(share_terms(covers)))
+    names = [name for name, _ in named]
+    _write_text(args.output, write_berkeley_pla(share_terms(zip(names, covers))))
     return 0
 
 
@@ -313,7 +318,7 @@ def cmd_fsm(args):
     _write_text(
         args.output, emit_fusemap(image.state, image.input_names, image.output_names)
     )
-    if args.encoding_out:
+    if args.encoding_out is not None:
         _write_text(args.encoding_out, emit_encoding(image.encoding))
     if args.report:
         sys.stderr.write(report.summary())

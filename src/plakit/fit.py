@@ -321,13 +321,16 @@ def read_berkeley_pla(text, strict=False):
 
     Only the single-plane SOP form is handled: input characters {0,1,-},
     output characters {0,1}. A .p term count that disagrees with the cube
-    lines warns, or raises under strict=True. Duplicate input cubes fold
-    into one pool entry.
+    lines warns, or raises under strict=True; one above them in a file with
+    no .e or .end, as an interrupted write leaves it, always raises.
+    Duplicate input cubes fold into one pool entry.
     """
     n, m, rows, found = _scan_rows(text, "<inputs> <outputs>", "cube", _PLA_DIRECTIVES)
     declared_p = found.get(".p")
     if declared_p is not None and declared_p != len(rows):
         msg = f".p declares {declared_p} terms but {len(rows)} cube lines present"
+        if declared_p > len(rows) and ".e" not in found:
+            raise FormatError(f"{msg} and no .e: the file is cut short")
         if strict:
             raise FormatError(msg)
         warnings.warn(msg)
@@ -367,7 +370,8 @@ def _scan_rows(text, shape, noun, directives):
     Each row comes back as its list of `shape`'s fields, the first an
     n-char input cube and the last m output bits. A directive other than
     .i/.o/.p/.e/.end is read by `directives[key](parts, lineno)`, and
-    `found` maps each key read, .p included, to its last line's value.
+    `found` maps each key read, .p included, to its last line's value, and
+    .e to the line of the .e or .end that ends the file, if any.
     """
     readers = {".p": _directive_count, **directives}
     counts = {".i": None, ".o": None}
@@ -408,6 +412,7 @@ def _scan_rows(text, shape, noun, directives):
             counts[key] = count
             n, m = counts.values()
         elif key in (".e", ".end"):
+            found[".e"] = lineno
             break
         elif key in readers:
             found[key] = readers[key](parts, lineno)
@@ -520,12 +525,15 @@ def _compile(equations, profile, minimize=False, polarity=None, order=None):
             if not isinstance(out, list):  # inverted, minimized or not a sum of products
                 table = logic.table_from_expr(tree or ex._tree(products, {}), order)
                 out = table.complement() if pol else table
-                if minimize:
-                    out = [p[1:] for p in mn._mask_primes(out.n, out.bits, 0)]
+                if minimize:  # refused where each output's own minimize call was
+                    mn._check_width(out.n)
             outputs.append(out)
     except ValueError:
         ex.check_names(ex._trees(equations), order, "not in order")
         raise
+    if minimize:  # the outputs share their prime walks
+        outputs = [[p[1:] for p in chosen]
+                   for chosen in mn._mask_primes(len(order), [t.bits for t in outputs], 0)]
     return _fit_words(names, order, outputs, profile, pol_bits)
 
 

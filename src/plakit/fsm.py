@@ -427,7 +427,7 @@ def synthesize_controller(fsm, profile, minimize=False, strict=False, encoding=N
         encoding = default_encoding(fsm)
     if minimize:
         order, out_names, on_masks, dc = _lower_masks(fsm, encoding, strict)
-        words = [[p[1:] for p in mn._mask_primes(len(order), on, dc)] for on in on_masks]
+        words = [[p[1:] for p in chosen] for chosen in mn._mask_primes(len(order), on_masks, dc)]
         state, report = _fit_words(out_names, order, words, profile)
     else:
         order, out_names, rows = _lower(fsm, encoding, strict, profile)

@@ -9,9 +9,15 @@ literals, an anchor mask M[D] holds the rows r (with r & D == 0) whose
 D-cube lies inside the function. M[D|w] is M[D] & M[D] >> w over the rows
 with bit w clear, and only nonzero anchor masks are visited, level by
 level. An anchor is prime unless a one-bit-wider cube holds it: each M[E]
-takes M[E] | M[E] << w out of M[E ^ w] for every bit w of E. A prime's
-on-set row mask is its present-literal word's cube from row 0, built once
-per word, shifted up to row req1. Cover selection extracts essential
+takes M[E] | M[E] << w out of M[E ^ w] for every bit w of E. The outputs
+of one design share one walk: output o's care mask sits in rows
+[o·2^n, (o+1)·2^n) of one integer, and a shift by w from a row with bit w
+clear stays in its slot, so each word is widened and pruned once for all
+of them, and each output reads its primes from its slot. A walk packs at
+most _PACK_ROWS rows, as wider ANDs cost more than the words the outputs
+share; past that the outputs take more walks. A prime's on-set row mask
+is its present-literal word's cube from row 0, built once per word,
+shifted up to row req1. Cover selection extracts essential
 primes first, then finishes with Petrick's method (exact) when the
 residual chart is small enough and its absorbed products stay within
 PETRICK_MAX_PRODUCTS, or a lazy greedy set cover otherwise: a prime's gain
@@ -27,7 +33,9 @@ word pair (`logic.interleave`) that sorts pairs as their cube strings sort.
 
 import heapq
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, compress
 
 from .logic import (
@@ -41,6 +49,11 @@ MINIMIZER_MAX_VARS = 16  # prime counts grow exponentially; past this use a diff
 PETRICK_MAX_PRIMES = 24
 PETRICK_MAX_MINTERMS = 64
 PETRICK_MAX_PRODUCTS = 512  # absorbed products kept after any chart row
+# rows one prime walk packs: at 2^12 two outputs at n = 11 walk 1.13-1.22
+# times slower than alone, as the wider ANDs cost more than the words they
+# share (BENCH_28.json, crossover); at most 2^16, as `_walk` reads a row's
+# key from two bytes
+_PACK_ROWS = 1 << 11
 
 def _check_width(n):
     """ValueError unless n variables suit the minimizer."""
@@ -83,19 +96,41 @@ class MinimizeSpec:
         return len(self.order)
 
 
-def _primes(n, on, care):
-    """Prime implicants of the `care` row mask as (key, req1, req0) triples,
-    key = interleave((req1, req0)), widest first and then by key (cube-string
-    order); none when the `on` mask is empty."""
-    if not on:
-        return []
-    if care == (1 << (1 << n)) - 1:
-        # its one prime is the all-'-' cube, and the walk would visit every word
-        return [(0, 0, 0)]
+@lru_cache(maxsize=MINIMIZER_MAX_VARS)
+def _slot_lows(n):
+    """For each bit w of n variables, the rows with bit w clear, repeated
+    over the most 2^n-row slots one walk packs; a walk with fewer slots
+    masks it down by ANDing it with its anchors."""
+    slots = max(1, _PACK_ROWS >> n)
+    repeat = int(("0" * ((1 << n) - 1) + "1") * slots, 2)  # bit 0 of every slot
+    return {1 << k: _literal_mask(n, n - 1 - k, 0) * repeat for k in range(n)}
+
+
+def _primes(n, ons, cares):
+    """For each (on, care) pair of row masks, the prime implicants of `care`
+    as (key, req1, req0) triples, key = interleave((req1, req0)), widest
+    first and then by key (cube-string order); none when `on` is empty.
+    Up to _PACK_ROWS >> n pairs share one walk."""
+    step = max(1, _PACK_ROWS >> n)
+    return [primes for at in range(0, len(ons), step)
+            for primes in _walk(n, ons[at:at + step], cares[at:at + step])]
+
+
+def _walk(n, ons, cares):
+    """`_primes` of one walk: care mask o sits in rows [o·2^n, (o+1)·2^n) of
+    one integer, and a shift by w from a row with bit w clear stays inside
+    its slot, so each absent word is widened and pruned once for all."""
+    whole = (1 << (1 << n)) - 1
+    packed = 0
+    for o, (on, care) in enumerate(zip(ons, cares)):
+        # a full care mask's one prime is the all-'-' cube, and the walk
+        # would visit every word for it
+        if on and care != whole:
+            packed |= care << (o << n)
     full = (1 << n) - 1
     spread = _SPREAD
-    low = {1 << k: _literal_mask(n, n - 1 - k, 0) for k in range(n)}  # bit k clear
-    level = {0: care}  # absent-literal word -> anchor mask
+    low = _slot_lows(n)  # bit w clear, in every slot
+    level = {0: packed}  # absent-literal word -> anchor mask
     levels = []
     while level:
         # each wider word once, from its parent without its top bit; a
@@ -118,15 +153,26 @@ def _primes(n, on, care):
                 if level[absent ^ w]:
                     level[absent ^ w] &= ~(anchors | anchors << w)
         # r lies inside its present word, so interleave((r, present ^ r)) is
-        # interleave((0, present)) + interleave((0, r)): each a spread of at
-        # most MINIMIZER_MAX_VARS = 16 bits, two byte lookups
-        levels.append(sorted([(key + spread[r & 255] + (spread[r >> 8] << 16), r, present ^ r)
+        # interleave((0, present)) + interleave((0, r)), each a spread of at
+        # most 16 bits, two byte lookups; packed row s = o·2^n + r adds o's
+        # bits spread from bit 2n up, so a level sorts by slot, then by key
+        levels.append(sorted([(key + spread[s & 255] + (spread[s >> 8] << 16), s, present ^ s)
                               for absent, anchors in level.items() if anchors
                               for present in (full ^ absent,)
                               for key in (spread[present & 255] + (spread[present >> 8] << 16),)
-                              for r in mask_rows(anchors)]))
+                              for s in mask_rows(anchors)]))
         level = wider
-    return [prime for primes in reversed(levels) for prime in primes]
+    levels.reverse()  # widest first
+    if len(ons) == 1:
+        found = [list(chain.from_iterable(levels))]
+    else:  # slot o's primes are a run of each level: cut it out, slot bits cleared
+        keys = (1 << 2 * n) - 1
+        cuts = [[bisect_left(primes, (interleave((0, o << n)),)) for o in range(len(ons))]
+                + [len(primes)] for primes in levels]
+        found = [[(key & keys, s & full, req0 & full) for primes, cut in zip(levels, cuts)
+                  for key, s, req0 in primes[cut[o]:cut[o + 1]]] for o in range(len(ons))]
+    return [[] if not on else [(0, 0, 0)] if care == whole else primes
+            for on, care, primes in zip(ons, cares, found)]
 
 
 def prime_implicants(spec):
@@ -138,7 +184,7 @@ def prime_implicants(spec):
     n = spec.n
     on = _checked_mask(n, spec.on_set)
     care = on | _checked_mask(n, spec.dc_set)
-    return _key_cubes(n, [key for key, _, _ in _primes(n, on, care)])
+    return _key_cubes(n, [key for key, _, _ in _primes(n, [on], [care])[0]])
 
 
 def _petrick(masks, remaining):
@@ -259,17 +305,25 @@ def minimize(table_or_cover, dc=None):
     """
     src = table_or_cover
     table = src if isinstance(src, TruthTable) else src.to_table()
-    dc_mask = _checked_mask(table.n, dc or ())
-    chosen = _mask_primes(table.n, table.bits & ~dc_mask, dc_mask)
-    return Cover(table.order, tuple(_key_cubes(table.n, [key for key, _, _ in chosen])))
+    return _minimized([table], _checked_mask(table.n, dc or ()))[0]
 
 
-def _mask_primes(n, on, dc):
-    """The (key, req1, req0) primes `minimize` chooses to cover the `on` row
-    mask, in its cover's order, with the rows of the disjoint `dc` mask free."""
-    _check_width(n)
-    primes = _primes(n, on, on | dc)
-    return [primes[i] for i in _cover(n, primes, on)]
+def _minimized(tables, dc=0):
+    """`minimize`'s covers of tables over one variable order, the rows of
+    the `dc` mask free in each, from one prime walk."""
+    if not tables:
+        return []
+    n = tables[0].n
+    return [Cover(tables[0].order, tuple(_key_cubes(n, [key for key, _, _ in chosen])))
+            for chosen in _mask_primes(n, [table.bits & ~dc for table in tables], dc)]
+
+
+def _mask_primes(n, ons, dc):
+    """For each `on` row mask, the (key, req1, req0) primes `minimize` chooses
+    to cover it, in its cover's order, with the rows of the disjoint `dc`
+    mask free: one prime walk for all of them, one cover each."""
+    return [[primes[i] for i in _cover(n, primes, on)]
+            for on, primes in zip(ons, _primes(n, ons, [on | dc for on in ons]))]
 
 
 # ---------------------------------------------------------------------------

@@ -553,6 +553,7 @@ def scan_rows_per_line(text, shape, noun, directives):
             counts[key] = count
             n, m = counts.values()
         elif key in (".e", ".end"):
+            found[".e"] = lineno
             break
         elif key in readers:
             found[key] = readers[key](parts, lineno)

@@ -336,8 +336,6 @@ def test_writers_report_a_bad_path_as_before(tmp_path, writer, capsys, monkeypat
                          ("./nodir/x.fuse", f"{missing}: 'nodir/x.fuse'"),
                          ("a//nodir/x", f"{missing}: 'a/nodir/x'"), ("d", f"{directory}: 'd'"),
                          ("x" * 300, f"[Errno 36] File name too long: '{'x' * 300}'")):
-        if writer == "fsm --encoding-out" and out == "":  # writes no sidecar (a FOUND in CHANGES.md)
-            continue
         assert _write(tmp_path, writer, out) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -619,6 +617,33 @@ def test_outside_names_win_over_a_repeated_order(tmp_path, capsys):
         eq.write_text("F = AB\n")
         assert main(argv + ["--order", "A,A,B"]) == 2
         assert "duplicate variable in order" in capsys.readouterr().err
+
+
+def test_minimized_commands_refuse_as_before(tmp_path, capsys, monkeypatch):
+    # one prime walk serves every output, but a design too wide for the
+    # minimizer is refused right after its first table, as each output's own
+    # minimize call refused it, and a name outside the order still wins
+    names = [chr(ord("a") + j) for j in range(17)]
+    wide, order = " ".join(names), ",".join(names)
+    eq = tmp_path / "w.eqn"
+    built, table = [], cli.table_from_expr
+    for module in (cli, plakit.logic):  # synth's tables, and compile's through fit
+        monkeypatch.setattr(module, "table_from_expr",
+                            lambda *args: built.append(args) or table(*args))
+    for argv in (["compile", str(eq), "--profile", "n17p64m3", "--minimize"],
+                 ["synth", str(eq), "--minimize"]):
+        cases = ((f"F = {wide}\nG = a b' + q\nH = {wide}\n", order, 1,
+                  "17 variables exceeds the minimizer limit of 16"),
+                 (f"F = {wide}\nG = a z\n", order, 1,
+                  "equation 'G' uses variables not in order: ['z']"),
+                 ("F = a b + c\nG = a z + b\n", "a,b,c", 2,
+                  "equation 'G' uses variables not in order: ['z']"))
+        for text, names_given, tables, err in cases:
+            eq.write_text(text)
+            built.clear()
+            assert main(argv + ["--order", names_given]) == 2
+            assert capsys.readouterr() == ("", f"error: {err}\n")
+            assert len(built) == tables
 
 
 def test_verify_builds_every_table_before_naming_outputs(tmp_path, capsys):

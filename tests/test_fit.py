@@ -373,6 +373,51 @@ def test_read_berkeley_p_mismatch_warns_or_raises():
         read_berkeley_pla(text, strict=True)
 
 
+def test_read_berkeley_refuses_a_file_cut_short_between_rows():
+    """An interrupted write leaves fewer cube lines than .p and no .e: every
+    prefix of a synthesized .pla that ends after its .p line and before its
+    last row is refused, strict or not; the prefix holding every row reads
+    as the whole cover."""
+    text = ".i 2\n.o 1\n.p 3\n11 1\n01 1\n"
+    with pytest.raises(FormatError, match="3 terms but 2 cube lines present and no .e"):
+        read_berkeley_pla(text)
+    pla = write_berkeley_pla(share_terms([
+        ("F", cover_from_expr(parse_expression("AB + A'C + BC'D"), "ABCD")),
+        ("G", cover_from_expr(parse_expression("A'C + B'D'"), "ABCD"))]))
+    lines = pla.splitlines(keepends=True)
+    start, last = lines.index(".p 4\n") + 1, lines.index(".e\n") - 1
+    for cut in range(start, last):
+        for strict in (False, True):
+            with pytest.raises(FormatError, match="cut short"):
+                read_berkeley_pla("".join(lines[:cut]), strict=strict)
+    whole = read_berkeley_pla("".join(lines[:last + 1]), strict=True)
+    assert whole == read_berkeley_pla(pla, strict=True)
+    # with its .e (or .end) a short file only warns, as before
+    for end in (".e\n", ".end\n"):
+        with pytest.warns(UserWarning, match="4 terms but 1"):
+            read_berkeley_pla("".join(lines[:start + 3]) + end)
+
+
+def test_minimized_compile_refuses_as_before():
+    """One prime walk serves every output, but the width check still comes
+    where each output's own minimizer call made it, after that output's
+    table, and a name outside the order still wins over it."""
+    names = [chr(ord("a") + j) for j in range(17)]
+    wide = " ".join(names)
+    profile = PlaProfile(17, 64, 3)
+    for text, err in ((f"F = {wide}\nG = a b' + q\n",
+                       "17 variables exceeds the minimizer limit of 16"),
+                      (f"F = {wide}\nG = a z\n",
+                       "equation 'G' uses variables not in order: ['z']")):
+        with pytest.raises(ValueError) as exc:
+            compile_equations(parse_equations(text), profile, minimize=True, order=names)
+        assert str(exc.value) == err
+    with pytest.raises(ValueError) as exc:
+        compile_equations(parse_equations("F = a b + c\nG = a z + b\n"),
+                          PlaProfile(3, 8, 2), minimize=True, order="abc")
+    assert str(exc.value) == "equation 'G' uses variables not in order: ['z']"
+
+
 def test_read_berkeley_ignores_content_after_e():
     text = ".i 1\n.o 1\n1 1\n.e\ngarbage here\n"
     assert read_berkeley_pla(text).term_pool == ("1",)

@@ -7,9 +7,11 @@ import pytest
 from plakit import (
     CapacityError,
     Cover,
+    Fsm,
     MinimizeSpec,
     MultiOutputCover,
     PlaProfile,
+    Transition,
     TruthTable,
     cover_eval,
     equivalent,
@@ -19,6 +21,7 @@ from plakit import (
     parse_expression,
     prime_implicants,
     share_terms,
+    synthesize_controller,
     table_from_expr,
 )
 from plakit.logic import MAX_VARS, interleave
@@ -111,6 +114,71 @@ def test_constant_one_at_the_minimizer_limit_is_fast():
     assert minimize(TruthTable(order, full ^ 0b101), [0, 2]).cubes == ("-" * n,)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s, limit 2s"
+
+
+def test_packed_walk_matches_one_output_walks():
+    """Outputs packed side by side in one prime walk get the primes and the
+    covers each gets alone: empty on-sets, full care masks and sparse or
+    dense ones, over one shared DC mask, in batches split at the cap."""
+    rng = seeded(28)
+    for n in range(1, 13):
+        size, slots = 1 << n, max(1, mn._PACK_ROWS >> n)
+        whole = (1 << size) - 1
+        counts = {1, rng.randint(2, 20), slots + 1 if slots < 20 else 20}
+        for m in sorted(counts):
+            dc = rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)
+            ons = []
+            for o in range(m):
+                kind = rng.randrange(6)
+                if kind == 0:
+                    on = 0
+                elif kind == 1:
+                    on = whole  # full care, with or without the DC rows
+                elif kind == 2:  # a function of one variable, wide primes
+                    on = mn._literal_mask(n, rng.randrange(n), 1)
+                else:  # one row in 2, 4 or 8
+                    on = rng.getrandbits(size)
+                    for _ in range(kind - 3):
+                        on &= rng.getrandbits(size)
+                ons.append(on & ~dc)
+            cares = [on | dc for on in ons]
+            assert mn._primes(n, ons, cares) == [mn._primes(n, [on], [care])[0]
+                                                 for on, care in zip(ons, cares)]
+            assert mn._mask_primes(n, ons, dc) == [mn._mask_primes(n, [on], dc)[0]
+                                                   for on in ons]
+
+
+def test_gate_packed_walks_stay_within_the_cap(monkeypatch):
+    """Sixteen outputs over disjoint groups of variables at n = 12, and a
+    16-output controller at b + k = 8, each minimized in one call within
+    its stated time, with no walk wider than the cap: past it, the wider
+    ANDs cost more than the words the outputs share."""
+    walks, walk = [], mn._walk
+    monkeypatch.setattr(mn, "_walk", lambda n, ons, cares: walks.append(len(ons) << n)
+                        or walk(n, ons, cares))
+    rng = seeded(2812)
+    n = 12
+    ons = []
+    for o in range(16):  # a random function of variables 3o..3o+2, mod 12
+        truth = rng.getrandbits(8)
+        ons.append(sum(1 << r for r in range(1 << n)
+                       if truth >> sum((r >> (3 * o + i) % n & 1) << i for i in range(3)) & 1))
+    start = time.perf_counter()
+    chosen = mn._mask_primes(n, ons, 0)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s, limit 1s"
+    assert all(chosen) and max(walks) <= max(mn._PACK_ROWS, 1 << n) and sum(walks) == 16 << n
+
+    states = [f"S{i}" for i in range(16)]
+    machine = Fsm(4, 12, tuple(states), "S0", tuple(
+        Transition(format(v, "04b"), state, rng.choice(states), format(rng.getrandbits(12), "012b"))
+        for state in states for v in range(16) if rng.random() < 0.9))
+    walks.clear()
+    start = time.perf_counter()
+    synthesize_controller(machine, PlaProfile(8, 1024, 16), minimize=True)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.5, f"took {elapsed:.2f}s, limit 0.5s"
+    assert max(walks) <= max(mn._PACK_ROWS, 256) and sum(walks) == 16 * 256
 
 
 def test_primes_match_brute_force_oracle():
