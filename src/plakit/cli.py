@@ -3,8 +3,8 @@
 Subcommands mirror the library pipeline: table / synth for algebra,
 compile / sim / verify / diagram / fault for combinational devices,
 fsm / fsmsim for controllers. '-' means stdin (inputs) or stdout (-o).
-compile, verify and synth read each equation file once; a tree is built
-only for a body with a constant or a group, or for a truth table.
+compile, verify and synth read each equation file once, as products, and
+read every truth table from them; only a constant or a group makes a tree.
 
 Exit codes: 0 success; 1 verification mismatch or failed fault-coverage
 gate; 2 usage or I/O trouble; 3 design does not fit the device; 4
@@ -16,8 +16,7 @@ import locale
 import re
 import sys
 from contextlib import suppress
-from functools import cache, reduce
-from operator import or_
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -36,7 +35,6 @@ from .expr import (
     _trees,
     check_names,
     content_lines,
-    parse_equations,
     parse_expression,
     read_equations,
     variables,
@@ -57,9 +55,9 @@ from .fsm import (
     synthesize_controller,
 )
 from .logic import (
+    TruthTable,
+    _body_mask,
     _order_bits,
-    _product_mask,
-    _sop_words,
     canonical_sop,
     check_bits,
     lowest_row,
@@ -160,23 +158,21 @@ def cmd_table(args):
 
 
 def cmd_synth(args):
-    named = parse_equations(_read_text(args.equations, "equations"), args.multi_letter)
-    order = _split_names(args.order) if args.order else variables(*(e for _, e in named))
+    equations = read_equations(_read_text(args.equations, "equations"), args.multi_letter)
+    order = _split_names(args.order) if args.order else _names(equations)
     if not (order or args.order):
-        raise ValueError("constant equations: give the variables with --order" if named
+        raise ValueError("constant equations: give the variables with --order" if equations
                          else "no equations to synthesize")
 
     try:
-        tables = []
-        for _, e in named:
-            tables.append(table_from_expr(e, order))
-            if args.minimize:  # refused where each output's own minimize call was
-                _check_width(tables[-1].n)
+        bits = _order_bits(order) if equations else {}  # none: share_terms names the fault
+        _check_width(len(bits) if args.minimize else 0)  # before any table is built
+        tables = [TruthTable(order, _body_mask(products, bits)) for _, products, _ in equations]
         covers = _minimized(tables) if args.minimize else [canonical_sop(t) for t in tables]
-    except ValueError:
-        check_names(named, order, "not in order")
+    except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
+        check_names(_trees(equations), order, "not in order")
         raise
-    names = [name for name, _ in named]
+    names = [name for name, _, _ in equations]
     _write_text(args.output, write_berkeley_pla(share_terms(zip(names, covers))))
     return 0
 
@@ -267,11 +263,9 @@ def cmd_verify(args):
     # every table is built before any output is named or compared, so a
     # name outside the order wins over an unknown output or a mismatch
     try:
-        bits, n = _order_bits(order), len(order)
-        tables = [table_from_expr(tree, order).bits if tree else
-                  reduce(or_, (_product_mask(n, *w) for w in _sop_words(products, None, bits)), 0)
-                  for _, products, tree in equations]
-    except ValueError:
+        bits = _order_bits(order)
+        tables = [_body_mask(products, bits) for _, products, _ in equations]
+    except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
         check_names(_trees(equations), order, "not on the device")
         raise
 

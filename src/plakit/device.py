@@ -169,8 +169,9 @@ class PlaState:
         return word ^ self.pol_word
 
     @cached_property
-    def _terms(self):
-        return tuple(_product_mask(self.profile.n_inputs, *lits) for lits in self.and_words)
+    def _terms(self):  # one mask per distinct AND pair: padding rows share one
+        masks = {lits: _product_mask(self.profile.n_inputs, *lits) for lits in set(self.and_words)}
+        return tuple(map(masks.__getitem__, self.and_words))
 
     @cached_property
     def _connected(self):

@@ -246,6 +246,8 @@ def _tree(products, leaves):
 def _flat(tree):
     """_tree's inverse: a tree's products, each Var or negated Var a (name,
     value) literal and any other factor an Expr, as _sum reads them."""
+    if not isinstance(tree, Expr):  # a (name, value) pair would read as a literal
+        raise TypeError(f"not an Expr: {tree!r}")
     products = []
     for term in tree.children if isinstance(tree, Or) else (tree,):
         products.append([])

@@ -106,18 +106,18 @@ def fit(mcover, profile):
 
 def _fit_words(names, order, outputs, profile, pol_bits=()):
     """fit for each named output's products over `order`: a list of
-    (req1, req0) words, or a TruthTable whose row r is the minterm word
+    (req1, req0) words, or a row mask whose row r is the minterm word
     (r, full ^ r). Words pool as share_terms pools cubes: each distinct pair
     and each output's rows once, in first-use order. Polarity bit 1 inverts
     an output. The pool is counted before any table row's word is written."""
     full = (1 << len(order)) - 1
-    rows = logic._coverage(out.bits for out in outputs if isinstance(out, logic.TruthTable))[0]
+    rows = logic._coverage(out for out in outputs if isinstance(out, int))[0]
     if rows:
-        words = {w for out in outputs if not isinstance(out, logic.TruthTable) for w in out}
+        words = {w for out in outputs if not isinstance(out, int) for w in out}
         _check_fits(profile, len(order), len(outputs), rows.bit_count() + sum(
             w[0] | w[1] != full or not rows >> w[0] & 1 for w in words))
-    columns = [[(r, full ^ r) for r in logic.mask_rows(out.bits)]
-               if isinstance(out, logic.TruthTable) else out for out in outputs]
+    columns = [[(r, full ^ r) for r in logic.mask_rows(out)] if isinstance(out, int) else out
+               for out in outputs]
     pool, selections = mn._pool(chain.from_iterable(columns), columns)
     return _fit_pool(names, order, pool, selections, profile, pol_bits)
 
@@ -500,13 +500,13 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     as (req1, req0) words; a design that does not fit raises fit's
     CapacityError before any minterm word is written.
     """
-    return _compile([(n, None, e) for n, e in equations], profile, minimize, polarity, order)
+    equations = [(name, ex._flat(e), e) for name, e in equations]  # read_equations' form
+    return _compile(equations, profile, minimize, polarity, order)
 
 
 def _compile(equations, profile, minimize=False, polarity=None, order=None):
-    """compile_equations for expr.read_equations' triples, read once, or for
-    (name, None, tree) ones, whose tree is flattened only for its words. A
-    tree is built for a body that has none only for its truth table."""
+    """compile_equations for expr.read_equations' triples, read once: every
+    table is read from the products, once a design too wide to minimize is refused."""
     if not equations:
         raise ValueError("no equations to compile")
     names = [name for name, _, _ in equations]
@@ -517,23 +517,21 @@ def _compile(equations, profile, minimize=False, polarity=None, order=None):
 
     order = tuple(order) if order is not None else (ex._names(equations) or ("x0",))
 
-    outputs = []  # (req1, req0) words, or a TruthTable to cover with its minterms
+    outputs = []  # (req1, req0) words, or a row mask to cover with its minterms
     try:
         bits = logic._order_bits(order)
+        mn._check_width(len(bits) if minimize else 0)  # before any table is built
         for (_, products, tree), pol in zip(equations, pol_bits):
-            out = pol or minimize or logic._sop_words(products or ex._flat(tree), tree, bits)
+            out = pol or minimize or logic._sop_words(products, tree, bits)
             if not isinstance(out, list):  # inverted, minimized or not a sum of products
-                table = logic.table_from_expr(tree or ex._tree(products, {}), order)
-                out = table.complement() if pol else table
-                if minimize:  # refused where each output's own minimize call was
-                    mn._check_width(out.n)
+                out = logic._body_mask(products, bits)
+                out ^= pol and (1 << (1 << len(order))) - 1  # inverted: the complement
             outputs.append(out)
-    except ValueError:
+    except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
         ex.check_names(ex._trees(equations), order, "not in order")
         raise
     if minimize:  # the outputs share their prime walks
-        outputs = [[p[1:] for p in chosen]
-                   for chosen in mn._mask_primes(len(order), [t.bits for t in outputs], 0)]
+        outputs = [[p[1:] for p in chosen] for chosen in mn._mask_primes(len(order), outputs, 0)]
     return _fit_words(names, order, outputs, profile, pol_bits)
 
 

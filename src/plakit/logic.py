@@ -4,7 +4,7 @@ A truth table over n ordered variables is stored as one Python int whose
 bit i is the output on input row i. Rows are numbered big-endian from the
 variable order: the leftmost variable is the most significant bit, so with
 order (A, B, C) row 6 is A=1, B=1, C=0. Bit-parallel evaluation makes an
-exhaustive sweep one expression walk instead of 2^n.
+exhaustive sweep one OR of product masks instead of 2^n evaluations.
 
 At the API a cube is a string over {'0', '1', '-'}, one character per
 variable in order: '1' means the variable appears true, '0' complemented,
@@ -16,14 +16,14 @@ that sorts pairs as their cube strings sort. A cover is an ordered list
 of cubes whose union (OR of products) is the function. An input vector
 is n binary digits. `check_cube`, `check_cubes` (one test for a whole
 list) and `check_bits` are the one place either text format is checked.
-`_literal_mask` is the one builder of one-literal row masks, and
-`_coverage` the one covered-once/covered-twice fold: essential primes,
-fault visibility and shared terms all come from it.
+`_body_mask` is the one evaluator of an equation body, read from its
+products; `_literal_mask` keeps the one-literal masks the prime walk and
+the fault sweep read; `_coverage` is the one covered-once/covered-twice
+fold: essential primes, fault visibility and shared terms all come from it.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import and_, or_
+from functools import lru_cache
 
 from . import expr as ex
 
@@ -94,30 +94,12 @@ def table_from_expr(expr, order=None):
         order = ex.variables(expr)
         if not order:  # a constant has no rows to number; callers give an order
             raise ValueError("expression has no variables; pass an explicit order")
-    order = _check_order(order)
-    n = len(order)
-    index = {name: j for j, name in enumerate(order)}
-    full = (1 << (1 << n)) - 1
-
-    def walk(e):
-        if isinstance(e, ex.Var):
-            return _literal_mask(n, index[e.name], 1)
-        if isinstance(e, ex.Const):
-            return full if e.value else 0
-        if isinstance(e, ex.Not):
-            return full ^ walk(e.child)
-        if isinstance(e, ex.And):
-            return reduce(and_, map(walk, e.children), full)
-        if isinstance(e, ex.Or):
-            return reduce(or_, map(walk, e.children), 0)
-        raise TypeError(f"not an Expr: {e!r}")
-
+    bits = _order_bits(order)
     try:
-        bits = walk(expr)
+        return TruthTable(tuple(bits), _body_mask(ex._flat(expr), bits))
     except KeyError:  # a name not in `order`: report every such name
-        missing = set(ex.variables(expr)) - set(order)
+        missing = set(ex.variables(expr)) - set(bits)
         raise ValueError(f"order is missing variables: {sorted(missing)}") from None
-    return TruthTable(order, bits)
 
 
 def table_from_rows(order, outputs):
@@ -204,8 +186,8 @@ def _product_mask(n, req1, req0):
 @lru_cache(maxsize=None)
 def _literal_mask(n, j, value):
     """Rows where variable j of n reads `value`: the one-literal product's
-    rows, or their complement. Each is built on first use, so a table
-    never holds the complements."""
+    rows, or their complement, built on first use and kept for the life of
+    the process for the prime walk and the fault sweep; no table fills one."""
     if value:
         return _product_mask(n, 1 << (n - 1 - j), 0)
     return _literal_mask(n, j, 1) ^ (1 << (1 << n)) - 1
@@ -392,10 +374,9 @@ def cover_from_expr(expr, order):
     words = _sop_words(ex._flat(expr), expr, _order_bits(order))
     if isinstance(words, list):
         return Cover(order, tuple(cube_string(len(order), *w) for w in words))
-    raise ValueError(
-        f"not a sum-of-products expression: {ex.format_expression(ex._tree([words[0]], {}))!r} "
-        "is not a product of literals"
-    )
+    term = (expr.children if isinstance(expr, ex.Or) else (expr,))[words[0]]  # _flat's order
+    raise ValueError(f"not a sum-of-products expression: {ex.format_expression(term)!r} "
+                     "is not a product of literals")
 
 
 def _order_bits(order):
@@ -404,9 +385,32 @@ def _order_bits(order):
     return {name: 1 << (len(order) - 1 - j) for j, name in enumerate(order)}
 
 
+def _body_mask(products, bits):
+    """Rows where a body's products (expr.read_equations' form) are 1, over
+    an order's _order_bits: a product's literals make one _product_mask, a
+    constant keeps or clears it, and any other factor ANDs in the rows of its
+    own _flat products, complemented for a Not. KeyError for any name outside."""
+    n, rows = len(bits), 0
+    for product in products:
+        req, mask = [0, 0], -1  # req0, req1; the rows the other factors keep
+        for f in product:
+            if type(f) is tuple:
+                req[f[1]] |= bits[f[0]]
+            elif isinstance(f, ex.Const):
+                mask &= -f.value  # 1: every row, 0: none
+            elif isinstance(f, ex.Not):
+                mask &= ~_body_mask(ex._flat(f.child), bits)
+            elif isinstance(f, ex.Or):
+                mask &= _body_mask(ex._flat(f), bits)
+            else:
+                raise TypeError(f"not an Expr: {f!r}")
+        rows |= _product_mask(n, req[1], req[0]) & mask
+    return rows
+
+
 def _sop_words(products, tree, bits):
     """The (req1, req0) words of a body's products (expr.read_equations'
-    form) with each product that is 0 dropped, or (product, factor) for the
+    form) with each product that is 0 dropped, or (index, factor) for the
     first product _term_words stopped at; a body with no tree has literals only."""
     if tree is None:
         try:
@@ -414,12 +418,12 @@ def _sop_words(products, tree, bits):
         except KeyError:  # a name outside the order: _term_words names it
             pass
     words = []
-    for product in products:
+    for i, product in enumerate(products):
         w = _term_words(product, bits)
         if isinstance(w, tuple):
             words.append(w)
         elif w is not None:
-            return product, w
+            return i, w
     return words
 
 

@@ -620,21 +620,21 @@ def test_outside_names_win_over_a_repeated_order(tmp_path, capsys):
 
 
 def test_minimized_commands_refuse_as_before(tmp_path, capsys, monkeypatch):
-    # one prime walk serves every output, but a design too wide for the
-    # minimizer is refused right after its first table, as each output's own
-    # minimize call refused it, and a name outside the order still wins
+    # one prime walk serves every output; a design too wide for the minimizer
+    # is refused before any table is built, with the message each output's
+    # own minimize call gave, and a name outside the order still wins
     names = [chr(ord("a") + j) for j in range(17)]
     wide, order = " ".join(names), ",".join(names)
     eq = tmp_path / "w.eqn"
-    built, table = [], cli.table_from_expr
+    built, body_mask = [], cli._body_mask
     for module in (cli, plakit.logic):  # synth's tables, and compile's through fit
-        monkeypatch.setattr(module, "table_from_expr",
-                            lambda *args: built.append(args) or table(*args))
+        monkeypatch.setattr(module, "_body_mask",
+                            lambda *args: built.append(args) or body_mask(*args))
     for argv in (["compile", str(eq), "--profile", "n17p64m3", "--minimize"],
                  ["synth", str(eq), "--minimize"]):
-        cases = ((f"F = {wide}\nG = a b' + q\nH = {wide}\n", order, 1,
+        cases = ((f"F = {wide}\nG = a b' + q\nH = {wide}\n", order, 0,
                   "17 variables exceeds the minimizer limit of 16"),
-                 (f"F = {wide}\nG = a z\n", order, 1,
+                 (f"F = {wide}\nG = a z\n", order, 0,
                   "equation 'G' uses variables not in order: ['z']"),
                  ("F = a b + c\nG = a z + b\n", "a,b,c", 2,
                   "equation 'G' uses variables not in order: ['z']"))
@@ -1246,3 +1246,31 @@ def test_command_words_skip_the_top_level_pass(usage_dir, monkeypatch):
         assert got == (_transcript(reference, argv), seen), argv
         calls.clear()
         seen.clear()
+
+
+# sha256 of every transcript below, taken before truth tables were read from
+# products: synth, synth --minimize, compile --minimize and compile --polarity
+_GROUPED_DIGEST = "8d7a450178486b7221c8e43e40ab977412a4ab4b790fd88c3b024ce33270d292"
+
+
+def test_table_commands_keep_their_output_on_grouped_bodies(tmp_path, monkeypatch):
+    """Seeded equation files whose bodies hold constants, groups (some
+    negated, some nested) and X X' products: exit code, stdout, stderr and
+    the artifact of each table-reading command stay byte for byte."""
+    from test_logic import random_body
+
+    monkeypatch.chdir(tmp_path)
+    rng = seeded(431)
+    transcript = []
+    for i in range(24):
+        names = rng.sample("ABCDE", rng.randint(2, 5))
+        outs = [f"F{o}" for o in range(rng.randint(1, 3))]
+        Path("g.eqn").write_text("".join(f"{o} = {random_body(rng, names, 2)}\n" for o in outs))
+        inverted = ",".join(o for o in outs if rng.random() < 0.5) or outs[0]
+        for argv in (["synth", "g.eqn"], ["synth", "g.eqn", "--minimize"],
+                     ["compile", "g.eqn", "--profile", "n5p64m3:xor", "--minimize"],
+                     ["compile", "g.eqn", "--profile", "n5p64m3:xor", "--polarity", inverted]):
+            Path("out").unlink(missing_ok=True)
+            transcript.append((_transcript(main, argv + ["-o", "out"]),
+                               Path("out").read_text() if Path("out").exists() else None))
+    assert hashlib.sha256(repr(transcript).encode()).hexdigest() == _GROUPED_DIGEST

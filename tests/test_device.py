@@ -18,6 +18,7 @@ from plakit import (
     set_polarity,
 )
 from plakit.device import fault_sweep
+from plakit.logic import _product_mask
 from oracles import (
     eval_pla_naive, random_profile, random_state, render_crosspoint_diagram_naive, seeded,
     state_from_planes,
@@ -124,6 +125,16 @@ def test_unconnected_or_row_is_constant_zero():
     state = state_from_planes(prof, ((0, 0, 0, 0),), ((0,),), (0,))
     for bits in all_inputs(2):
         assert eval_pla(state, bits) == "0"
+
+
+def test_padding_rows_share_one_term_mask():
+    # each distinct AND pair's rows are built once: the unused (0, 0) rows
+    # hold one 2^12-row mask object, and every row holds its own product's rows
+    pairs = [(0b101, 0b010), (0, 0), (0b101, 0b010), (0, 0), (1, 1), (0, 0)]
+    state = PlaState(PlaProfile(12, 6, 1), pairs, (0b101,))
+    terms = state._terms
+    assert terms[1] is terms[3] is terms[5] and terms[0] is terms[2]
+    assert terms == tuple(_product_mask(12, *pair) for pair in pairs)
 
 
 def test_single_literal_rows():

@@ -399,9 +399,9 @@ def test_read_berkeley_refuses_a_file_cut_short_between_rows():
 
 
 def test_minimized_compile_refuses_as_before():
-    """One prime walk serves every output, but the width check still comes
-    where each output's own minimizer call made it, after that output's
-    table, and a name outside the order still wins over it."""
+    """One prime walk serves every output; the width check comes once,
+    before any table is built, with the message each output's own minimizer
+    call gave, and a name outside the order still wins over it."""
     names = [chr(ord("a") + j) for j in range(17)]
     wide = " ".join(names)
     profile = PlaProfile(17, 64, 3)

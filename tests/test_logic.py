@@ -3,14 +3,17 @@ import time
 import pytest
 
 from plakit import (
+    And,
     Const,
     Cover,
     Not,
     Or,
+    PlaProfile,
     TruthTable,
     Var,
     canonical_pos,
     canonical_sop,
+    compile_equations,
     counterexample,
     cover_eval,
     cover_from_expr,
@@ -72,6 +75,58 @@ def test_table_from_expr_against_per_row_eval():
         assert [v for _, v in t.rows()] == [(bits >> i) & 1 for i in range(8)]
 
 
+def random_body(rng, names, depth):
+    """Equation-body text: a sum of products of literals (now and then X X'),
+    constants and groups, each factor marked with '!'s and "'"s at random,
+    groups nested up to `depth` deep."""
+    products = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.15:
+                factor = rng.choice("01")
+            elif kind < 0.45 and depth:
+                factor = f"({random_body(rng, names, depth - 1)})"
+            elif kind < 0.55:
+                name = rng.choice(names)
+                factor = f"{name}*{name}'"
+            else:
+                factor = rng.choice(names)
+            marks = rng.choice(("", "", "!", "!!")), rng.choice(("", "", "'", "''"))
+            factors.append(marks[0] + factor + marks[1])
+        products.append("*".join(factors))
+    return " + ".join(products)
+
+
+def _assert_table_is_evaluate(e, order):
+    table = table_from_expr(e, order)
+    for bits, value in table.rows():
+        assert value == evaluate(e, dict(zip(order, map(int, bits)))), (e, bits)
+
+
+def test_table_from_expr_is_the_interpreter_row_by_row():
+    """The one evaluator of bodies, read from products, against expr.evaluate
+    on seeded trees: parsed ones with constants, negated groups and X X'
+    products, library-built ones holding Not(Not(x)), and groups nested to
+    the parser's 100-paren limit."""
+    from test_expr import random_expr
+
+    rng = seeded(29)
+    names = "ABCDE"
+    for _ in range(150):
+        order = tuple(rng.sample(names, rng.randint(3, 5)))
+        _assert_table_is_evaluate(parse_expression(random_body(rng, order, 3)), order)
+        _assert_table_is_evaluate(random_expr(rng, order, rng.randint(1, 6)), order)
+    a, b = Var("A"), Var("B")
+    for e in (Not(Not(a)), Not(Not(Or(a, Not(b)))), And(Not(Not(Const(1))), Or(a, b)),
+              Or(Not(Const(1)), And(a, Not(Not(b))))):
+        _assert_table_is_evaluate(e, ("A", "B"))
+    for text in ("!(A + B" * 100 + ")" * 100, "(A'B + C" * 100 + ")" * 100,
+                 "(" * 100 + "A" + ")'" * 100):
+        _assert_table_is_evaluate(parse_expression(text), ("A", "B", "C"))
+
+
 def test_table_guards():
     with pytest.raises(ValueError):
         table_from_expr(parse_expression("AB"), ("A",))  # missing B
@@ -95,6 +150,11 @@ def test_table_guards():
     assert table_from_expr(Const(1), ("A",)).bits == 0b11
     with pytest.raises(TypeError, match="not an Expr: 'AB'"):
         table_from_expr("AB", ("A", "B"))
+    # a (name, value) pair is how a product holds a literal, not an Expr
+    for read in (table_from_expr, cover_from_expr,
+                 lambda e, order: compile_equations([("F", e)], PlaProfile(1, 2, 1), order=order)):
+        with pytest.raises(TypeError, match=r"not an Expr: \('A', 1\)"):
+            read(("A", 1), ("A",))
 
 
 def test_table_from_expr_names_every_missing_variable():

@@ -4,7 +4,8 @@ body: a sum of products goes straight to cube words. These tests hold
 compile and verify to the Expr tree path in tests/oracles.py (exit code,
 stdout, stderr and fuse-map bytes), pin the messages of files that mix SOP
 and other bodies, and check that a valid SOP file never builds an
-expression tree and that no command reads a body twice.
+expression tree, not even for a truth table, and that no command reads a
+body twice.
 """
 
 import pytest
@@ -12,9 +13,11 @@ import pytest
 import plakit
 from plakit import (
     Const, FormatError, Or, PlaProfile, Var, compile_equations, cover_from_expr, parse_equations,
+    parse_expression, table_from_expr,
 )
 from plakit.cli import main
 from plakit.expr import _names, read_equations
+from plakit.logic import _literal_mask
 from oracles import compile_via_expr, seeded, verify_via_expr
 from test_parser_fuzz import CORPUS, mutate
 
@@ -232,6 +235,13 @@ def test_valid_sop_files_never_reach_the_parser(tmp_path, capsys, monkeypatch):
     fuse.write_text("".join(line for line in fuse.read_text().splitlines(True)
                             if not line.startswith("ILB")))
     assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    # nor does a truth table: minimized, inverted and synthesized bodies
+    for argv in (["compile", str(eq), "--profile", "n3p8m2", "--minimize"],
+                 ["compile", str(eq), "--profile", "n3p8m2:xor", "--polarity", "G"],
+                 ["compile", str(eq), "--profile", "n3p8m2:xor", "--polarity", "F",
+                  "--minimize"],
+                 ["synth", str(eq)], ["synth", str(eq), "--minimize"]):
+        assert main(argv + ["-o", str(tmp_path / "out")]) == 0, argv
     assert calls == []
     capsys.readouterr()
     # the counter does see the trees: a body that is not a sum of products
@@ -239,6 +249,12 @@ def test_valid_sop_files_never_reach_the_parser(tmp_path, capsys, monkeypatch):
     assert main(["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"]) == 0
     group = Or(Var("A"), Var("B"))
     assert calls == [[[("A", 1)], [("B", 1)]], [[group, ("C", 1)]]]  # the group, then the body
+    # a table fills no one-literal mask cache entry
+    _literal_mask.cache_clear()
+    order = tuple(f"x{j}" for j in range(20))
+    table = table_from_expr(parse_expression("x0*x5'*x19", multi_letter=True), order)
+    assert table.bits.bit_count() == 1 << 17
+    assert _literal_mask.cache_info().currsize == 0
 
 
 def test_compile_formats_no_message_for_a_body_that_is_not_sop(monkeypatch):
