@@ -4,7 +4,7 @@ Subcommands mirror the library pipeline: table / synth for algebra,
 compile / sim / verify / diagram / fault for combinational devices,
 fsm / fsmsim for controllers. '-' means stdin (inputs) or stdout (-o).
 compile, verify and synth read each equation file once, as products, and
-read every truth table from them; only a constant or a group makes a tree.
+read every word and truth table from them; none of them builds a tree.
 
 Exit codes: 0 success; 1 verification mismatch or failed fault-coverage
 gate; 2 usage or I/O trouble; 3 design does not fit the device; 4
@@ -32,7 +32,6 @@ from .device import (
 from .errors import CapacityError, FormatError
 from .expr import (
     _names,
-    _trees,
     check_names,
     content_lines,
     parse_expression,
@@ -167,12 +166,12 @@ def cmd_synth(args):
     try:
         bits = _order_bits(order) if equations else {}  # none: share_terms names the fault
         _check_width(len(bits) if args.minimize else 0)  # before any table is built
-        tables = [TruthTable(order, _body_mask(products, bits)) for _, products, _ in equations]
+        tables = [TruthTable(order, _body_mask(products, bits)) for _, products in equations]
         covers = _minimized(tables) if args.minimize else [canonical_sop(t) for t in tables]
     except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
-        check_names(_trees(equations), order, "not in order")
+        check_names(equations, order, "not in order")
         raise
-    names = [name for name, _, _ in equations]
+    names = [name for name, _ in equations]
     _write_text(args.output, write_berkeley_pla(share_terms(zip(names, covers))))
     return 0
 
@@ -264,14 +263,14 @@ def cmd_verify(args):
     # name outside the order wins over an unknown output or a mismatch
     try:
         bits = _order_bits(order)
-        tables = [_body_mask(products, bits) for _, products, _ in equations]
+        tables = [_body_mask(products, bits) for _, products in equations]
     except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
-        check_names(_trees(equations), order, "not on the device")
+        check_names(equations, order, "not on the device")
         raise
 
     masks = output_masks(fm.state)
     out_names = fm.output_names
-    for i, ((name, _, _), expected) in enumerate(zip(equations, tables)):
+    for i, ((name, _), expected) in enumerate(zip(equations, tables)):
         if not out_names:
             idx = i
         elif name in out_names:

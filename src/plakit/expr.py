@@ -11,10 +11,12 @@ Precedence NOT > AND > OR. The postfix apostrophe binds to the immediately
 preceding variable, constant, or parenthesized group. One loop reads the
 grammar as the products a PLA's AND plane forms: a name with its marks
 stays a (name, value) literal, and only a constant or a parenthesized group
-(read by the same loop) becomes a tree node: read_equations reads a file
-once, building a tree only for such a body. A '(' nested more than 100
-deep is refused. Double negation is removed while parsing; no other
-rewriting happens, so the tree mirrors the text.
+(read by the same loop) becomes a tree node. read_equations reads a file
+once into each body's products, a body with such a node flattened back
+into them; parse_expression and parse_equations build their trees from
+those products. A '(' nested more than 100 deep is refused. Double
+negation is removed while parsing; no other rewriting happens, so the
+tree mirrors the text.
 
 Two identifier modes:
   * single-letter (default): every letter is its own variable, so "AB'C"
@@ -262,7 +264,7 @@ def _negate(expr):
 
 
 def _read(text, multi_letter):
-    """(products, tree) of an expression, the tree None unless it holds a
+    """The products of an expression, _flat of its tree if it holds a
     constant or a group; ParseError with a byte offset."""
     if not text.strip():
         raise ParseError("empty expression", 0)
@@ -273,15 +275,13 @@ def _read(text, multi_letter):
     if kind != _END:
         raise ParseError(f"unexpected trailing token {tok!r}", _byte_offset(text, index))
     if set(map(type, chain.from_iterable(products))) == {tuple}:
-        return products, None
-    tree = _tree(products, leaves)
-    return _flat(tree), tree
+        return products
+    return _flat(_tree(products, leaves))
 
 
 def parse_expression(text, multi_letter=False):
     """Parse a Boolean expression; raises ParseError with a byte offset."""
-    products, tree = _read(text, multi_letter)
-    return tree or _tree(products, {})
+    return _tree(_read(text, multi_letter), {})
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +335,11 @@ def variables(*exprs):
 
 
 def check_names(equations, order, where):
-    """Raise "equation 'F' uses variables {where}: [...]" for the first (name, Expr)
-    equation with a variable outside `order`; callers run it once a build has failed."""
-    for name, e in equations:
-        missing = set(variables(e)).difference(order)
+    """Raise "equation 'F' uses variables {where}: [...]" for the first of
+    read_equations' (name, products) pairs with a variable outside `order`;
+    callers run it once a build has failed."""
+    for name, products in equations:
+        missing = set(_names([(name, products)])).difference(order)
         if missing:
             raise ValueError(f"equation {name!r} uses variables {where}: {sorted(missing)}")
 
@@ -426,14 +427,14 @@ def _equation_lines(text):
 
 
 def read_equations(text, multi_letter=False):
-    """Read an equation file into an ordered list of (name, products, tree)
-    triples. A product is a list of (variable, value) literals as written,
-    and tree is None, unless the body holds a constant or a group: then the
-    products are _flat(tree), whose factors may be Exprs."""
+    """Read an equation file into an ordered list of (name, products)
+    pairs. A product is a list of (variable, value) literals as written,
+    unless the body holds a constant or a group: then the products are
+    _flat of its tree, whose factors may be Exprs."""
     equations = []
     for lineno, name, body in _equation_lines(text):
         try:
-            equations.append((name, *_read(body, multi_letter)))
+            equations.append((name, _read(body, multi_letter)))
         except ParseError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
     return equations
@@ -441,17 +442,13 @@ def read_equations(text, multi_letter=False):
 
 def parse_equations(text, multi_letter=False):
     """Read an equation file into an ordered list of (name, Expr) pairs."""
-    return _trees(read_equations(text, multi_letter))
-
-
-def _trees(equations):
-    """read_equations' triples as (name, Expr) pairs, one Var per name."""
-    leaves = {}
-    return [(name, tree or _tree(products, leaves)) for name, products, tree in equations]
+    leaves = {}  # one Var per name
+    return [(name, _tree(products, leaves))
+            for name, products in read_equations(text, multi_letter)]
 
 
 def _names(equations):
-    """The variables of read_equations' triples in first-appearance order."""
+    """The variables of read_equations' pairs in first-appearance order."""
     return tuple(dict.fromkeys(chain.from_iterable(
-        variables(tree) if tree else (v for product in products for v, _ in product)
-        for _, products, tree in equations)))
+        (f[0],) if type(f) is tuple else variables(f)
+        for _, products in equations for product in products for f in product)))

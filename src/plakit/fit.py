@@ -500,16 +500,16 @@ def compile_equations(equations, profile, minimize=False, polarity=None, order=N
     as (req1, req0) words; a design that does not fit raises fit's
     CapacityError before any minterm word is written.
     """
-    equations = [(name, ex._flat(e), e) for name, e in equations]  # read_equations' form
+    equations = [(name, ex._flat(e)) for name, e in equations]  # read_equations' form
     return _compile(equations, profile, minimize, polarity, order)
 
 
 def _compile(equations, profile, minimize=False, polarity=None, order=None):
-    """compile_equations for expr.read_equations' triples, read once: every
-    table is read from the products, once a design too wide to minimize is refused."""
+    """compile_equations for expr.read_equations' pairs, read once: every word
+    and table is read from the products, once a design too wide to minimize is refused."""
     if not equations:
         raise ValueError("no equations to compile")
-    names = [name for name, _, _ in equations]
+    names = [name for name, _ in equations]
 
     pol_bits = _polarity_bits(polarity, names)
     if any(pol_bits) and not profile.has_output_xor:
@@ -521,14 +521,14 @@ def _compile(equations, profile, minimize=False, polarity=None, order=None):
     try:
         bits = logic._order_bits(order)
         mn._check_width(len(bits) if minimize else 0)  # before any table is built
-        for (_, products, tree), pol in zip(equations, pol_bits):
-            out = pol or minimize or logic._sop_words(products, tree, bits)
+        for (_, products), pol in zip(equations, pol_bits):
+            out = pol or minimize or logic._sop_words(products, bits)
             if not isinstance(out, list):  # inverted, minimized or not a sum of products
                 out = logic._body_mask(products, bits)
                 out ^= pol and (1 << (1 << len(order))) - 1  # inverted: the complement
             outputs.append(out)
     except (KeyError, ValueError):  # KeyError: _body_mask met a name outside the order
-        ex.check_names(ex._trees(equations), order, "not in order")
+        ex.check_names(equations, order, "not in order")
         raise
     if minimize:  # the outputs share their prime walks
         outputs = [[p[1:] for p in chosen] for chosen in mn._mask_primes(len(order), outputs, 0)]

@@ -371,10 +371,13 @@ def cover_from_expr(expr, order):
     Raises ValueError when the expression is not in SOP shape.
     """
     order = _check_order(order)
-    words = _sop_words(ex._flat(expr), expr, _order_bits(order))
+    try:
+        words = _sop_words(ex._flat(expr), _order_bits(order))
+    except KeyError as exc:
+        raise ValueError(f"variable {exc.args[0]!r} not in order") from None
     if isinstance(words, list):
         return Cover(order, tuple(cube_string(len(order), *w) for w in words))
-    term = (expr.children if isinstance(expr, ex.Or) else (expr,))[words[0]]  # _flat's order
+    term = (expr.children if isinstance(expr, ex.Or) else (expr,))[words]  # _flat's order
     raise ValueError(f"not a sum-of-products expression: {ex.format_expression(term)!r} "
                      "is not a product of literals")
 
@@ -408,56 +411,27 @@ def _body_mask(products, bits):
     return rows
 
 
-def _sop_words(products, tree, bits):
-    """The (req1, req0) words of a body's products (expr.read_equations'
-    form) with each product that is 0 dropped, or (index, factor) for the
-    first product _term_words stopped at; a body with no tree has literals only."""
-    if tree is None:
-        try:
-            return [w for w in (_literal_words(p, bits) for p in products) if w]
-        except KeyError:  # a name outside the order: _term_words names it
-            pass
+def _sop_words(products, bits):
+    """(req1, req0) of each of a body's products (expr.read_equations' form)
+    read left to right, a product that is 0 (a constant 0, or X and X')
+    dropped; or the index of the first with another factor while it may be
+    nonzero. KeyError for the first name outside `bits`, a 0 product read to its end."""
     words = []
     for i, product in enumerate(products):
-        w = _term_words(product, bits)
-        if isinstance(w, tuple):
-            words.append(w)
-        elif w is not None:
-            return i, w
+        req, zero = [0, 0], False  # req0, req1; a constant 0 met
+        for f in product:
+            if type(f) is tuple:
+                req[f[1]] |= bits[f[0]]
+            elif isinstance(f, ex.Const):
+                zero = zero or not f.value
+            elif zero or req[0] & req[1]:  # only the names of a 0 product are read
+                for name in ex.variables(f):
+                    bits[name]  # noqa: B018 - KeyError for a name outside
+            else:
+                return i
+        if not (zero or req[0] & req[1]):
+            words.append((req[1], req[0]))
     return words
-
-
-def _term_words(product, bits):
-    """(req1, req0) of one product, read left to right; None when it is 0
-    (a constant 0, or X and X'), and the first factor that is no literal or
-    constant while it may be nonzero. ValueError for the first variable
-    outside `bits`, for which a product that is 0 is read to its end."""
-    literals = []
-    for i, f in enumerate(product):
-        if type(f) is tuple:
-            if f[0] not in bits:
-                break
-            literals.append(f)
-        elif not (isinstance(f, ex.Const) and f.value):
-            if isinstance(f, ex.Const) or _literal_words(literals, bits) is None:
-                break  # the product is 0
-            return f
-    else:
-        return _literal_words(literals, bits)
-    for f in product[i:]:
-        for name in (f[0],) if type(f) is tuple else ex.variables(f):
-            if name not in bits:
-                raise ValueError(f"variable {name!r} not in order")
-    return None
-
-
-def _literal_words(literals, bits):
-    """(req1, req0) of a product of (name, value) literals, `bits` mapping
-    each name to its variable's bit; None when it holds X and X'."""
-    req = [0, 0]  # req0, req1
-    for name, value in literals:
-        req[value] |= bits[name]
-    return None if req[0] & req[1] else (req[1], req[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from plakit import (
 from plakit.cli import parse_profile
 from plakit.expr import (
     _BANG, _CONST, _END, _LPAREN, _NAME, _PLUS, _PRIME, _RPAREN, _STAR, _byte_offset,
-    _equation_lines, _tokenize, check_names, content_lines,
+    _equation_lines, _tokenize, content_lines,
 )
 from plakit.fit import _check_row, _directive_count, _signal_count
 from plakit.minimize import _checked_mask
@@ -431,7 +431,11 @@ def verify_via_expr(fuse, text, var_order=None, multi_letter=False):
         try:
             tables = [table_from_expr(e, order).bits for _, e in equations]
         except ValueError:
-            check_names(equations, order, "not on the device")
+            for name, e in equations:  # the first equation with a name outside
+                missing = set(variables(e)).difference(order)
+                if missing:
+                    raise ValueError(f"equation {name!r} uses variables not on the device: "
+                                     f"{sorted(missing)}") from None
             raise
         masks = output_masks(fm.state)
         for i, ((name, _), expected) in enumerate(zip(equations, tables)):

@@ -688,16 +688,30 @@ def test_valid_compile_and_verify_never_walk_for_names(tmp_path, capsys, monkeyp
         assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
     assert calls == []
     capsys.readouterr()
-    # the counter does see the walks: a failed build, and verify on an
-    # unlabelled map of a body that is not a sum of products (a sum of
-    # products takes its first-appearance order from the token walk)
-    eq.write_text("F = AD\n")
-    assert main(["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"]) == 2
-    assert calls
-    calls.clear()
+    # nor on an unlabelled map, of a group that flattens to literals
     fuse.write_text("".join(l for l in fuse.read_text().splitlines(True)
                             if not l.startswith("ILB")))
     eq.write_text("F = (AB) + A'C\n")
+    assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
+    assert calls == []
+    # the counters do see the walks: a failed build names its missing
+    # variables, and verify on an unlabelled map of a body that keeps a
+    # group takes its first-appearance order from the group's variables
+    checked, check_names = [], plakit.expr.check_names
+
+    def counted_check(*args):
+        checked.append(args)
+        return check_names(*args)
+
+    for module in (plakit.expr, plakit.cli):  # compile's, through fit, and the CLI's
+        monkeypatch.setattr(module, "check_names", counted_check)
+    eq.write_text("F = AD\n")
+    for argv in (["compile", str(eq), "--profile", "n3p8m2", "--order", "A,B,C"],
+                 ["synth", str(eq), "--order", "A,B,C"],
+                 ["verify", str(fuse), "--equations", str(eq), "--var-order", "A,B,C"]):
+        assert main(argv) == 2, argv
+    assert len(checked) == 3
+    eq.write_text("F = A(B + B) + A'C\n")
     assert main(["verify", str(fuse), "--equations", str(eq)]) == 0
     assert calls
     capsys.readouterr()

@@ -33,7 +33,7 @@ from plakit import (
     write_berkeley_pla,
     write_kiss2,
 )
-from plakit.expr import _equation_lines, _flat, _tree, read_equations
+from plakit.expr import _flat, _tree, read_equations
 from oracles import (
     parse_equations_naive, parse_expression_naive, read_outcome, read_sop_naive,
 )
@@ -190,9 +190,9 @@ def _outcome(parse, *args):
 def _same_as_naive(text, multi_letter):
     """Each reader of `text` gives the naive grammars' result, and the bodies
     also read as bare expressions alike. parse_equations gives the recursive
-    descent's trees. read_equations gives a tree only to a body the flat
-    loop refuses, a sum of products' literals as that loop wrote them, and
-    any other body's products as _flat of its tree, which _tree rebuilds."""
+    descent's trees. read_equations gives a sum of products' literals as
+    the flat loop wrote them, and any other body's products as _flat of its
+    tree, which _tree rebuilds."""
     naive = _outcome(parse_equations_naive, text, multi_letter)
     assert _outcome(parse_equations, text, multi_letter) == naive, (multi_letter, text)
     got = _outcome(read_equations, text, multi_letter)
@@ -200,13 +200,11 @@ def _same_as_naive(text, multi_letter):
         assert got == naive, (multi_letter, text)
     else:
         sop = read_sop_naive(text, multi_letter)
-        products = [(name, products) for name, products, _ in got[1]]
         if sop is not None:
-            assert products == sop[0], (multi_letter, text)
-        assert products == [(name, _flat(e)) for name, e in naive[1]], (multi_letter, text)
-        for (_, _, body), (_, flat, tree), (_, e) in zip(_equation_lines(text), got[1], naive[1]):
-            assert (tree is None) == (read_sop_naive("F =" + body, multi_letter) is not None)
-            assert _tree(flat, {}) == e and tree in (None, e), (multi_letter, text)
+            assert got[1] == sop[0], (multi_letter, text)
+        assert got[1] == [(name, _flat(e)) for name, e in naive[1]], (multi_letter, text)
+        for (_, flat), (_, e) in zip(got[1], naive[1]):
+            assert _tree(flat, {}) == e, (multi_letter, text)
     for line in text.split("\n"):
         body = line.partition("=")[2]
         assert _outcome(parse_expression, body, multi_letter) == _outcome(

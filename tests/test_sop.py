@@ -12,8 +12,8 @@ import pytest
 
 import plakit
 from plakit import (
-    Const, FormatError, Or, PlaProfile, Var, compile_equations, cover_from_expr, parse_equations,
-    parse_expression, table_from_expr,
+    Const, FormatError, Not, Or, PlaProfile, Var, compile_equations, cover_from_expr,
+    parse_equations, parse_expression, table_from_expr,
 )
 from plakit.cli import main
 from plakit.expr import _names, read_equations
@@ -142,7 +142,7 @@ def test_mutated_equation_files_compile_and_verify_as_the_expr_path_does(tmp_pat
         image = reference[multi_letter]
         assert (_verify(capsys, tmp_path, image, text, None, multi_letter)
                 == verify_via_expr(image, text, None, multi_letter)), text
-    assert 30 <= sop <= 270, sop  # files with and without trees came up often
+    assert 30 <= sop <= 270, sop  # files of literals only, and others, came up often
 
 
 def _outcomes(capsys, tmp_path, text, compile_args, verify_args):
@@ -217,6 +217,32 @@ def test_mixed_files_keep_every_message_and_which_error_wins(tmp_path, capsys):
             compiled, verified), text
 
 
+def test_products_are_read_left_to_right(tmp_path, capsys):
+    # a constant 0, or X and X', met before a group drops the product once
+    # its names are read; a group met first makes the body a table's
+    # minterms; a constant 1 is skipped
+    eq = tmp_path / "f.eqn"
+    argv = ["compile", str(eq), "--profile", "n3p8m1", "--order", "A,B,C", "--report",
+            "-o", str(tmp_path / "f.fuse")]
+    for body, terms in (("0(A+B) + C", 1), ("(A+B)0 + C", 4), ("AA'(B+C) + C", 1),
+                        ("(B+C)AA' + C", 4), ("1(A+B) + C", 7), ("A*1*B + C", 2)):
+        eq.write_text(f"F = {body}\n")
+        assert main(argv) == 0, body
+        assert f"\nterms   {terms}/8\n" in capsys.readouterr().err, body
+    eq.write_text("F = 0(A+D) + C\n")
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: equation 'F' uses variables not in order: ['D']\n")
+    for body, message in (
+        ("0(A+D) + C", "variable 'D' not in order"),
+        ("D(A+B)", "variable 'D' not in order"),
+        ("(A+B)D", "not a sum-of-products expression: '(A + B)D' is not a product of literals"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            cover_from_expr(parse_expression(body), tuple("ABC"))
+        assert str(exc.value) == message, body
+
+
 def test_valid_sop_files_never_reach_the_parser(tmp_path, capsys, monkeypatch):
     calls, tree = [], plakit.expr._tree
 
@@ -282,17 +308,18 @@ def test_read_equations_reads_literals_as_written():
     text = "# header\nF = !A'B'' + C!!B . A\n\nG = b\n"
     bodies = read_equations(text)
     assert bodies == [
-        ("F", [[("A", 1), ("B", 1)], [("C", 1), ("B", 1), ("A", 1)]], None),
-        ("G", [[("b", 1)]], None),
+        ("F", [[("A", 1), ("B", 1)], [("C", 1), ("B", 1), ("A", 1)]]),
+        ("G", [[("b", 1)]]),
     ]
     assert _names(bodies) == ("A", "B", "C", "b")
     assert read_equations("x1 = a_1 * !b' . c·d'\n", multi_letter=True) == [
-        ("x1", [[("a_1", 1), ("b", 1), ("c", 1), ("d", 0)]], None)]
-    # a constant or a group: the tree, and the products it flattens to
-    assert read_equations("F = A + 1\nG = (A)\nH = (AB)C'\n") == [
-        ("F", [[("A", 1)], [Const(1)]], Or(Var("A"), Const(1))),
-        ("G", [[("A", 1)]], Var("A")),
-        ("H", [[("A", 1), ("B", 1), ("C", 0)]], parse_equations("H = ABC'")[0][1]),
+        ("x1", [[("a_1", 1), ("b", 1), ("c", 1), ("d", 0)]])]
+    # a constant or a group: the products its tree flattens to
+    assert read_equations("F = A + 1\nG = (A)\nH = (AB)C'\nK = A(B + C')\n") == [
+        ("F", [[("A", 1)], [Const(1)]]),
+        ("G", [[("A", 1)]]),
+        ("H", [[("A", 1), ("B", 1), ("C", 0)]]),
+        ("K", [[("A", 1), Or(Var("B"), Not(Var("C")))]]),
     ]
     for text in ("", "# only a comment\n", "\n  \n"):
         assert read_equations(text) == [], text
@@ -310,7 +337,8 @@ def _sop_only(text, multi_letter):
         bodies = read_equations(text, multi_letter)
     except FormatError:
         return False
-    return bool(bodies) and all(tree is None for _, _, tree in bodies)
+    return bool(bodies) and all(type(f) is tuple for _, products in bodies
+                                for product in products for f in product)
 
 
 @pytest.mark.parametrize("text", [
