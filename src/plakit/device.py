@@ -401,7 +401,7 @@ def fault_sweep(state):
         tails = [(f"{c}] stuck-connected: ", f"{c}] stuck-disconnected: ") for c in range(cols)]
         lows = list(chain.from_iterable(row_lows(state, r) for r in range(rows)))
         for low in set(lows).difference(verdicts):
-            verdicts[low] = minterm_cube(low - 1, n)
+            verdicts[low] = format(low - 1, f"0{n}b")  # a row of a 2^n-row mask
         detected += len(lows) - lows.count(0)
         pairs = iter(map(verdicts.__getitem__, lows))
         lines += [f"{head}{on}{a}\n{head}{off}{b}\n"

@@ -1,4 +1,4 @@
-"""Boolean expression AST, parser, evaluator, and printer.
+"""Boolean expression AST, reader, evaluator, and printer.
 
 Grammar (text form):
 
@@ -8,29 +8,28 @@ Grammar (text form):
     primary := NAME | '0' | '1' | '(' expr ')'
 
 Precedence NOT > AND > OR. The postfix apostrophe binds to the immediately
-preceding variable, constant, or parenthesized group. One loop reads the
-grammar as the products a PLA's AND plane forms: a name with its marks
-stays a (name, value) literal, and only a constant or a parenthesized group
-(read by the same loop) becomes a tree node. read_equations reads a file
-once into each body's products, a body with such a node flattened back
-into them; parse_expression and parse_equations build their trees from
-those products. A '(' nested more than 100 deep is refused. Double
-negation is removed while parsing; no other rewriting happens, so the
-tree mirrors the text.
+preceding variable, constant, or parenthesized group. One recursive-descent
+reader walks a body's characters once, with no token list, into the
+products a PLA's AND plane forms: a name with its marks stays a (name,
+value) literal; only a constant or a group (one recursion per group, a '('
+nested more than 100 deep refused) becomes a tree node, and then the
+reader builds the body's tree, which read_equations flattens back into
+products and parse_expression and parse_equations return. Errors rank as
+if the body were tokenized first: at an error of the grammar the reader
+scans the rest of the body, and a lexical error found there wins. Double
+negation is removed while reading; no other rewriting happens, so the tree
+mirrors the text.
 
 Two identifier modes:
   * single-letter (default): every letter is its own variable, so "AB'C"
-    is the product A · B' · C;
+    is the product A · B' · C, and a digit touching a letter is an error;
   * multi-letter: identifiers are [A-Za-z][A-Za-z0-9_]* and AND must be
     written explicitly ('*', '.', or '·') because "AB" would be ambiguous.
-
-Constants 0/1 are standalone tokens; a digit touching a letter is a syntax
-error in single-letter mode (and part of the identifier in multi-letter
-mode).
+Constants 0/1 stand alone; an unexpected character is an error in both.
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .errors import FormatError, ParseError
 
@@ -41,6 +40,37 @@ class Expr:
     """Base class for expression nodes."""
 
     __slots__ = ()
+
+
+def _walk(tree):
+    """The parts of a tree's dataclass repr in order, without recursion:
+    the text around each Not, And and Or, and each other node itself. A
+    tree inside the nesting limit can be some 300 nodes deep, and the
+    generated __eq__ and __repr__ recurse about three frames a node."""
+    stack = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Not):
+            yield f"{item.__class__.__qualname__}(child="
+            stack += (")", item.child)
+        elif isinstance(item, (And, Or)):
+            yield f"{item.__class__.__qualname__}(children=("
+            stack.append("))")
+            for c in reversed(item.children[1:]):
+                stack += (c, ", ")
+            stack.append(item.children[0])
+        else:
+            yield item
+
+
+def _equal(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(a == b for a, b in zip_longest(_walk(self), _walk(other)))
+
+
+def _repr(self):
+    return "".join(p if p.__class__ is str else repr(p) for p in _walk(self))
 
 
 @dataclass(frozen=True)
@@ -66,6 +96,7 @@ class Const(Expr):
 @dataclass(frozen=True)
 class Not(Expr):
     child: Expr
+    __eq__, __repr__ = _equal, _repr
 
     def __post_init__(self):
         if not isinstance(self.child, Expr):
@@ -75,6 +106,7 @@ class Not(Expr):
 @dataclass(frozen=True, init=False)
 class And(Expr):
     children: tuple
+    __eq__, __repr__ = _equal, _repr
 
     def __init__(self, *children):
         object.__setattr__(self, "children", _flatten(And, children))
@@ -83,6 +115,7 @@ class And(Expr):
 @dataclass(frozen=True, init=False)
 class Or(Expr):
     children: tuple
+    __eq__, __repr__ = _equal, _repr
 
     def __init__(self, *children):
         object.__setattr__(self, "children", _flatten(Or, children))
@@ -104,22 +137,14 @@ def _flatten(kind, children):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Reader
 
 
-_NAME = "name"
-_CONST = "const"
-_PLUS = "+"
-_STAR = "*"
-_BANG = "!"
-_PRIME = "'"
-_LPAREN = "("
-_RPAREN = ")"
-_END = "end"
-
-
-_PUNCT = {"+": _PLUS, "!": _BANG, "'": _PRIME, "(": _LPAREN, ")": _RPAREN,
-          **dict.fromkeys(_AND_CHARS, _STAR)}
+_MAX_DEPTH = 100  # a '(' nested deeper is refused
+_SYMBOLS = {"+", "!", "'", "(", ")", "0", "1", *_AND_CHARS}
+_NO_OPERAND = {"(": f"parentheses nested more than {_MAX_DEPTH} deep",
+               ")": "unbalanced parentheses: unexpected ')'",
+               "": "empty operand: unexpected end of expression"}
 
 
 def _byte_offset(text, index):
@@ -127,107 +152,95 @@ def _byte_offset(text, index):
     return len(text[:index].encode("utf-8"))
 
 
-def _tokenize(text, multi_letter):
-    """(kind, text, index) triples; an index is a character position in `text`."""
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
+def _fail(text, i, multi_letter, message=None, index=None):
+    """Raise the first lexical error in text[i:], read from where a token
+    starts to the ')' that _read appends, else ParseError(message) at
+    character `index`. An unexpected character, and in single-letter mode a
+    digit beside a letter or a letter beside a constant, outrank any error
+    of the grammar, as if the whole body were tokenized first."""
+    while i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isalpha():
-            j = i + 1
-            if multi_letter:
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            elif j < n and text[j].isdigit():
-                # each letter is its own variable; a digit glued to it is an error
-                raise ParseError(
-                    f"digit adjacent to variable {ch!r}; constants must stand alone",
-                    _byte_offset(text, i),
-                )
-            tokens.append((_NAME, text[i:j], i))
-            i = j
-        elif ch in "01":
-            if not multi_letter and i + 1 < n and text[i + 1].isalpha():
-                raise ParseError(
-                    f"letter adjacent to constant {ch!r}; constants must stand alone",
-                    _byte_offset(text, i),
-                )
-            tokens.append((_CONST, ch, i))
-            i += 1
-        elif ch in _PUNCT:
-            tokens.append((_PUNCT[ch], ch, i))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append((_END, "", n))
-    return tokens
-
-
-_MAX_DEPTH = 100  # a '(' nested deeper is refused
-_NO_OPERAND = {
-    _LPAREN: f"parentheses nested more than {_MAX_DEPTH} deep",
-    _RPAREN: "unbalanced parentheses: unexpected ')'",
-    _END: "empty operand: unexpected end of expression",
-}
-
-
-def _sum(tokens, i, text, multi_letter, leaves, depth):
-    """Read products joined by '+' from tokens[i:] up to the ')' or end that
-    closes them: (products, that token's index). Each factor is '!'* primary
-    "'"*: a name is a (name, value) literal, value 1 for an even number of
-    marks; a constant or a group (read by recursion) is an Expr, negated for
-    an odd number. `leaves` maps names to a group's Vars."""
-    products, product = [], []
-    kind = tokens[i][0]
-    while True:
-        value = 1
-        while kind == _BANG:
-            value ^= 1
-            i += 1
-            kind = tokens[i][0]
-        if kind == _NAME:
-            name = tokens[i][1]
-        else:
-            kind, name, index = tokens[i]
-            if kind == _CONST:
-                factor = Const(int(name))
-            elif kind == _LPAREN and depth < _MAX_DEPTH:
-                group, i = _sum(tokens, i + 1, text, multi_letter, leaves, depth + 1)
-                if tokens[i][0] != _RPAREN:
-                    raise ParseError("unbalanced parentheses: expected ')'",
-                                     _byte_offset(text, tokens[i][2]))
-                factor = _tree(group, leaves)
-            else:
-                raise ParseError(_NO_OPERAND.get(kind, f"empty operand: unexpected {name!r}"),
-                                 _byte_offset(text, index))
-            name = None
         i += 1
-        kind = tokens[i][0]
-        while kind == _PRIME:
+        if ch.isalpha() and multi_letter:
+            while text[i].isalnum() or text[i] == "_":
+                i += 1
+        elif ch.isalpha() and text[i].isdigit():
+            message = f"digit adjacent to variable {ch!r}; constants must stand alone"
+            break
+        elif ch in "01" and not multi_letter and text[i].isalpha():
+            message = f"letter adjacent to constant {ch!r}; constants must stand alone"
+            break
+        elif not (ch.isalpha() or ch.isspace() or ch in _SYMBOLS):
+            message = f"unexpected character {ch!r}"
+            break
+    else:
+        i = index + 1
+    raise ParseError(message, _byte_offset(text, i - 1))
+
+
+def _sum(text, i, multi_letter, leaves, depth):
+    """Read products joined by '+' from text[i:] up to the ')' that closes
+    them, at the end of a body the one _read appends: (products, the
+    position of that ')', plain). Each factor is '!'* primary "'"*: a name
+    is a (name, value) literal, value 1 for an even number of marks; a
+    constant or a group (read by recursion) is an Expr, negated for an odd
+    number, and makes `plain` False. `leaves` maps names to a group's Vars."""
+    end = len(text) - 1
+    products, product, plain, value = [], [], True, 1
+    ch = text[i]
+    while True:
+        start = i
+        i += 1
+        if ch.isalpha():
+            if multi_letter:
+                while text[i].isalnum() or text[i] == "_":
+                    i += 1
+                name, ch = text[start:i], text[i]
+            else:
+                name, ch = ch, text[i]
+                if ch.isdigit():
+                    _fail(text, start, False)
+        elif ch == "!":
             value ^= 1
-            i += 1
-            kind = tokens[i][0]
-        if name:
-            product.append((name, value))
-        else:
-            product.append(factor if value else _negate(factor))
-        if kind == _NAME and not multi_letter:  # a name set beside the last factor
+            ch = text[i]
             continue
-        if kind == _STAR or kind == _PLUS:
-            if kind == _PLUS:
-                products.append(product)
-                product = []
+        elif ch.isspace():
+            ch = text[i]
+            continue
+        else:
+            if ch in "01":
+                factor, ch = Const(int(ch)), text[i]
+                if not multi_letter and ch.isalpha():
+                    _fail(text, start, False)
+            elif ch == "(" and depth < _MAX_DEPTH:
+                group, i, _ = _sum(text, i, multi_letter, leaves, depth + 1)
+                if i == end:
+                    raise ParseError("unbalanced parentheses: expected ')'",
+                                     _byte_offset(text, end))
+                factor, i, ch = _tree(group, leaves), i + 1, text[i + 1]
+            else:
+                ch = "" if start == end else ch
+                _fail(text, start, multi_letter,
+                      _NO_OPERAND.get(ch, f"empty operand: unexpected {ch!r}"), start)
+            name, plain = None, False
+        while ch == "'" or ch.isspace():
+            if ch == "'":
+                value ^= 1
             i += 1
-            kind = tokens[i][0]
-        elif kind == _RPAREN or kind == _END:
+            ch = text[i]
+        product.append((name, value) if name else factor if value else _negate(factor))
+        value = 1
+        if ch == "+":
             products.append(product)
-            return products, i
+            product, i, ch = [], i + 1, text[i + 1]
+        elif ch == ")":
+            products.append(product)
+            return products, i, plain
+        elif ch in _AND_CHARS:
+            i, ch = i + 1, text[i + 1]
         elif multi_letter:  # any factor set beside the last one
-            raise ParseError("missing AND operator (multi-letter mode requires '*')",
-                             _byte_offset(text, tokens[i][2]))
+            _fail(text, i, True, "missing AND operator (multi-letter mode requires '*')", i)
+        # in single-letter mode anything else starts the next factor, or fails there
 
 
 def _tree(products, leaves):
@@ -263,25 +276,27 @@ def _negate(expr):
     return expr.child if isinstance(expr, Not) else Not(expr)  # NOT NOT x == x: no other rewrite
 
 
-def _read(text, multi_letter):
-    """The products of an expression, _flat of its tree if it holds a
-    constant or a group; ParseError with a byte offset."""
+def _read(text, multi_letter, leaves):
+    """A body's (products, tree): its literals as written and None, or, if
+    it holds a constant or a group, _flat of its tree and the tree, whose
+    Vars come from `leaves`; ParseError with a byte offset."""
     if not text.strip():
         raise ParseError("empty expression", 0)
-    tokens = _tokenize(text, multi_letter)
-    leaves = {}  # one Var per name: nodes are frozen and compare by value
-    products, i = _sum(tokens, 0, text, multi_letter, leaves, 0)
-    kind, tok, index = tokens[i]
-    if kind != _END:
-        raise ParseError(f"unexpected trailing token {tok!r}", _byte_offset(text, index))
-    if set(map(type, chain.from_iterable(products))) == {tuple}:
-        return products
-    return _flat(_tree(products, leaves))
+    text += ")"  # the ')' that closes the body
+    products, i, plain = _sum(text, 0, multi_letter, leaves, 0)
+    if i < len(text) - 1:
+        _fail(text, i, multi_letter, "unexpected trailing token ')'", i)
+    if plain:
+        return products, None
+    tree = _tree(products, leaves)
+    return _flat(tree), tree
 
 
 def parse_expression(text, multi_letter=False):
     """Parse a Boolean expression; raises ParseError with a byte offset."""
-    return _tree(_read(text, multi_letter), {})
+    leaves = {}  # one Var per name: nodes are frozen and compare by value
+    products, tree = _read(text, multi_letter, leaves)
+    return _tree(products, leaves) if tree is None else tree
 
 
 # ---------------------------------------------------------------------------
@@ -313,25 +328,8 @@ def evaluate(expr, assignment):
 
 
 def variables(*exprs):
-    """Distinct variable names of the expressions in first-appearance
-    (left-to-right) order."""
-    order = []
-    seen = set()
-
-    def walk(e):
-        if isinstance(e, Var):
-            if e.name not in seen:
-                seen.add(e.name)
-                order.append(e.name)
-        elif isinstance(e, Not):
-            walk(e.child)
-        elif isinstance(e, (And, Or)):
-            for c in e.children:
-                walk(c)
-
-    for expr in exprs:
-        walk(expr)
-    return tuple(order)
+    """Distinct variable names of the expressions, in first-appearance order."""
+    return tuple(dict.fromkeys(v.name for e in exprs for v in _walk(e) if isinstance(v, Var)))
 
 
 def check_names(equations, order, where):
@@ -416,9 +414,7 @@ def _equation_lines(text):
             raise FormatError(f"line {lineno}: expected 'NAME = expression'")
         name, _, body = line.partition("=")
         name = name.strip()
-        if not name or not name[0].isalpha() or not all(
-            c.isalnum() or c == "_" for c in name
-        ):
+        if not (name[:1].isalpha() and all(c.isalnum() or c == "_" for c in name)):
             raise FormatError(f"line {lineno}: bad equation name {name!r}")
         if name in seen:
             raise FormatError(f"line {lineno}: duplicate equation name {name!r}")
@@ -426,25 +422,29 @@ def _equation_lines(text):
         yield lineno, name, body
 
 
+def _bodies(text, multi_letter, leaves):
+    """(name, products, tree) of each equation in order, _read of its body."""
+    for lineno, name, body in _equation_lines(text):
+        try:
+            products, tree = _read(body, multi_letter, leaves)
+        except ParseError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from exc
+        yield name, products, tree
+
+
 def read_equations(text, multi_letter=False):
     """Read an equation file into an ordered list of (name, products)
     pairs. A product is a list of (variable, value) literals as written,
     unless the body holds a constant or a group: then the products are
     _flat of its tree, whose factors may be Exprs."""
-    equations = []
-    for lineno, name, body in _equation_lines(text):
-        try:
-            equations.append((name, _read(body, multi_letter)))
-        except ParseError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from exc
-    return equations
+    return [(name, products) for name, products, _ in _bodies(text, multi_letter, {})]
 
 
 def parse_equations(text, multi_letter=False):
     """Read an equation file into an ordered list of (name, Expr) pairs."""
     leaves = {}  # one Var per name
-    return [(name, _tree(products, leaves))
-            for name, products in read_equations(text, multi_letter)]
+    return [(name, _tree(products, leaves) if tree is None else tree)
+            for name, products, tree in _bodies(text, multi_letter, leaves)]
 
 
 def _names(equations):

@@ -22,10 +22,7 @@ from plakit import (
     share_terms, table_from_expr, variables,
 )
 from plakit.cli import parse_profile
-from plakit.expr import (
-    _BANG, _CONST, _END, _LPAREN, _NAME, _PLUS, _PRIME, _RPAREN, _STAR, _byte_offset,
-    _equation_lines, _tokenize, content_lines,
-)
+from plakit.expr import _equation_lines, content_lines
 from plakit.fit import _check_row, _directive_count, _signal_count
 from plakit.minimize import _checked_mask
 
@@ -653,8 +650,69 @@ def render_crosspoint_diagram_naive(state, input_names=None, output_names=None):
 # ---------------------------------------------------------------------------
 # The two grammars plakit.expr read equation bodies with before one loop
 # read both: a recursive-descent parser to Expr trees, and a flat loop to
-# the literal lists of a sum of products. Both read plakit.expr._tokenize's
-# tokens.
+# the literal lists of a sum of products. Both read the tokens _tokenize
+# makes of a whole body before either grammar starts, so a lexical error
+# anywhere in the body outranks any error of the grammar.
+
+
+_AND_CHARS = {"*", ".", "·"}  # '·' appears in printed POS equations
+_NAME = "name"
+_CONST = "const"
+_PLUS = "+"
+_STAR = "*"
+_BANG = "!"
+_PRIME = "'"
+_LPAREN = "("
+_RPAREN = ")"
+_END = "end"
+
+
+_PUNCT = {"+": _PLUS, "!": _BANG, "'": _PRIME, "(": _LPAREN, ")": _RPAREN,
+          **dict.fromkeys(_AND_CHARS, _STAR)}
+
+
+def _byte_offset(text, index):
+    """The UTF-8 byte offset of character `index`, as a ParseError reports it."""
+    return len(text[:index].encode("utf-8"))
+
+
+def _tokenize(text, multi_letter):
+    """(kind, text, index) triples; an index is a character position in `text`."""
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isalpha():
+            j = i + 1
+            if multi_letter:
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+            elif j < n and text[j].isdigit():
+                # each letter is its own variable; a digit glued to it is an error
+                raise ParseError(
+                    f"digit adjacent to variable {ch!r}; constants must stand alone",
+                    _byte_offset(text, i),
+                )
+            tokens.append((_NAME, text[i:j], i))
+            i = j
+        elif ch in "01":
+            if not multi_letter and i + 1 < n and text[i + 1].isalpha():
+                raise ParseError(
+                    f"letter adjacent to constant {ch!r}; constants must stand alone",
+                    _byte_offset(text, i),
+                )
+            tokens.append((_CONST, ch, i))
+            i += 1
+        elif ch in _PUNCT:
+            tokens.append((_PUNCT[ch], ch, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", _byte_offset(text, i))
+    tokens.append((_END, "", n))
+    return tokens
 
 
 class _NaiveParser:

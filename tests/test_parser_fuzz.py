@@ -169,13 +169,13 @@ def test_block_scan_matches_the_per_line_reader():
 # Bodies that reach every branch of the expression loop: runs of marks on a
 # name, a constant and a group, nested and flattened groups, each kind of
 # missing operand and stray ')', both AND spellings, both digit adjacencies,
-# empty and blank bodies, a non-ASCII name, and nested negated groups (30
-# deep: comparing trees by value recurses three calls a level).
+# empty and blank bodies, a non-ASCII name, and negated groups nested as
+# deep as the reader allows, 100.
 HAND_BODIES = [
     "A''", "!A'", "!!A", "(A')'", "((A))", "(AB)C", "A(B+C)'", "(A+B)+C", "0'", "!1",
     "A + ", ")", "(A", "A)", "A**B", "A ++ B", "A0", "0A", "a*b c", "a b", "", "   ",
     "\u00e9 + b", "A\u00b7B", "\u00b7", "!" * 50 + "A" + "'" * 7,
-    "".join("!(A + B" for _ in range(30)) + ")" * 30,
+    "".join("!(A + B" for _ in range(100)) + ")" * 100,
 ]
 
 

@@ -347,13 +347,13 @@ def _sop_only(text, multi_letter):
     "F = AB + C'\nG = (A + B)C\n",  # a group body
 ])
 def test_every_command_tokenizes_each_body_once(tmp_path, capsys, monkeypatch, text):
-    calls, tokenize = [], plakit.expr._tokenize
+    calls, read = [], plakit.expr._read
 
-    def counted(body, multi_letter):
+    def counted(body, multi_letter, leaves):
         calls.append(body)
-        return tokenize(body, multi_letter)
+        return read(body, multi_letter, leaves)
 
-    monkeypatch.setattr(plakit.expr, "_tokenize", counted)
+    monkeypatch.setattr(plakit.expr, "_read", counted)
     eq, fuse = tmp_path / "fg.eqn", tmp_path / "fg.fuse"
     eq.write_text(text)
     bodies = [line.partition("=")[2] for line in text.splitlines()]
